@@ -88,7 +88,10 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     kind = cycle.get("kind")
     _expect(kind in KINDS, f"unknown cycle kind {kind!r}")
     k = cycle.get("k")
-    _expect(k is None or isinstance(k, int), "k must be an integer")
+    _expect(
+        k is None or (isinstance(k, int) and not isinstance(k, bool) and k >= 2),
+        "k must be an integer >= 2",
+    )
     split = cycle.get("split_index")
     _expect(split is None or isinstance(split, int), "split_index must be an integer")
 

@@ -40,7 +40,7 @@ class KOutOfRange(ConstructionError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A brute-force or subset-check budget was exhausted."""
+    """A brute-force oracle's budget was exhausted."""
 
 
 class CertificateParseError(ValueError):

@@ -13,6 +13,7 @@ from sigmacycles import (
     parse_partition,
 )
 from sigmacycles.certfile import dumps, from_json_dict, read_certificate, write_certificate
+from sigmacycles.cli import main
 
 
 def certs():
@@ -94,6 +95,17 @@ def test_malformed_vertex():
     doc = base_doc()
     doc["cycle"]["edges"][0][0] = [0, "x"]
     expect_error(doc, "integer pair")
+
+
+@pytest.mark.parametrize("k", [0, 1, -3, True, False, "3"])
+def test_invalid_k(k, tmp_path, capsys):
+    doc = json.loads(dumps(construct_k_intersecting(make_hypergraph(4, 3, parse_partition("1,1,1")), 3)))
+    doc["cycle"]["k"] = k
+    expect_error(doc, "k must be an integer >= 2")
+    path = tmp_path / "bad-k.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_berge_requires_vertex_sequence():

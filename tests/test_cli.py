@@ -79,6 +79,17 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
+    def test_large_k_intersecting_round_trip(self, capsys, tmp_path):
+        path = self.make_cert(
+            capsys, tmp_path,
+            "construct", "--kind", "k-intersecting", "--k", "3",
+            "--sigma", "2,1,1", "--n", "14", "--q", "40",
+        )
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "PASS" in out
+        assert "hamiltonian: true" in out
+
     def test_corrupted_vertex(self, capsys, tmp_path):
         path = self.make_cert(
             capsys, tmp_path,

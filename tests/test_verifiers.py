@@ -90,11 +90,19 @@ class TestKIntersectingVerifier:
         as_sharp = dataclasses.replace(cert, kind="sharp", k=None)
         assert verify_k_intersecting(h, cert, 2).ok == verify_sharp_cycle(h, as_sharp).ok
 
-    def test_budget_guard(self):
-        h = H(4, 3, "1,1,1")
+    def test_large_certificate_fully_verified(self):
+        # C(420, 3) = 12,259,940 subsets: past what a subset sweep can afford
+        h = H(14, 40, "2,1,1")
         cert = construct_k_intersecting(h, 3)
-        with pytest.raises(BudgetExceeded):
-            verify_k_intersecting(h, cert, 3, budget=10)
+        assert len(cert.edges) == 420
+        report = verify_k_intersecting(h, cert, 3)
+        assert report.ok and report.hamiltonian
+        assert len(report.window_sizes) == 420
+
+    def test_k_below_two_rejected(self):
+        h = H(4, 3, "1,1,1")
+        with pytest.raises(ValueError):
+            verify_k_intersecting(h, construct_k_intersecting(h, 3), 1)
 
 
 class TestVerifyMatching:
