@@ -2,46 +2,76 @@
 
 Field order is fixed (schema_version, hypergraph, cycle, claims) and all
 indices are 0-based, so identical certificates serialize byte-identically.
+The writer emits the layout of `json.dumps(doc, indent=2)` directly.
+
+The reader is the validation boundary for untrusted files: every check is
+strict about JSON types (a boolean is not an integer), and any file that is
+unreadable, not JSON or not a valid certificate raises
+CertificateParseError.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .certificates import KIND_BERGE, KINDS, CycleCertificate
-from .core import Edge, Partition, SigmaHypergraph
+from .core import Edge, GridVertex, Partition, SigmaHypergraph
 from .errors import CertificateParseError, NoEdgesError
 
 SCHEMA_VERSION = "1"
 
 
-def to_json_dict(cert: CycleCertificate) -> dict[str, Any]:
-    H = cert.hypergraph
-    cycle: dict[str, Any] = {"kind": cert.kind}
-    if cert.k is not None:
-        cycle["k"] = cert.k
-    if cert.split_index is not None:
-        cycle["split_index"] = cert.split_index
-    cycle["edges"] = [[[c, row] for c, row in e.vertices] for e in cert.edges]
-    if cert.vertex_sequence is not None:
-        cycle["vertex_sequence"] = [[c, row] for c, row in cert.vertex_sequence]
-    claims: dict[str, Any] = {"hamiltonian": cert.claimed_hamiltonian}
-    if cert.claimed_t is not None:
-        claims["t"] = cert.claimed_t
-    if cert.claimed_z is not None:
-        claims["z"] = cert.claimed_z
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "hypergraph": {"n": H.n, "q": H.q, "sigma": list(H.sigma.parts)},
-        "cycle": cycle,
-        "claims": claims,
-    }
+def _block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """Join already-rendered items the way json.dumps(indent=2) lays out an
+    array (brackets "[]") or an object ("{}") nested `depth` levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return brackets[0] + pad + body + pad[:-2] + brackets[1] if body else brackets
+
+
+def _member(key: str, value: Any) -> str:
+    return f'"{key}": {json.dumps(value)}'
+
+
+# One [c, row] pair inside an edge (depth 4) and inside vertex_sequence (depth 3).
+_EDGE_VERTEX = _block(("%d", "%d"), 4)
+_SEQUENCE_VERTEX = _block(("%d", "%d"), 3)
 
 
 def dumps(cert: CycleCertificate) -> str:
-    return json.dumps(to_json_dict(cert), indent=2) + "\n"
+    """The file text: json.dumps(doc, indent=2) + "\n" of the schema document.
+    Vertex coordinates are written with %d, so they must be ints, as the
+    constructors and the reader make them."""
+    H = cert.hypergraph
+    hypergraph = [
+        _member("n", H.n),
+        _member("q", H.q),
+        '"sigma": ' + _block(map(json.dumps, H.sigma.parts), 2),
+    ]
+    cycle = [_member("kind", cert.kind)]
+    if cert.k is not None:
+        cycle.append(_member("k", cert.k))
+    if cert.split_index is not None:
+        cycle.append(_member("split_index", cert.split_index))
+    edges = (_block(map(_EDGE_VERTEX.__mod__, e.vertices), 3) for e in cert.edges)
+    cycle.append('"edges": ' + _block(edges, 2))
+    if cert.vertex_sequence is not None:
+        sequence = map(_SEQUENCE_VERTEX.__mod__, cert.vertex_sequence)
+        cycle.append('"vertex_sequence": ' + _block(sequence, 2))
+    claims = [_member("hamiltonian", cert.claimed_hamiltonian)]
+    if cert.claimed_t is not None:
+        claims.append(_member("t", cert.claimed_t))
+    if cert.claimed_z is not None:
+        claims.append(_member("z", cert.claimed_z))
+    top = [
+        _member("schema_version", SCHEMA_VERSION),
+        '"hypergraph": ' + _block(hypergraph, 1, "{}"),
+        '"cycle": ' + _block(cycle, 1, "{}"),
+        '"claims": ' + _block(claims, 1, "{}"),
+    ]
+    return _block(top, 0, "{}") + "\n"
 
 
 def write_certificate(cert: CycleCertificate, path: str | Path) -> None:
@@ -53,25 +83,44 @@ def _expect(cond: bool, message: str) -> None:
         raise CertificateParseError(message)
 
 
-def _vertex_pair(item: Any, where: str) -> tuple[int, int]:
-    _expect(
-        isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item),
-        f"{where}: vertex must be a [class_index, row_index] integer pair",
-    )
-    return (item[0], item[1])
+def _vertices(items: Any, where: str, H: SigmaHypergraph, r: int | None) -> list[GridVertex]:
+    """Validate one JSON vertex list in a single pass and return its vertices.
+
+    Checks, in order: an array of [c, row] integer pairs; for an edge (r
+    given), r vertices and no duplicate, and the vertices come back sorted;
+    every vertex in range.  The first failing check raises, naming `where`.
+    Messages are built only on failure: this runs once per edge.
+    """
+    if type(items) is not list:
+        raise CertificateParseError(f"{where} must be an array of vertices")
+    pairs = {list} >= set(map(type, items)) and {2} >= set(map(len, items))
+    vs = list(map(tuple, items)) if pairs else []
+    cols, rows = zip(*vs) if vs else ((), ())
+    if not (pairs and {int} >= set(map(type, cols + rows))):
+        raise CertificateParseError(f"{where}: vertex must be a [class_index, row_index] integer pair")
+    if r is not None:
+        if len(vs) != r:
+            raise CertificateParseError(f"{where} has {len(vs)} vertices, expected r={r}")
+        vs.sort()
+        if len(set(vs)) != r:
+            raise CertificateParseError(f"{where} has a duplicate vertex")
+    if vs and not (0 <= min(cols) and max(cols) < H.n and 0 <= min(rows) and max(rows) < H.q):
+        bad = next(v for v in map(tuple, items) if not H.in_bounds(v))
+        raise CertificateParseError(f"{where}: vertex {list(bad)} out of range for {H}")
+    return vs
 
 
 def from_json_dict(doc: Any) -> CycleCertificate:
-    _expect(isinstance(doc, dict), "certificate must be a JSON object")
+    _expect(type(doc) is dict, "certificate must be a JSON object")
     _expect(doc.get("schema_version") == SCHEMA_VERSION, "unknown or missing schema_version")
     hg = doc.get("hypergraph")
-    _expect(isinstance(hg, dict), "missing hypergraph object")
-    _expect(isinstance(hg.get("n"), int) and isinstance(hg.get("q"), int), "n and q must be integers")
+    _expect(type(hg) is dict, "missing hypergraph object")
+    _expect(type(hg.get("n")) is int and type(hg.get("q")) is int, "n and q must be integers")
     sigma_raw = hg.get("sigma")
     _expect(
-        isinstance(sigma_raw, list)
+        type(sigma_raw) is list
         and sigma_raw
-        and all(isinstance(a, int) and a >= 1 for a in sigma_raw),
+        and all(type(a) is int and a >= 1 for a in sigma_raw),
         "sigma must be a nonempty array of positive integers",
     )
     _expect(
@@ -84,59 +133,55 @@ def from_json_dict(doc: Any) -> CycleCertificate:
         raise CertificateParseError(f"invalid hypergraph parameters: {exc}") from exc
 
     cycle = doc.get("cycle")
-    _expect(isinstance(cycle, dict), "missing cycle object")
+    _expect(type(cycle) is dict, "missing cycle object")
     kind = cycle.get("kind")
     _expect(kind in KINDS, f"unknown cycle kind {kind!r}")
     k = cycle.get("k")
-    _expect(
-        k is None or (isinstance(k, int) and not isinstance(k, bool) and k >= 2),
-        "k must be an integer >= 2",
-    )
+    _expect(k is None or (type(k) is int and k >= 2), "k must be an integer >= 2")
     split = cycle.get("split_index")
-    _expect(split is None or isinstance(split, int), "split_index must be an integer")
+    _expect(split is None or type(split) is int, "split_index must be an integer")
 
     edges_raw = cycle.get("edges")
-    _expect(isinstance(edges_raw, list) and edges_raw, "cycle.edges must be a nonempty array")
-    edges = []
-    for idx, e_raw in enumerate(edges_raw):
-        _expect(isinstance(e_raw, list), f"edge {idx} must be an array of vertices")
-        vs = [_vertex_pair(item, f"edge {idx}") for item in e_raw]
-        _expect(
-            len(vs) == H.r, f"edge {idx} has {len(vs)} vertices, expected r={H.r}"
-        )
-        _expect(len(set(vs)) == len(vs), f"edge {idx} has a duplicate vertex")
-        for v in vs:
-            _expect(H.in_bounds(v), f"edge {idx}: vertex {list(v)} out of range for {H}")
-        edges.append(Edge.of(vs))
+    _expect(type(edges_raw) is list and edges_raw, "cycle.edges must be a nonempty array")
+    r = H.r
+    edges = tuple(
+        Edge(tuple(_vertices(e_raw, f"edge {idx}", H, r))) for idx, e_raw in enumerate(edges_raw)
+    )
 
     vseq_raw = cycle.get("vertex_sequence")
-    vseq = None
     if kind == KIND_BERGE:
-        _expect(isinstance(vseq_raw, list), "berge certificate requires cycle.vertex_sequence")
+        _expect(type(vseq_raw) is list, "berge certificate requires cycle.vertex_sequence")
+    vseq = None
     if vseq_raw is not None:
-        vs = [_vertex_pair(item, "vertex_sequence") for item in vseq_raw]
-        for v in vs:
-            _expect(H.in_bounds(v), f"vertex_sequence: vertex {list(v)} out of range for {H}")
-        vseq = tuple(vs)
+        vseq = tuple(_vertices(vseq_raw, "vertex_sequence", H, None))
 
     claims = doc.get("claims") or {}
-    _expect(isinstance(claims, dict), "claims must be an object")
+    _expect(type(claims) is dict, "claims must be an object")
+    hamiltonian = claims.get("hamiltonian", False)
+    _expect(type(hamiltonian) is bool, "claims.hamiltonian must be a boolean")
+    t, z = claims.get("t"), claims.get("z")
+    _expect(
+        (t is None or type(t) is int) and (z is None or type(z) is int),
+        "claims.t and claims.z must be integers",
+    )
     return CycleCertificate(
         hypergraph=H,
         kind=kind,
-        edges=tuple(edges),
+        edges=edges,
         k=k,
         split_index=split,
         vertex_sequence=vseq,
-        claimed_hamiltonian=bool(claims.get("hamiltonian", False)),
-        claimed_t=claims.get("t"),
-        claimed_z=claims.get("z"),
+        claimed_hamiltonian=hamiltonian,
+        claimed_t=t,
+        claimed_z=z,
     )
 
 
 def read_certificate(path: str | Path) -> CycleCertificate:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid UTF-8 and JSONDecodeError; RecursionError
+        # is deeply nested arrays.
         raise CertificateParseError(f"cannot read certificate: {exc}") from exc
     return from_json_dict(doc)

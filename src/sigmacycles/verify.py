@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .certificates import (
     KIND_BERGE,
     KIND_K_INTERSECTING,
@@ -346,6 +344,10 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     by size + floor(reachable_vertices / r) <= best.  When the node budget
     runs out the best matching found so far is returned flagged inexact.
     """
+    # Imported here, not at module level: no other code path needs numpy,
+    # and importing it would double the CLI's start-up time.
+    import numpy as np
+
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+import json
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
-from sigmacycles.core import GridVertex
+from sigmacycles.certfile import SCHEMA_VERSION
+from sigmacycles.certificates import KIND_BERGE, KINDS
+from sigmacycles.core import GridVertex, Partition
+from sigmacycles.errors import CertificateParseError, NoEdgesError
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
     TAG_DEGENERATE_LENGTH,
@@ -127,3 +131,124 @@ def reference_verify_k_intersecting(
             )
     hamiltonian = len(frozenset().union(*sets)) == H.vertex_count
     return VerificationReport(ok=True, window_sizes=tuple(window_sizes), hamiltonian=hamiltonian)
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate codec: the generic json.dumps(indent=2) writer and the
+# per-vertex validation loop.  sigmacycles.certfile must write the same bytes
+# and, apart from its strict scalar types (booleans are not integers, claims
+# and vertex_sequence are typed), accept and reject the same documents with
+# the same messages.
+
+
+def reference_to_json_dict(cert: CycleCertificate) -> dict[str, Any]:
+    H = cert.hypergraph
+    cycle: dict[str, Any] = {"kind": cert.kind}
+    if cert.k is not None:
+        cycle["k"] = cert.k
+    if cert.split_index is not None:
+        cycle["split_index"] = cert.split_index
+    cycle["edges"] = [[[c, row] for c, row in e.vertices] for e in cert.edges]
+    if cert.vertex_sequence is not None:
+        cycle["vertex_sequence"] = [[c, row] for c, row in cert.vertex_sequence]
+    claims: dict[str, Any] = {"hamiltonian": cert.claimed_hamiltonian}
+    if cert.claimed_t is not None:
+        claims["t"] = cert.claimed_t
+    if cert.claimed_z is not None:
+        claims["z"] = cert.claimed_z
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "hypergraph": {"n": H.n, "q": H.q, "sigma": list(H.sigma.parts)},
+        "cycle": cycle,
+        "claims": claims,
+    }
+
+
+def reference_dumps(cert: CycleCertificate) -> str:
+    return json.dumps(reference_to_json_dict(cert), indent=2) + "\n"
+
+
+def _expect(cond: bool, message: str) -> None:
+    if not cond:
+        raise CertificateParseError(message)
+
+
+def _vertex_pair(item: Any, where: str) -> tuple[int, int]:
+    _expect(
+        isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item),
+        f"{where}: vertex must be a [class_index, row_index] integer pair",
+    )
+    return (item[0], item[1])
+
+
+def reference_from_json_dict(doc: Any) -> CycleCertificate:
+    _expect(isinstance(doc, dict), "certificate must be a JSON object")
+    _expect(doc.get("schema_version") == SCHEMA_VERSION, "unknown or missing schema_version")
+    hg = doc.get("hypergraph")
+    _expect(isinstance(hg, dict), "missing hypergraph object")
+    _expect(isinstance(hg.get("n"), int) and isinstance(hg.get("q"), int), "n and q must be integers")
+    sigma_raw = hg.get("sigma")
+    _expect(
+        isinstance(sigma_raw, list)
+        and sigma_raw
+        and all(isinstance(a, int) and a >= 1 for a in sigma_raw),
+        "sigma must be a nonempty array of positive integers",
+    )
+    _expect(
+        all(sigma_raw[i] >= sigma_raw[i + 1] for i in range(len(sigma_raw) - 1)),
+        "sigma parts not sorted non-increasing",
+    )
+    try:
+        H = SigmaHypergraph(hg["n"], hg["q"], Partition(tuple(sigma_raw)))
+    except (NoEdgesError, ValueError) as exc:
+        raise CertificateParseError(f"invalid hypergraph parameters: {exc}") from exc
+
+    cycle = doc.get("cycle")
+    _expect(isinstance(cycle, dict), "missing cycle object")
+    kind = cycle.get("kind")
+    _expect(kind in KINDS, f"unknown cycle kind {kind!r}")
+    k = cycle.get("k")
+    _expect(
+        k is None or (isinstance(k, int) and not isinstance(k, bool) and k >= 2),
+        "k must be an integer >= 2",
+    )
+    split = cycle.get("split_index")
+    _expect(split is None or isinstance(split, int), "split_index must be an integer")
+
+    edges_raw = cycle.get("edges")
+    _expect(isinstance(edges_raw, list) and edges_raw, "cycle.edges must be a nonempty array")
+    edges = []
+    for idx, e_raw in enumerate(edges_raw):
+        _expect(isinstance(e_raw, list), f"edge {idx} must be an array of vertices")
+        vs = [_vertex_pair(item, f"edge {idx}") for item in e_raw]
+        _expect(
+            len(vs) == H.r, f"edge {idx} has {len(vs)} vertices, expected r={H.r}"
+        )
+        _expect(len(set(vs)) == len(vs), f"edge {idx} has a duplicate vertex")
+        for v in vs:
+            _expect(H.in_bounds(v), f"edge {idx}: vertex {list(v)} out of range for {H}")
+        edges.append(Edge.of(vs))
+
+    vseq_raw = cycle.get("vertex_sequence")
+    vseq = None
+    if kind == KIND_BERGE:
+        _expect(isinstance(vseq_raw, list), "berge certificate requires cycle.vertex_sequence")
+    if vseq_raw is not None:
+        vs = [_vertex_pair(item, "vertex_sequence") for item in vseq_raw]
+        for v in vs:
+            _expect(H.in_bounds(v), f"vertex_sequence: vertex {list(v)} out of range for {H}")
+        vseq = tuple(vs)
+
+    claims = doc.get("claims") or {}
+    _expect(isinstance(claims, dict), "claims must be an object")
+    return CycleCertificate(
+        hypergraph=H,
+        kind=kind,
+        edges=tuple(edges),
+        k=k,
+        split_index=split,
+        vertex_sequence=vseq,
+        claimed_hamiltonian=bool(claims.get("hamiltonian", False)),
+        claimed_t=claims.get("t"),
+        claimed_z=claims.get("z"),
+    )

@@ -86,9 +86,11 @@ def test_duplicate_vertex_in_edge():
 
 
 def test_vertex_out_of_range():
-    doc = base_doc()
-    doc["cycle"]["edges"][0][0] = [7, 0]
-    expect_error(doc, "out of range")
+    # Each side of the grid; with two bad vertices the first in file order is named.
+    for vertices in ([[7, 0], [5, 0]], [[-1, 0]], [[0, 6]], [[0, -1]]):
+        doc = base_doc()
+        doc["cycle"]["edges"][0][: len(vertices)] = vertices
+        expect_error(doc, f"edge 0: vertex {vertices[0]} out of range")
 
 
 def test_malformed_vertex():
@@ -106,6 +108,44 @@ def test_invalid_k(k, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, fragment",
+    [
+        (("cycle", "edges", 0, 0), [True, 0], "integer pair"),
+        (("cycle", "edges", 0, 0), [0, False], "integer pair"),
+        (("cycle", "vertex_sequence"), [[True, 0]], "vertex_sequence: vertex must be"),
+        (("cycle", "vertex_sequence"), 5, "vertex_sequence must be an array"),
+        (("claims", "hamiltonian"), "false", "claims.hamiltonian must be a boolean"),
+        (("claims", "hamiltonian"), 1, "claims.hamiltonian must be a boolean"),
+        (("claims", "t"), "x", "claims.t and claims.z must be integers"),
+        (("claims", "z"), 1.5, "claims.t and claims.z must be integers"),
+        (("claims", "t"), True, "claims.t and claims.z must be integers"),
+        (("cycle", "split_index"), True, "split_index must be an integer"),
+        (("hypergraph", "n"), True, "n and q must be integers"),
+        (("hypergraph", "q"), True, "n and q must be integers"),
+        (("hypergraph", "sigma"), [2, True], "sigma must be a nonempty array of positive integers"),
+    ],
+    ids=[
+        "true-coordinate", "false-row", "true-in-vertex-sequence", "vertex-sequence-number",
+        "hamiltonian-string", "hamiltonian-number", "t-string", "z-float", "t-true",
+        "split-true", "n-true", "q-true", "sigma-true",
+    ],
+)
+def test_strict_scalar_types(path, value, fragment, tmp_path, capsys):
+    doc = base_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    expect_error(doc, fragment)
+    bad = tmp_path / "strict.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    assert main(["export", str(bad), "--format", "svg"]) == 2
+    err = capsys.readouterr().err
+    assert "verify: parse error" in err and "export: parse error" in err
 
 
 def test_berge_requires_vertex_sequence():

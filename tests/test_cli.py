@@ -1,7 +1,14 @@
 """CLI subcommands, exit codes and renderer determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import sigmacycles
 from sigmacycles.cli import main
 from sigmacycles.certfile import read_certificate
 
@@ -114,6 +121,30 @@ class TestVerify:
         assert "parse error" in err
 
 
+class TestUnreadableFile:
+    """Files that are not JSON at all end in a parse error (exit 2) from
+    every subcommand that reads a certificate, never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "command", [["verify"], ["export", "--format", "dot"]], ids=["verify", "export"]
+    )
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'\xff\xfe{"schema_version": "1"}',
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"schema_version": "1", "hypergraph": {"n": ' + b"9" * 5000 + b"}}",
+        ],
+        ids=["invalid-utf8", "deeply-nested-arrays", "integer-too-long"],
+    )
+    def test_parse_error(self, capsys, tmp_path, content, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, _, err = run(capsys, command[0], str(bad), *command[1:])
+        assert code == 2
+        assert "parse error" in err
+
+
 class TestBounds:
     def test_refutes(self, capsys):
         code, out, _ = run(
@@ -167,6 +198,24 @@ class TestOracle:
         assert code == 0
         assert "found" in out
         assert len(read_certificate(path).edges) == 4
+
+    def test_startup_does_not_import_numpy(self):
+        # Only the max-matching oracle needs numpy; it imports it on first use.
+        script = (
+            "import sys, sigmacycles, sigmacycles.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "code = sigmacycles.cli.main("
+            "['oracle', 'max-matching', '--sigma', '2,2', '--n', '3', '--q', '5'])\n"
+            "print('numpy' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(sigmacycles.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "3", "True"]
 
     def test_budget_exit(self, capsys):
         code, _, err = run(
