@@ -155,7 +155,7 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     if vseq_raw is not None:
         vseq = tuple(_vertices(vseq_raw, "vertex_sequence", H, None))
 
-    claims = doc.get("claims") or {}
+    claims = doc.get("claims", {})
     _expect(type(claims) is dict, "claims must be an object")
     hamiltonian = claims.get("hamiltonian", False)
     _expect(type(hamiltonian) is bool, "claims.hamiltonian must be a boolean")

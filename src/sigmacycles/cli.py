@@ -49,6 +49,11 @@ def _hypergraph(args: argparse.Namespace) -> SigmaHypergraph:
     return make_hypergraph(args.n, args.q, parse_partition(args.sigma))
 
 
+def _cannot_write(command: str, path: str, exc: OSError) -> int:
+    print(f"{command}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     try:
         H = _hypergraph(args)
@@ -68,7 +73,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"construct: {exc.name}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     if args.output:
-        certfile.write_certificate(cert, args.output)
+        try:
+            certfile.write_certificate(cert, args.output)
+        except OSError as exc:
+            return _cannot_write("construct", args.output, exc)
     else:
         sys.stdout.write(certfile.dumps(cert))
     summary = f"{cert.kind}: {len(cert.edges)} edges"
@@ -154,7 +162,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if result.status == "found":
         print(f"found ({len(result.certificate.edges)} edges)")
         if args.output:
-            certfile.write_certificate(result.certificate, args.output)
+            try:
+                certfile.write_certificate(result.certificate, args.output)
+            except OSError as exc:
+                return _cannot_write("oracle", args.output, exc)
     else:
         print("exhausted")
     return EXIT_OK
@@ -182,8 +193,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write("export", args.output, exc)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -199,6 +199,8 @@ def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
 
     sigma_parts = H.sigma.parts
     n, q = H.n, H.q
+    # the sorted row choices depend only on the parts still to place
+    choices_for: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def rec(c: int, remaining: tuple[int, ...], acc: list[GridVertex]) -> Iterator[Edge]:
         if not remaining:
@@ -206,10 +208,13 @@ def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
             return
         if n - c < len(remaining):
             return
-        choices: list[tuple[int, ...]] = [()]
-        for a in set(remaining):
-            choices.extend(itertools.combinations(range(q), a))
-        choices.sort(key=cmp_to_key(_row_choice_cmp))
+        choices = choices_for.get(remaining)
+        if choices is None:
+            choices = [()]
+            for a in set(remaining):
+                choices.extend(itertools.combinations(range(q), a))
+            choices.sort(key=cmp_to_key(_row_choice_cmp))
+            choices_for[remaining] = choices
         for rows in choices:
             if rows:
                 rest = list(remaining)

@@ -13,6 +13,8 @@ vertex's incidence list.  Each list yields its own first violating candidate
 and the verifier reports the minimum over the candidates, which keeps the
 first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
+The brute-force oracles search the same index over all edges of H, held as
+int bitsets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     KIND_BERGE,
@@ -328,6 +330,46 @@ def bounds_report(H: SigmaHypergraph, nu: Optional[int] = None) -> BoundsReport:
 # Brute-force oracles
 
 
+def _bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _bitset(ids: Iterable[int], size: int) -> int:
+    """The int with exactly the bits ids set, each below size."""
+    buf = bytearray((size + 7) // 8)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]:
+    """The incidence index of all edges of H as int bitsets.
+
+    Returns the edges in enumeration order, each edge's vertex bitmask, and
+    for each vertex the bitmask of the edges through it.  Vertex bit i is the
+    i-th vertex of H.vertices() (grid order); edge bit j is edges[j].
+    """
+    edges = list(enumerate_edges(H))
+    vertices = list(H.vertices())
+    vindex = {v: i for i, v in enumerate(vertices)}
+    masks = [_bitset((vindex[v] for v in e.vertices), len(vertices)) for e in edges]
+    index = _incidence(edges)
+    inc = [_bitset(index.get(v, ()), len(edges)) for v in vertices]
+    return edges, masks, inc
+
+
+def _edges_meeting(vertex_mask: int, inc: list[int]) -> int:
+    """Bitmask of the edges through any vertex of vertex_mask."""
+    out = 0
+    for u in _bits(vertex_mask):
+        out |= inc[u]
+    return out
+
+
 @dataclass(frozen=True)
 class MaxMatchingResult:
     nu: int
@@ -343,58 +385,43 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     vertex is left unmatched and all edges through it are discarded.  Pruned
     by size + floor(reachable_vertices / r) <= best.  When the node budget
     runs out the best matching found so far is returned flagged inexact.
+    Candidate sets are int bitsets over the edges (see _edge_bitsets).
     """
-    # Imported here, not at module level: no other code path needs numpy,
-    # and importing it would double the CLI's start-up time.
-    import numpy as np
-
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    edges = list(enumerate_edges(H))
+    edges, masks, inc = _edge_bitsets(H)
     if not edges:
         return MaxMatchingResult(0, True, 0)
-    nq = H.vertex_count
-    vindex = {v: i for i, v in enumerate(sorted(H.vertices()))}
-    incidence = np.zeros((nq, len(edges)), dtype=bool)
-    for j, e in enumerate(edges):
-        for v in e.vertices:
-            incidence[vindex[v], j] = True
     r = H.r
     best = 0
     nodes = 0
     exact = True
-    conflict_cache: dict[int, np.ndarray] = {}
 
-    def conflict(j: int) -> np.ndarray:
-        vec = conflict_cache.get(j)
-        if vec is None:
-            vec = incidence[incidence[:, j]].any(axis=0)
-            conflict_cache[j] = vec
-        return vec
-
-    def rec(cand: np.ndarray, size: int) -> None:
+    def rec(cand: int, reach: list[int], size: int) -> None:
+        # reach: the parent's reachable vertices, ascending; cand only
+        # shrinks, so no other vertex can be reachable here
         nonlocal best, nodes, exact
         nodes += 1
         if nodes > budget:
             exact = False
             return
-        reachable = incidence[:, cand].any(axis=1) if cand.any() else None
-        if reachable is None:
+        if not cand:
             best = max(best, size)
             return
+        reach = [u for u in reach if cand & inc[u]]
         best = max(best, size + 1)
-        if size + int(reachable.sum()) // r <= best:
+        if size + len(reach) // r <= best:
             return
-        v = int(np.argmax(reachable))
-        for j in np.nonzero(cand & incidence[v])[0]:
+        v = reach[0]
+        for j in _bits(cand & inc[v]):
             if not exact:
                 return
-            rec(cand & ~conflict(int(j)), size + 1)
+            rec(cand & ~_edges_meeting(masks[j], inc), reach, size + 1)
         if exact:
-            rec(cand & ~incidence[v], size)
+            rec(cand & ~inc[v], reach, size)
 
-    rec(np.ones(len(edges), dtype=bool), 0)
+    rec((1 << len(edges)) - 1, list(range(H.vertex_count)), 0)
     return MaxMatchingResult(best, exact, nodes)
 
 
@@ -402,6 +429,7 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
 class SharpSearchResult:
     status: str  # "found" | "exhausted"
     certificate: Optional[CycleCertificate] = None
+    nodes: int = 0
 
 
 def brute_force_sharp_hamiltonian_exists(
@@ -413,21 +441,16 @@ def brute_force_sharp_hamiltonian_exists(
     smallest of the cycle; prefixes must be sharp paths and the coverage bound
     (remaining edges x (r-1) >= uncovered vertices) prunes dead branches.
     Any cycle found is re-checked by verify_sharp_cycle before it is returned.
-    Raises BudgetExceeded when the node budget runs out.
+    The extensions of a path are read off int bitsets over the edges (see
+    _edge_bitsets), in ascending edge order.  The result carries the number
+    of search nodes.  Raises BudgetExceeded when the node budget runs out.
     """
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    edges = list(enumerate_edges(H))
+    edges, masks, inc = _edge_bitsets(H)
     nq = H.vertex_count
     r = H.r
-    vindex = {v: i for i, v in enumerate(sorted(H.vertices()))}
-    masks = []
-    for e in edges:
-        mask = 0
-        for v in e.vertices:
-            mask |= 1 << vindex[v]
-        masks.append(mask)
     target = (1 << nq) - 1
     nodes = 0
 
@@ -449,20 +472,32 @@ def brute_force_sharp_hamiltonian_exists(
         if uncovered > (max_len - depth) * (r - 1):
             return None
         first = path[0]
+        first_mask = masks[first]
         last_mask = masks[path[-1]]
-        inner_blocked = blocked & ~masks[first] if depth >= 2 else 0
-        for j in range(first + 1, len(edges)):
-            if j in path:
-                continue
+        # edges after the first that meet the last edge and avoid the
+        # blocked vertices outside the first edge.  No path edge is left:
+        # each edge between the first and the last has a blocked vertex
+        # outside the first edge, and so has the last edge from depth 3 on
+        # (it meets the edge before it, not the first one); the second edge
+        # at depth 2 meets the first and goes with the filter below.
+        cand = _edges_meeting(last_mask, inc) >> (first + 1) << (first + 1)
+        cand &= ~_edges_meeting(blocked & ~first_mask, inc)
+        if depth >= 2:
+            # past the second edge, an edge that meets the first one is only
+            # tried as a closing edge, and a closing edge holds every
+            # uncovered vertex; the loop below skips every other such edge
+            closers = 0
+            if depth >= 3 and uncovered <= r:
+                closers = all_edges
+                for u in _bits(target & ~union):
+                    closers &= inc[u]
+            cand &= ~first_meets | closers
+        for j in _bits(cand):
             mj = masks[j]
-            if not (mj & last_mask):
-                continue
-            if depth >= 2 and (mj & inner_blocked):
-                continue
-            closes = depth + 1 >= 4 and (mj & masks[first]) and (mj | union) == target
-            # inner_blocked spares the vertices the second edge shares with
-            # the first; a closing edge that meets the second edge cannot
-            # pass verify_sharp_cycle, so it is not handed to it
+            closes = depth + 1 >= 4 and (mj & first_mask) and (mj | union) == target
+            # cand spares the blocked vertices inside the first edge, so a
+            # closing edge may meet the second edge; such an edge cannot pass
+            # verify_sharp_cycle, so it is not handed to it
             if closes and not (mj & masks[path[1]]):
                 candidate = path + [j]
                 cert = CycleCertificate(
@@ -475,18 +510,20 @@ def brute_force_sharp_hamiltonian_exists(
                     return candidate
             # the second edge is consecutive to the first; later extensions
             # must stay disjoint from it until the cycle closes
-            if depth == 1 or not (mj & masks[first]):
+            if depth == 1 or not (mj & first_mask):
                 found = dfs(path + [j], union | mj, blocked | last_mask)
                 if found is not None:
                     return found
         return None
 
+    all_edges = (1 << len(edges)) - 1
     for start in range(len(edges)):
         check()
+        first_meets = _edges_meeting(masks[start], inc)  # read by dfs
         found = dfs([start], masks[start], 0)
         if found is not None:
             cert = CycleCertificate(
                 hypergraph=H, kind=KIND_SHARP, edges=tuple(edges[i] for i in found)
             )
-            return SharpSearchResult("found", cert)
-    return SharpSearchResult("exhausted")
+            return SharpSearchResult("found", cert, nodes)
+    return SharpSearchResult("exhausted", nodes=nodes)

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import cmp_to_key
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
-from sigmacycles.certificates import KIND_BERGE, KINDS
-from sigmacycles.core import GridVertex, Partition
-from sigmacycles.errors import CertificateParseError, NoEdgesError
+from sigmacycles.certificates import KIND_BERGE, KIND_SHARP, KINDS
+from sigmacycles.core import GridVertex, Partition, _row_choice_cmp, edge_count, enumerate_edges
+from sigmacycles.errors import BudgetExceeded, CertificateParseError, NoEdgesError
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
     TAG_DEGENERATE_LENGTH,
     TAG_FORBIDDEN_NONEMPTY,
+    MaxMatchingResult,
+    SharpSearchResult,
     VerificationReport,
     _edge_validity_failure,
+    verify_sharp_cycle,
 )
 
 
@@ -252,3 +256,190 @@ def reference_from_json_dict(doc: Any) -> CycleCertificate:
         claimed_t=claims.get("t"),
         claimed_z=claims.get("z"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the numpy branch and bound, the DFS that scans every edge
+# at each node, and the edge enumeration that re-sorts the row choices at
+# every node.  The bitset oracles in sigmacycles.verify must walk the same
+# search trees: same answers, node counts, certificates and BudgetExceeded
+# messages.  The DFS reference also returns its node count.
+
+
+def reference_enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
+    """Yield every edge exactly once, in lexicographic order of the
+    canonical vertex sequences.  Restartable; nothing is materialized."""
+
+    sigma_parts = H.sigma.parts
+    n, q = H.n, H.q
+
+    def rec(c: int, remaining: tuple[int, ...], acc: list[GridVertex]) -> Iterator[Edge]:
+        if not remaining:
+            yield Edge(tuple(acc))
+            return
+        if n - c < len(remaining):
+            return
+        choices: list[tuple[int, ...]] = [()]
+        for a in set(remaining):
+            choices.extend(itertools.combinations(range(q), a))
+        choices.sort(key=cmp_to_key(_row_choice_cmp))
+        for rows in choices:
+            if rows:
+                rest = list(remaining)
+                rest.remove(len(rows))
+                yield from rec(c + 1, tuple(rest), acc + [(c, rr) for rr in rows])
+            else:
+                yield from rec(c + 1, remaining, acc)
+
+    return rec(0, sigma_parts, [])
+
+
+def reference_brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> MaxMatchingResult:
+    """Exact maximum matching size by branch and bound.
+
+    Branches on the lexicographically-first vertex still reachable by a
+    candidate edge: either some candidate edge through it is taken, or the
+    vertex is left unmatched and all edges through it are discarded.  Pruned
+    by size + floor(reachable_vertices / r) <= best.  When the node budget
+    runs out the best matching found so far is returned flagged inexact.
+    """
+    # Imported here, not at module level: no other code path needs numpy,
+    # and importing it would double the CLI's start-up time.
+    import numpy as np
+
+    m = edge_count(H)
+    if m > budget:
+        raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
+    edges = list(enumerate_edges(H))
+    if not edges:
+        return MaxMatchingResult(0, True, 0)
+    nq = H.vertex_count
+    vindex = {v: i for i, v in enumerate(sorted(H.vertices()))}
+    incidence = np.zeros((nq, len(edges)), dtype=bool)
+    for j, e in enumerate(edges):
+        for v in e.vertices:
+            incidence[vindex[v], j] = True
+    r = H.r
+    best = 0
+    nodes = 0
+    exact = True
+    conflict_cache: dict[int, np.ndarray] = {}
+
+    def conflict(j: int) -> np.ndarray:
+        vec = conflict_cache.get(j)
+        if vec is None:
+            vec = incidence[incidence[:, j]].any(axis=0)
+            conflict_cache[j] = vec
+        return vec
+
+    def rec(cand: np.ndarray, size: int) -> None:
+        nonlocal best, nodes, exact
+        nodes += 1
+        if nodes > budget:
+            exact = False
+            return
+        reachable = incidence[:, cand].any(axis=1) if cand.any() else None
+        if reachable is None:
+            best = max(best, size)
+            return
+        best = max(best, size + 1)
+        if size + int(reachable.sum()) // r <= best:
+            return
+        v = int(np.argmax(reachable))
+        for j in np.nonzero(cand & incidence[v])[0]:
+            if not exact:
+                return
+            rec(cand & ~conflict(int(j)), size + 1)
+        if exact:
+            rec(cand & ~incidence[v], size)
+
+    rec(np.ones(len(edges), dtype=bool), 0)
+    return MaxMatchingResult(best, exact, nodes)
+
+
+def reference_brute_force_sharp_hamiltonian_exists(
+    H: SigmaHypergraph, max_len: int, budget: int = 2_000_000
+) -> SharpSearchResult:
+    """Exhaustive search for a sharp Hamiltonian cycle of up to max_len edges.
+
+    Depth-first over edge sequences whose first edge is the lexicographically
+    smallest of the cycle; prefixes must be sharp paths and the coverage bound
+    (remaining edges x (r-1) >= uncovered vertices) prunes dead branches.
+    Any cycle found is re-checked by verify_sharp_cycle before it is returned.
+    Raises BudgetExceeded when the node budget runs out.
+    """
+    m = edge_count(H)
+    if m > budget:
+        raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
+    edges = list(enumerate_edges(H))
+    nq = H.vertex_count
+    r = H.r
+    vindex = {v: i for i, v in enumerate(sorted(H.vertices()))}
+    masks = []
+    for e in edges:
+        mask = 0
+        for v in e.vertices:
+            mask |= 1 << vindex[v]
+        masks.append(mask)
+    target = (1 << nq) - 1
+    nodes = 0
+
+    def check(node_cost: int = 1) -> None:
+        nonlocal nodes
+        nodes += node_cost
+        if nodes > budget:
+            raise BudgetExceeded(f"search budget {budget} exhausted")
+
+    def dfs(path: list[int], union: int, blocked: int) -> Optional[list[int]]:
+        # blocked: vertices in path edges other than the last; a new edge
+        # must avoid them, intersect the last edge, and (unless it closes
+        # the cycle) avoid the first edge as well.
+        check()
+        depth = len(path)
+        if depth >= max_len:
+            return None
+        uncovered = nq - bin(union).count("1")
+        if uncovered > (max_len - depth) * (r - 1):
+            return None
+        first = path[0]
+        last_mask = masks[path[-1]]
+        inner_blocked = blocked & ~masks[first] if depth >= 2 else 0
+        for j in range(first + 1, len(edges)):
+            if j in path:
+                continue
+            mj = masks[j]
+            if not (mj & last_mask):
+                continue
+            if depth >= 2 and (mj & inner_blocked):
+                continue
+            closes = depth + 1 >= 4 and (mj & masks[first]) and (mj | union) == target
+            # inner_blocked spares the vertices the second edge shares with
+            # the first; a closing edge that meets the second edge cannot
+            # pass verify_sharp_cycle, so it is not handed to it
+            if closes and not (mj & masks[path[1]]):
+                candidate = path + [j]
+                cert = CycleCertificate(
+                    hypergraph=H,
+                    kind=KIND_SHARP,
+                    edges=tuple(edges[i] for i in candidate),
+                )
+                report = verify_sharp_cycle(H, cert)
+                if report.ok and report.hamiltonian:
+                    return candidate
+            # the second edge is consecutive to the first; later extensions
+            # must stay disjoint from it until the cycle closes
+            if depth == 1 or not (mj & masks[first]):
+                found = dfs(path + [j], union | mj, blocked | last_mask)
+                if found is not None:
+                    return found
+        return None
+
+    for start in range(len(edges)):
+        check()
+        found = dfs([start], masks[start], 0)
+        if found is not None:
+            cert = CycleCertificate(
+                hypergraph=H, kind=KIND_SHARP, edges=tuple(edges[i] for i in found)
+            )
+            return SharpSearchResult("found", cert, nodes)
+    return SharpSearchResult("exhausted", nodes=nodes)

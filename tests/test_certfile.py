@@ -126,11 +126,17 @@ def test_invalid_k(k, tmp_path, capsys):
         (("hypergraph", "n"), True, "n and q must be integers"),
         (("hypergraph", "q"), True, "n and q must be integers"),
         (("hypergraph", "sigma"), [2, True], "sigma must be a nonempty array of positive integers"),
+        (("claims",), [], "claims must be an object"),
+        (("claims",), 0, "claims must be an object"),
+        (("claims",), False, "claims must be an object"),
+        (("claims",), "", "claims must be an object"),
+        (("claims",), None, "claims must be an object"),
     ],
     ids=[
         "true-coordinate", "false-row", "true-in-vertex-sequence", "vertex-sequence-number",
         "hamiltonian-string", "hamiltonian-number", "t-string", "z-float", "t-true",
         "split-true", "n-true", "q-true", "sigma-true",
+        "claims-empty-array", "claims-zero", "claims-false", "claims-empty-string", "claims-null",
     ],
 )
 def test_strict_scalar_types(path, value, fragment, tmp_path, capsys):

@@ -86,7 +86,8 @@ def strict_type_case(doc) -> bool:
     but the strict one rejects: a boolean as n, q, a sigma part, split_index
     or a vertex coordinate; a claims.hamiltonian that is not a boolean; a
     claims.t or claims.z that is not an integer; a vertex_sequence that is
-    present but not an array."""
+    present but not an array; claims that are present and falsy but not an
+    object (the reference reads them as empty claims)."""
     if not isinstance(doc, dict):
         return False
     hg = doc.get("hypergraph")
@@ -109,7 +110,9 @@ def strict_type_case(doc) -> bool:
             for item in items if isinstance(items, list) else []:
                 if isinstance(item, list) and any(isinstance(x, bool) for x in item):
                     return True
-    claims = doc.get("claims") or {}
+    claims = doc.get("claims", {})
+    if not claims and not isinstance(claims, dict):
+        return True
     if isinstance(claims, dict):
         if "hamiltonian" in claims and not isinstance(claims["hamiltonian"], bool):
             return True

@@ -145,6 +145,34 @@ class TestUnreadableFile:
         assert "parse error" in err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error (exit 2) with
+    a message, never a traceback and never the "refuted" code 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp"],
+            ["export", "{cert}", "--format", "svg"],
+            ["oracle", "sharp-exists", "--sigma", "1,1", "--n", "2", "--q", "2", "--max-len", "6"],
+        ],
+        ids=["construct", "export", "oracle"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir/out", "."], ids=["missing-dir", "directory"])
+    def test_cannot_write(self, capsys, tmp_path, argv, target):
+        cert = tmp_path / "c.json"
+        assert run(
+            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "3",
+            "--kind", "berge", "-o", str(cert),
+        )[0] == 0
+        out = tmp_path / target
+        argv = [a.replace("{cert}", str(cert)) for a in argv]
+        code, _, err = run(capsys, *argv, "-o", str(out))
+        assert code == 2
+        assert f"{argv[0]}: cannot write {out}: " in err
+        assert not (tmp_path / "missing-dir").exists()
+
+
 class TestBounds:
     def test_refutes(self, capsys):
         code, out, _ = run(
@@ -200,7 +228,7 @@ class TestOracle:
         assert len(read_certificate(path).edges) == 4
 
     def test_startup_does_not_import_numpy(self):
-        # Only the max-matching oracle needs numpy; it imports it on first use.
+        # No code path needs numpy, not even the max-matching oracle.
         script = (
             "import sys, sigmacycles, sigmacycles.cli\n"
             "print('numpy' in sys.modules)\n"
@@ -215,7 +243,7 @@ class TestOracle:
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "3", "True"]
+        assert proc.stdout.split() == ["False", "3", "False"]
 
     def test_budget_exit(self, capsys):
         code, _, err = run(

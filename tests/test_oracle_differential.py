@@ -1,0 +1,176 @@
+"""Differential tests: the bitset oracles against the numpy branch and bound
+and the list-scan DFS in helpers.py, and the cached edge enumeration against
+the one that re-sorts at every node.  Both oracles must walk the same search
+trees, so answers, node counts, found certificates and BudgetExceeded
+messages agree exactly, also when the budget cuts a search mid-tree."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    partitions_of,
+    reference_brute_force_max_matching,
+    reference_brute_force_sharp_hamiltonian_exists,
+    reference_enumerate_edges,
+)
+from sigmacycles import (
+    Partition,
+    brute_force_max_matching,
+    brute_force_sharp_hamiltonian_exists,
+    edge_count,
+    enumerate_edges,
+    make_hypergraph,
+)
+from sigmacycles.errors import BudgetExceeded, NoEdgesError
+
+SETTINGS = settings(deadline=None, max_examples=300)
+
+SIGMAS = [sigma for r in range(1, 6) for sigma in partitions_of(r)]
+
+
+def hypergraph(sigma, n, q):
+    try:
+        return make_hypergraph(n, q, Partition(sigma))
+    except NoEdgesError:
+        return None
+
+
+def matching_outcome(oracle, H, budget):
+    try:
+        result = oracle(H, budget=budget)
+    except BudgetExceeded as exc:
+        return "budget", str(exc)
+    return result.nu, result.exact, result.nodes
+
+
+def sharp_outcome(oracle, H, max_len, budget):
+    try:
+        result = oracle(H, max_len, budget=budget)
+    except BudgetExceeded as exc:
+        return "budget", str(exc)
+    edges = result.certificate.edges if result.certificate is not None else None
+    return result.status, edges, result.nodes
+
+
+def assert_same_matching(H, budget=2_000_000):
+    got = matching_outcome(brute_force_max_matching, H, budget)
+    assert got == matching_outcome(reference_brute_force_max_matching, H, budget)
+    return got
+
+
+def assert_same_sharp(H, max_len, budget=2_000_000):
+    got = sharp_outcome(brute_force_sharp_hamiltonian_exists, H, max_len, budget)
+    assert got == sharp_outcome(reference_brute_force_sharp_hamiltonian_exists, H, max_len, budget)
+    return got
+
+
+# The oracle benchmark's pinned instances: (sigma, n, q, nu) for max-matching
+# and (sigma, n, q, max_len, status) for sharp-exists.
+PINNED_MATCHING = [
+    ((3, 3, 3), 5, 5, 1),
+    ((2, 2), 4, 6, 6),
+    ((2, 2, 2), 4, 6, 4),
+    ((2, 2), 4, 5, 4),
+    ((3, 3), 4, 5, 2),
+    ((2, 1), 4, 3, 4),
+    ((2, 2), 3, 4, 3),
+    ((1, 1), 3, 3, 4),
+    ((2, 1), 3, 3, 3),
+    ((2, 2), 4, 4, 4),
+    ((3, 3), 3, 4, 1),
+    ((2, 1), 3, 4, 4),
+    ((2, 2), 3, 5, 3),
+]
+PINNED_SHARP = [
+    ((2, 1), 3, 6, 12, "found"),
+    ((2, 2), 3, 6, 10, "found"),
+    ((3, 3), 3, 4, 6, "exhausted"),
+]
+
+
+@pytest.mark.parametrize("sigma, n, q, nu", PINNED_MATCHING)
+def test_pinned_max_matching(sigma, n, q, nu):
+    assert assert_same_matching(make_hypergraph(n, q, Partition(sigma)))[:2] == (nu, True)
+
+
+@pytest.mark.parametrize("sigma, n, q, max_len, status", PINNED_SHARP)
+def test_pinned_sharp_exists(sigma, n, q, max_len, status):
+    H = make_hypergraph(n, q, Partition(sigma))
+    assert assert_same_sharp(H, max_len)[0] == status
+
+
+@pytest.mark.parametrize(
+    "sigma, n, q, budget, expected",
+    [
+        # more edges than the budget: refused before the search
+        ((3, 3, 3), 5, 5, 10, "budget"),
+        # 600 edges, 5803 nodes: the search stops mid-tree, inexact
+        ((2, 2), 4, 5, 1000, False),
+        ((2, 2), 4, 5, 5802, False),
+        ((2, 2), 4, 5, 5803, True),
+    ],
+)
+def test_max_matching_budget_cut(sigma, n, q, budget, expected):
+    got = assert_same_matching(make_hypergraph(n, q, Partition(sigma)), budget)
+    assert (got[0] if expected == "budget" else got[1]) == expected
+
+
+@pytest.mark.parametrize(
+    "sigma, n, q, max_len, budget",
+    [
+        ((2, 1), 3, 6, 12, 5),  # more edges than the budget
+        ((2, 2), 3, 6, 10, 1000),  # 675 edges, 2946 nodes: stops mid-tree
+        ((3, 3), 3, 4, 6, 600),  # 48 edges, exhausted after 1224 nodes
+    ],
+)
+def test_sharp_exists_budget_cut(sigma, n, q, max_len, budget):
+    assert_same_sharp(make_hypergraph(n, q, Partition(sigma)), max_len, budget)
+
+
+def test_sharp_exists_reports_nodes():
+    # a budget of exactly the node count passes, one less raises
+    H = make_hypergraph(3, 4, Partition((3, 3)))
+    nodes = brute_force_sharp_hamiltonian_exists(H, 6).nodes
+    assert nodes == 1224
+    assert brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes).status == "exhausted"
+    with pytest.raises(BudgetExceeded, match="search budget 1223 exhausted"):
+        brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes - 1)
+
+
+@SETTINGS
+@given(
+    sigma=st.sampled_from(SIGMAS),
+    n=st.integers(1, 4),
+    q=st.integers(1, 5),
+    budget=st.sampled_from([1, 20, 300, 3000, 2_000_000]),
+)
+def test_max_matching_matches_reference(sigma, n, q, budget):
+    H = hypergraph(sigma, n, q)
+    if H is None or edge_count(H) > 3000:
+        return
+    assert_same_matching(H, budget)
+
+
+@SETTINGS
+@given(
+    sigma=st.sampled_from(SIGMAS),
+    n=st.integers(1, 4),
+    q=st.integers(1, 6),
+    max_len=st.integers(4, 10),
+    budget=st.sampled_from([1, 50, 500, 5000]),
+)
+def test_sharp_exists_matches_reference(sigma, n, q, max_len, budget):
+    H = hypergraph(sigma, n, q)
+    if H is None:
+        return
+    assert_same_sharp(H, max_len, budget)
+
+
+def test_enumeration_order_matches_reference():
+    for sigma in SIGMAS:
+        for n in range(1, 5):
+            for q in range(1, 6):
+                H = hypergraph(sigma, n, q)
+                if H is not None:
+                    assert list(enumerate_edges(H)) == list(reference_enumerate_edges(H))
