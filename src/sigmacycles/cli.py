@@ -119,10 +119,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     try:
         H = _hypergraph(args)
+        rep = bounds_report(H, nu=args.nu)
     except (ValueError, NoEdgesError) as exc:
         print(f"bounds: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rep = bounds_report(H, nu=args.nu)
     print(f"vertices: {H.vertex_count}")
     print(f"sharp cycle edge-count window: [{rep.sharp_edge_lower}, {rep.sharp_edge_upper}]")
     if rep.nu_upper is not None:
@@ -191,7 +191,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     except CertificateParseError as exc:
         print(f"export: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
+    try:
+        text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
+    except ValueError as exc:
+        print(f"export: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.output:
         try:
             with open(args.output, "w") as fh:

@@ -8,7 +8,7 @@ verifier has accepted it.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Sequence
 
 from .certificates import (
     KIND_BERGE,
@@ -26,7 +26,12 @@ from .errors import (
     OnlyOneEdge,
     QNotRepresentable,
 )
-from .verify import verify_berge_hamiltonian, verify_k_intersecting, verify_sharp_cycle
+from .verify import (
+    VerificationReport,
+    _verify_sharp_edges,
+    verify_berge_hamiltonian,
+    verify_k_intersecting,
+)
 
 
 def frobenius_decompose(q: int, r: int) -> tuple[int, int]:
@@ -46,18 +51,13 @@ def frobenius_decompose(q: int, r: int) -> tuple[int, int]:
     return x, y
 
 
-def _part_offsets(parts: tuple[int, ...]) -> list[int]:
-    return [0] + list(itertools.accumulate(parts))
-
-
 def _part_vertices(
     H: SigmaHypergraph, block_start_row: int, j: int, i: int
 ) -> list[GridVertex]:
     """Vertices of part i of the j-th diagonal edge of a block: part sizes
     occupy consecutive row segments of the block's top r rows, class shifted
     i columns right of j."""
-    parts = H.sigma.parts
-    off = _part_offsets(parts)
+    off = [0, *itertools.accumulate(H.sigma.parts)]
     cls = (j + i) % H.n
     return [(cls, block_start_row + row) for row in range(off[i], off[i + 1])]
 
@@ -70,6 +70,13 @@ def _check_block(H: SigmaHypergraph, block_start_row: int, block_height: int) ->
         raise ValueError("block out of range")
 
 
+def _diagonal_edge(H: SigmaHypergraph, block_start_row: int, j: int) -> Edge:
+    """Diagonal edge j of a block: part i from class j+i (mod n)."""
+    return Edge.of(
+        v for i in range(H.sigma.s) for v in _part_vertices(H, block_start_row, j, i)
+    )
+
+
 def diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_height: int) -> Matching:
     """n pairwise-disjoint edges placed diagonally: edge j takes its i-th part
     from class j+i (mod n), covering the block's top r x n subgrid."""
@@ -77,41 +84,24 @@ def diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_height: in
     s = H.sigma.s
     if H.n < s:
         raise NTooSmall(f"n={H.n} < s={s}")
-    edges = []
-    for j in range(H.n):
-        vs: list[GridVertex] = []
-        for i in range(s):
-            vs += _part_vertices(H, block_start_row, j, i)
-        edges.append(Edge.of(vs))
-    return Matching(tuple(edges))
+    return Matching(tuple(_diagonal_edge(H, block_start_row, j) for j in range(H.n)))
 
 
 def _shifted_edge(
-    H: SigmaHypergraph,
-    block_start_row: int,
-    block_height: int,
-    j: int,
-    p: int,
-    tail_block_start: Optional[int] = None,
-    tail_j: Optional[int] = None,
+    H: SigmaHypergraph, b: int, h: int, j: int, threshold: int, tail_b: int, tail_j: int
 ) -> Edge:
-    """Shifted edge: parts up to p as in diagonal edge j, later parts as in
-    diagonal edge j+1 (or a caller-supplied diagonal edge, used to chain
-    blocks).  For an (r+1)-high block the first part trades its last row for
-    the block's extra row, so the shifted matching covers that row too."""
-    s = H.sigma.s
+    """Shifted edge of the h-high block at row b: parts before threshold as in
+    diagonal edge j, later parts as in diagonal edge tail_j of the block at
+    row tail_b.  In an (r+1)-high block the first part trades its last row
+    for the block's extra row, so the shifted edges cover that row too."""
     vs: list[GridVertex] = []
-    for i in range(s):
-        if i < p:
-            pv = _part_vertices(H, block_start_row, j, i)
-            if i == 0 and block_height == H.r + 1:
-                cls = pv[-1][0]
-                pv = pv[:-1] + [(cls, block_start_row + H.r)]
-        else:
-            if tail_block_start is not None:
-                pv = _part_vertices(H, tail_block_start, tail_j or 0, i)
-            else:
-                pv = _part_vertices(H, block_start_row, (j + 1) % H.n, i)
+    for i in range(H.sigma.s):
+        if i >= threshold:
+            vs += _part_vertices(H, tail_b, tail_j, i)
+            continue
+        pv = _part_vertices(H, b, j, i)
+        if i == 0 and h == H.r + 1:
+            pv[-1] = (pv[-1][0], b + H.r)
         vs += pv
     return Edge.of(vs)
 
@@ -126,10 +116,8 @@ def shifted_matching(
         raise ValueError(f"split index must satisfy 1 <= p < s={s}")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
-    edges = tuple(
-        _shifted_edge(H, block_start_row, block_height, j, p) for j in range(H.n)
-    )
-    return Matching(edges)
+    b, h, n = block_start_row, block_height, H.n
+    return Matching(tuple(_shifted_edge(H, b, h, j, p, b, (j + 1) % n) for j in range(n)))
 
 
 def _blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:
@@ -146,31 +134,49 @@ def _blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:
     return blocks
 
 
-def _resolve_split(H: SigmaHypergraph, p: int, y: int) -> int:
-    """Keep the requested split unless an (r+1)-block would produce a zero
-    intersection (head size t-1 = 0); then take the smallest split with
-    head sum >= 2, or fail."""
-    parts = H.sigma.parts
-    s = len(parts)
-    if not 1 <= p < s:
-        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
-    if y == 0 or sum(parts[:p]) >= 2:
-        return p
-    for cand in range(1, s):
-        if sum(parts[:cand]) >= 2:
-            return cand
-    raise DegenerateIntersection(
-        f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
-    )
+def _zero_head(H: SigmaHypergraph, blocks: list[tuple[int, int]], threshold: int) -> bool:
+    """True when an (r+1)-block leaves a diagonal edge and its shifted edge
+    with this threshold no common vertex (head size t-1 = 0)."""
+    return blocks[-1][1] == H.r + 1 and sum(H.sigma.parts[:threshold]) < 2
+
+
+def _chain_blocks(
+    H: SigmaHypergraph, blocks: list[tuple[int, int]], thresholds: Sequence[int]
+) -> tuple[Edge, ...]:
+    """The block-chain cycle: per block and class j, diagonal edge j followed
+    by one shifted edge per threshold.  The tails of class j come from
+    diagonal edge j+1; those of the last class come from the next block's
+    diagonal edge 0, and the last block wraps to the first."""
+    if _zero_head(H, blocks, min(thresholds)):
+        raise DegenerateIntersection(
+            f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
+        )
+    edges: list[Edge] = []
+    for m, (b, h) in enumerate(blocks):
+        next_b, _ = blocks[(m + 1) % len(blocks)]
+        for j in range(H.n):
+            tail_b, tail_j = (b, j + 1) if j < H.n - 1 else (next_b, 0)
+            edges.append(_diagonal_edge(H, b, j))
+            edges += [_shifted_edge(H, b, h, j, t, tail_b, tail_j) for t in thresholds]
+    return tuple(edges)
+
+
+def _require_verified(report: VerificationReport, what: str) -> None:
+    if not report.ok or not report.hamiltonian:
+        raise ConstructionUnsupported(
+            f"recipe failed verification for {what}: "
+            f"{report.violated_condition or 'not hamiltonian'}"
+        )
 
 
 def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertificate:
     """Sharp Hamiltonian cycle from chained diagonal/shifted matchings.
 
     The grid splits into x r-blocks followed by y (r+1)-blocks; each block
-    contributes the 2n edges E_0, E*_0, ..., E_{n-1}, E*_{n-1}, and the tail
-    parts of each block's last shifted edge are re-targeted at the next
-    block's first diagonal edge (the final block wraps to the first).
+    contributes the 2n edges E_0, E*_0, ..., E_{n-1}, E*_{n-1}: the block
+    chain with the single threshold p.  When an (r+1)-block would leave the
+    head of split p empty, the split moves to the smallest one with head sum
+    >= 2.
     """
     s = H.sigma.s
     if s < 2:
@@ -178,37 +184,21 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
     blocks = _blocks(H)
-    x, y = frobenius_decompose(H.q, H.r)
-    p = _resolve_split(H, p, y)
-    edges: list[Edge] = []
-    for m, (b, h) in enumerate(blocks):
-        next_b, _ = blocks[(m + 1) % len(blocks)]
-        for j in range(H.n):
-            diag = Edge.of(
-                v for i in range(s) for v in _part_vertices(H, b, j, i)
-            )
-            if j < H.n - 1:
-                star = _shifted_edge(H, b, h, j, p)
-            else:
-                star = _shifted_edge(H, b, h, j, p, tail_block_start=next_b, tail_j=0)
-            edges += [diag, star]
-    cert = CycleCertificate(
-        hypergraph=H, kind=KIND_SHARP, edges=tuple(edges), split_index=p
-    )
-    report = verify_sharp_cycle(H, cert)
-    if not report.ok or not report.hamiltonian:
-        raise ConstructionUnsupported(
-            f"recipe failed verification for {H}: {report.violated_condition or 'not hamiltonian'}"
-        )
-    profile = report.profile
+    if not 1 <= p < s:
+        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
+    if _zero_head(H, blocks, p):
+        p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), p)
+    edges = _chain_blocks(H, blocks, [p])
+    report = _verify_sharp_edges(H, edges)
+    _require_verified(report, str(H))
     return CycleCertificate(
         hypergraph=H,
         kind=KIND_SHARP,
-        edges=tuple(edges),
+        edges=edges,
         split_index=p,
         claimed_hamiltonian=True,
-        claimed_t=profile.uniform_t if profile else None,
-        claimed_z=profile.uniform_z if profile else None,
+        claimed_t=report.profile.uniform_t,
+        claimed_z=report.profile.uniform_z,
     )
 
 
@@ -246,71 +236,30 @@ def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
         vertex_sequence=verts,
         claimed_hamiltonian=True,
     )
-    report = verify_berge_hamiltonian(H, cert)
-    if not report.ok:
-        raise ConstructionUnsupported(
-            f"recipe failed verification for {H}: {report.violated_condition}"
-        )
+    _require_verified(verify_berge_hamiltonian(H, cert), str(H))
     return cert
 
 
 def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
-    """k-intersecting Hamiltonian cycle from k block matchings.
+    """k-intersecting Hamiltonian cycle: the block chain with thresholds
+    k-1, ..., 1.
 
-    Per block, matching 1 is the diagonal matching; matching j (2 <= j <= k)
-    keeps the leading parts of diagonal edge i and takes the trailing parts
-    from diagonal edge i+1, the threshold moving one part left per matching.
-    In (r+1)-blocks matchings 2..k share the swapped first part so the k-window
+    Per block, each diagonal edge i is followed by k-1 shifted edges that keep
+    the leading parts of edge i and take the trailing parts from diagonal
+    edge i+1, the threshold moving one part left per edge.  In (r+1)-blocks
+    the shifted edges share the swapped first part so the k-window
     intersection has size a_1 - 1, hence the largest part must be >= 2 there.
     """
-    sigma = H.sigma
-    s = sigma.s
+    s = H.sigma.s
     if s < 2:
         raise ConstructionUnsupported("k-intersecting construction needs at least two parts")
     if not 2 <= k <= s:
         raise KOutOfRange(f"k={k} outside [2, {s}]")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
-    blocks = _blocks(H)
-    _, y = frobenius_decompose(H.q, H.r)
-    if y > 0 and sigma.delta_max == 1:
-        raise DegenerateIntersection(
-            f"largest part 1 with an (r+1)-block: window intersection would be empty"
-        )
-    n, r = H.n, H.r
-    edges: list[Edge] = []
-    for m, (b, h) in enumerate(blocks):
-        next_b, _ = blocks[(m + 1) % len(blocks)]
-        for i in range(n):
-            edges.append(Edge.of(v for pi in range(s) for v in _part_vertices(H, b, i, pi)))
-            for j in range(2, k + 1):
-                threshold = k - j + 1  # parts from this index on come from edge i+1
-                vs: list[GridVertex] = []
-                for pi in range(s):
-                    if pi == 0:
-                        pv = _part_vertices(H, b, i, 0)
-                        if h == r + 1:
-                            pv = pv[:-1] + [(pv[-1][0], b + r)]
-                    elif pi < threshold:
-                        pv = _part_vertices(H, b, i, pi)
-                    else:
-                        if i < n - 1:
-                            pv = _part_vertices(H, b, i + 1, pi)
-                        else:
-                            pv = _part_vertices(H, next_b, 0, pi)
-                    vs += pv
-                edges.append(Edge.of(vs))
-    cert = CycleCertificate(hypergraph=H, kind=KIND_K_INTERSECTING, edges=tuple(edges), k=k)
-    report = verify_k_intersecting(H, cert, k)
-    if not report.ok or not report.hamiltonian:
-        raise ConstructionUnsupported(
-            f"recipe failed verification for {H}, k={k}: "
-            f"{report.violated_condition or 'not hamiltonian'}"
-        )
-    return CycleCertificate(
-        hypergraph=H,
-        kind=KIND_K_INTERSECTING,
-        edges=tuple(edges),
-        k=k,
-        claimed_hamiltonian=True,
+    edges = _chain_blocks(H, _blocks(H), range(k - 1, 0, -1))
+    cert = CycleCertificate(
+        hypergraph=H, kind=KIND_K_INTERSECTING, edges=edges, k=k, claimed_hamiltonian=True
     )
+    _require_verified(verify_k_intersecting(H, cert, k), f"{H}, k={k}")
+    return cert

@@ -8,11 +8,21 @@ _CELL = 22
 _PAD = 14
 _RADIUS = 7
 _PANELS_PER_ROW = 6
+# most DOT edge pairs or SVG grid cells a rendering may examine
+_MAX_ITEMS = 1_000_000
+
+
+def _check_size(items: int, what: str) -> None:
+    if items > _MAX_ITEMS:
+        raise ValueError(f"{what}: {items} exceeds the rendering limit of {_MAX_ITEMS}")
 
 
 def render_dot(cert: CycleCertificate) -> str:
     """Intersection graph of the cycle: one node per edge, an arc for every
-    nonempty pairwise intersection labeled with its size."""
+    nonempty pairwise intersection labeled with its size.  Raises ValueError
+    when the cycle has more edge pairs than the rendering limit."""
+    p = len(cert.edges)
+    _check_size(p * (p - 1) // 2, "dot edge pairs")
     sets = [e.vertex_set() for e in cert.edges]
     lines = ["graph cycle {"]
     for i in range(len(sets)):
@@ -30,10 +40,12 @@ def render_svg(cert: CycleCertificate) -> str:
     """One q x n grid panel per cycle edge, rows drawn top-down.
 
     The panel's edge has its vertices outlined; vertices shared with the
-    previous or next edge of the cycle are shaded.
+    previous or next edge of the cycle are shaded.  Raises ValueError when
+    the panels hold more grid cells than the rendering limit.
     """
     H = cert.hypergraph
     p = len(cert.edges)
+    _check_size(p * H.n * H.q, "svg grid cells")
     sets = [e.vertex_set() for e in cert.edges]
     panel_w = H.n * _CELL + _PAD
     panel_h = H.q * _CELL + _PAD + 12

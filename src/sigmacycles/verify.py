@@ -257,19 +257,9 @@ def verify_k_intersecting(
 def verify_matching(H: SigmaHypergraph, edges: Iterable[Edge]) -> bool:
     """True iff all edges are valid and pairwise vertex-disjoint."""
     es = list(edges)
-    for e in es:
-        try:
-            if not is_edge(H, e.vertices):
-                return False
-        except ValueError:
-            return False
-    covered: set[GridVertex] = set()
-    for e in es:
-        for v in e.vertices:
-            if v in covered:
-                return False
-            covered.add(v)
-    return True
+    return _edge_validity_failure(H, es) is None and all(
+        len(ids) == 1 for ids in _incidence(es).values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +299,15 @@ def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
 
 def sharp_nonexistence_test(H: SigmaHypergraph, nu: int) -> bool:
     """True iff 2*nu + 1 < nq/(r-1); with nu >= the true maximum matching
-    size this certifies that no sharp Hamiltonian cycle exists."""
+    size this certifies that no sharp Hamiltonian cycle exists.  Raises
+    ValueError when nu < 0, which no matching size can be."""
+    if nu < 0:
+        raise ValueError(f"matching size nu must be >= 0, got {nu}")
     return 2 * nu + 1 < Fraction(H.vertex_count, H.r - 1)
 
 
 def bounds_report(H: SigmaHypergraph, nu: Optional[int] = None) -> BoundsReport:
+    """All bounds for H; with nu, also the nonexistence test (ValueError for nu < 0)."""
     frag = matching_upper_bound(H)
     lower, upper = sharp_cycle_bounds(H)
     fired = sharp_nonexistence_test(H, nu) if nu is not None else None

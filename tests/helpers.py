@@ -9,9 +9,18 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
-from sigmacycles.certificates import KIND_BERGE, KIND_SHARP, KINDS
+from sigmacycles.certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP, KINDS, Matching
+from sigmacycles.construct import _blocks, _check_block, _part_vertices, frobenius_decompose
 from sigmacycles.core import GridVertex, Partition, _row_choice_cmp, edge_count, enumerate_edges
-from sigmacycles.errors import BudgetExceeded, CertificateParseError, NoEdgesError
+from sigmacycles.errors import (
+    BudgetExceeded,
+    CertificateParseError,
+    ConstructionUnsupported,
+    DegenerateIntersection,
+    KOutOfRange,
+    NoEdgesError,
+    NTooSmall,
+)
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
     TAG_DEGENERATE_LENGTH,
@@ -20,6 +29,7 @@ from sigmacycles.verify import (
     SharpSearchResult,
     VerificationReport,
     _edge_validity_failure,
+    verify_k_intersecting,
     verify_sharp_cycle,
 )
 
@@ -443,3 +453,175 @@ def reference_brute_force_sharp_hamiltonian_exists(
             )
             return SharpSearchResult("found", cert, nodes)
     return SharpSearchResult("exhausted", nodes=nodes)
+
+
+# ---------------------------------------------------------------------------
+# Reference constructors: the sharp and k-intersecting recipes written out
+# separately, each with its own (r+1)-block row swap, next-block tail and
+# degeneracy rule.  The single block-chain recipe in sigmacycles.construct
+# must give byte-identical certificates and the same exceptions.
+
+
+def reference_diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_height: int) -> Matching:
+    _check_block(H, block_start_row, block_height)
+    s = H.sigma.s
+    if H.n < s:
+        raise NTooSmall(f"n={H.n} < s={s}")
+    edges = []
+    for j in range(H.n):
+        vs: list[GridVertex] = []
+        for i in range(s):
+            vs += _part_vertices(H, block_start_row, j, i)
+        edges.append(Edge.of(vs))
+    return Matching(tuple(edges))
+
+
+def reference_shifted_edge(
+    H: SigmaHypergraph,
+    block_start_row: int,
+    block_height: int,
+    j: int,
+    p: int,
+    tail_block_start: Optional[int] = None,
+    tail_j: Optional[int] = None,
+) -> Edge:
+    s = H.sigma.s
+    vs: list[GridVertex] = []
+    for i in range(s):
+        if i < p:
+            pv = _part_vertices(H, block_start_row, j, i)
+            if i == 0 and block_height == H.r + 1:
+                cls = pv[-1][0]
+                pv = pv[:-1] + [(cls, block_start_row + H.r)]
+        else:
+            if tail_block_start is not None:
+                pv = _part_vertices(H, tail_block_start, tail_j or 0, i)
+            else:
+                pv = _part_vertices(H, block_start_row, (j + 1) % H.n, i)
+        vs += pv
+    return Edge.of(vs)
+
+
+def reference_shifted_matching(
+    H: SigmaHypergraph, block_start_row: int, block_height: int, p: int
+) -> Matching:
+    _check_block(H, block_start_row, block_height)
+    s = H.sigma.s
+    if not 1 <= p < s:
+        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
+    if H.n <= s:
+        raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
+    edges = tuple(
+        reference_shifted_edge(H, block_start_row, block_height, j, p) for j in range(H.n)
+    )
+    return Matching(edges)
+
+
+def reference_resolve_split(H: SigmaHypergraph, p: int, y: int) -> int:
+    parts = H.sigma.parts
+    s = len(parts)
+    if not 1 <= p < s:
+        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
+    if y == 0 or sum(parts[:p]) >= 2:
+        return p
+    for cand in range(1, s):
+        if sum(parts[:cand]) >= 2:
+            return cand
+    raise DegenerateIntersection(
+        f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
+    )
+
+
+def reference_construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertificate:
+    s = H.sigma.s
+    if s < 2:
+        raise ConstructionUnsupported("sharp construction needs at least two parts")
+    if H.n <= s:
+        raise NTooSmall(f"n={H.n} <= s={s}")
+    blocks = _blocks(H)
+    x, y = frobenius_decompose(H.q, H.r)
+    p = reference_resolve_split(H, p, y)
+    edges: list[Edge] = []
+    for m, (b, h) in enumerate(blocks):
+        next_b, _ = blocks[(m + 1) % len(blocks)]
+        for j in range(H.n):
+            diag = Edge.of(
+                v for i in range(s) for v in _part_vertices(H, b, j, i)
+            )
+            if j < H.n - 1:
+                star = reference_shifted_edge(H, b, h, j, p)
+            else:
+                star = reference_shifted_edge(H, b, h, j, p, tail_block_start=next_b, tail_j=0)
+            edges += [diag, star]
+    cert = CycleCertificate(
+        hypergraph=H, kind=KIND_SHARP, edges=tuple(edges), split_index=p
+    )
+    report = verify_sharp_cycle(H, cert)
+    if not report.ok or not report.hamiltonian:
+        raise ConstructionUnsupported(
+            f"recipe failed verification for {H}: {report.violated_condition or 'not hamiltonian'}"
+        )
+    profile = report.profile
+    return CycleCertificate(
+        hypergraph=H,
+        kind=KIND_SHARP,
+        edges=tuple(edges),
+        split_index=p,
+        claimed_hamiltonian=True,
+        claimed_t=profile.uniform_t if profile else None,
+        claimed_z=profile.uniform_z if profile else None,
+    )
+
+
+def reference_construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
+    sigma = H.sigma
+    s = sigma.s
+    if s < 2:
+        raise ConstructionUnsupported("k-intersecting construction needs at least two parts")
+    if not 2 <= k <= s:
+        raise KOutOfRange(f"k={k} outside [2, {s}]")
+    if H.n <= s:
+        raise NTooSmall(f"n={H.n} <= s={s}")
+    blocks = _blocks(H)
+    _, y = frobenius_decompose(H.q, H.r)
+    if y > 0 and sigma.delta_max == 1:
+        raise DegenerateIntersection(
+            f"largest part 1 with an (r+1)-block: window intersection would be empty"
+        )
+    n, r = H.n, H.r
+    edges: list[Edge] = []
+    for m, (b, h) in enumerate(blocks):
+        next_b, _ = blocks[(m + 1) % len(blocks)]
+        for i in range(n):
+            edges.append(Edge.of(v for pi in range(s) for v in _part_vertices(H, b, i, pi)))
+            for j in range(2, k + 1):
+                threshold = k - j + 1  # parts from this index on come from edge i+1
+                vs: list[GridVertex] = []
+                for pi in range(s):
+                    if pi == 0:
+                        pv = _part_vertices(H, b, i, 0)
+                        if h == r + 1:
+                            pv = pv[:-1] + [(pv[-1][0], b + r)]
+                    elif pi < threshold:
+                        pv = _part_vertices(H, b, i, pi)
+                    else:
+                        if i < n - 1:
+                            pv = _part_vertices(H, b, i + 1, pi)
+                        else:
+                            pv = _part_vertices(H, next_b, 0, pi)
+                    vs += pv
+                edges.append(Edge.of(vs))
+    cert = CycleCertificate(hypergraph=H, kind=KIND_K_INTERSECTING, edges=tuple(edges), k=k)
+    report = verify_k_intersecting(H, cert, k)
+    if not report.ok or not report.hamiltonian:
+        raise ConstructionUnsupported(
+            f"recipe failed verification for {H}, k={k}: "
+            f"{report.violated_condition or 'not hamiltonian'}"
+        )
+    return CycleCertificate(
+        hypergraph=H,
+        kind=KIND_K_INTERSECTING,
+        edges=tuple(edges),
+        k=k,
+        claimed_hamiltonian=True,
+    )

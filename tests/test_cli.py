@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmacycles
+from sigmacycles import export
 from sigmacycles.cli import main
 from sigmacycles.certfile import read_certificate
 
@@ -189,6 +190,20 @@ class TestBounds:
         assert "INCONCLUSIVE" in out
         assert "[9, 12]" in out
 
+    def test_negative_nu(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", "-5"
+        )
+        assert code == 2
+        assert "REFUTES-SHARP-HC" not in out
+        assert "bounds: matching size nu must be >= 0, got -5" in err
+        # the same hypergraph has a sharp Hamiltonian cycle
+        code, out, _ = run(
+            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp"
+        )
+        assert code == 0
+        assert "12 edges" in out
+
     def test_matching_bound(self, capsys):
         code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "2", "--q", "3")
         assert code == 0
@@ -313,3 +328,38 @@ class TestExport:
         bad.write_text("{")
         code, _, err = run(capsys, "export", str(bad), "--format", "dot")
         assert code == 2
+
+    def test_oversize_svg_refused(self, capsys, tmp_path):
+        # one edge on a declared 20000 x 20000 grid: 4e8 cells to draw
+        path = tmp_path / "big.json"
+        doc = {
+            "schema_version": "1",
+            "hypergraph": {"n": 20000, "q": 20000, "sigma": [2, 1]},
+            "cycle": {"kind": "sharp", "edges": [[[0, 0], [0, 1], [1, 0]]]},
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export", str(path), "--format", "svg")
+        assert code == 2
+        assert out == ""
+        assert "export: svg grid cells: 400000000 exceeds the rendering limit" in err
+        code, out, _ = run(capsys, "export", str(path), "--format", "dot")
+        assert code == 0
+        assert out.count("[label=\"e") == 1
+
+    def test_oversize_dot_refused(self, capsys, tmp_path):
+        # 1600 edges: 1,279,200 pairs to intersect
+        path = tmp_path / "c.json"
+        code, _, _ = run(
+            capsys, "construct", "--sigma", "1,1", "--n", "40", "--q", "40",
+            "--kind", "berge", "-o", str(path),
+        )
+        assert code == 0
+        code, out, err = run(capsys, "export", str(path), "--format", "dot")
+        assert code == 2
+        assert out == ""
+        assert "export: dot edge pairs: 1279200 exceeds the rendering limit" in err
+
+    def test_limit_clears_benchmark_size(self):
+        # a 200-edge sharp cycle on a 10 x 30 grid draws 60,000 cells; keep a
+        # tenfold margin above it
+        assert export._MAX_ITEMS >= 10 * 200 * 10 * 30

@@ -1,0 +1,91 @@
+"""Differential tests: the single block-chain recipe against the separate
+sharp and k-intersecting recipes in helpers.py.  Certificates must serialize
+to the same bytes, and a rejected call must raise the same exception type
+with the same message.  The one allowed difference: a degenerate
+k-intersecting call now carries the shared degeneracy message."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    partitions_of,
+    reference_construct_k_intersecting,
+    reference_construct_sharp_hamiltonian,
+    reference_diagonal_matching,
+    reference_shifted_matching,
+)
+from sigmacycles import (
+    Partition,
+    certfile,
+    construct_k_intersecting,
+    construct_sharp_hamiltonian,
+    diagonal_matching,
+    make_hypergraph,
+    shifted_matching,
+)
+from sigmacycles.errors import ConstructionError, DegenerateIntersection
+
+SETTINGS = settings(deadline=None, max_examples=300)
+
+SIGMAS = [sigma for r in range(1, 7) for sigma in partitions_of(r)]
+
+
+@st.composite
+def hypergraphs(draw):
+    """Every sigma with r <= 6, n from s to 7, q from the largest part to 13."""
+    sigma = Partition(draw(st.sampled_from(SIGMAS)))
+    n = draw(st.integers(min_value=sigma.s, max_value=7))
+    q = draw(st.integers(min_value=sigma.delta_max, max_value=13))
+    return make_hypergraph(n, q, sigma)
+
+
+def outcome(build, *args):
+    try:
+        return "ok", certfile.dumps(build(*args))
+    except (ConstructionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def matching_outcome(build, *args):
+    try:
+        return "ok", build(*args).edges
+    except (ConstructionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@SETTINGS
+@given(hypergraphs(), st.data())
+def test_sharp_matches_reference(H, data):
+    p = data.draw(st.integers(min_value=0, max_value=H.sigma.s))
+    assert outcome(construct_sharp_hamiltonian, H, p) == outcome(
+        reference_construct_sharp_hamiltonian, H, p
+    )
+
+
+@SETTINGS
+@given(hypergraphs(), st.data())
+def test_k_intersecting_matches_reference(H, data):
+    k = data.draw(st.integers(min_value=0, max_value=H.sigma.s + 1))
+    got = outcome(construct_k_intersecting, H, k)
+    want = outcome(reference_construct_k_intersecting, H, k)
+    if want[0] == DegenerateIntersection.__name__:
+        assert got == (
+            want[0],
+            f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection",
+        )
+    else:
+        assert got == want
+
+
+@SETTINGS
+@given(hypergraphs(), st.data())
+def test_block_matchings_match_reference(H, data):
+    h = data.draw(st.sampled_from([H.r, H.r + 1]))
+    b = data.draw(st.integers(min_value=0, max_value=max(H.q - h, 0)))
+    p = data.draw(st.integers(min_value=0, max_value=H.sigma.s))
+    assert matching_outcome(diagonal_matching, H, b, h) == matching_outcome(
+        reference_diagonal_matching, H, b, h
+    )
+    assert matching_outcome(shifted_matching, H, b, h, p) == matching_outcome(
+        reference_shifted_matching, H, b, h, p
+    )

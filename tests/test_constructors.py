@@ -205,6 +205,8 @@ class TestKIntersectingConstructor:
         assert len(cert.edges) == 8
         as_sharp = dataclasses.replace(cert, kind="sharp", k=None)
         assert verify_sharp_cycle(H, as_sharp).ok
+        # k=2 is the block chain with the single threshold 1, as is split 1
+        assert cert.edges == construct_sharp_hamiltonian(H, 1).edges
 
     def test_degenerate_tall_block(self):
         with pytest.raises(DegenerateIntersection):

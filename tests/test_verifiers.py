@@ -161,6 +161,16 @@ class TestBounds:
         assert not rep.nonexistence_fired
         assert rep.nu_upper is None
 
+    def test_negative_nu_rejected(self):
+        # 2*nu + 1 < nq/(r-1) holds for every nu < 0 and would refute a
+        # hypergraph that has a sharp Hamiltonian cycle
+        h = H(3, 6, "2,1")
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            sharp_nonexistence_test(h, -5)
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            bounds_report(h, nu=-5)
+        assert bounds_report(h, nu=0).nonexistence_fired
+
 
 class TestMaxMatchingOracle:
     def test_small_exact(self):
