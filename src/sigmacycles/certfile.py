@@ -140,6 +140,8 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     _expect(k is None or (type(k) is int and k >= 2), "k must be an integer >= 2")
     split = cycle.get("split_index")
     _expect(split is None or type(split) is int, "split_index must be an integer")
+    s = H.sigma.s
+    _expect(split is None or 1 <= split < s, f"split_index must be in 1..{s - 1}")
 
     edges_raw = cycle.get("edges")
     _expect(type(edges_raw) is list and edges_raw, "cycle.edges must be a nonempty array")
@@ -164,6 +166,7 @@ def from_json_dict(doc: Any) -> CycleCertificate:
         (t is None or type(t) is int) and (z is None or type(z) is int),
         "claims.t and claims.z must be integers",
     )
+    _expect((t is None or t >= 0) and (z is None or z >= 0), "claims.t and claims.z must be >= 0")
     return CycleCertificate(
         hypergraph=H,
         kind=kind,

@@ -1,7 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success/pass, 1 verification refuted, 2 usage or parse error,
-3 construction unsupported for the given parameters.
+Each subcommand is straight-line code; `main` is the one boundary that turns
+an error into a message on stderr, `<command>: <message>`, and an exit code:
+
+    0  success, or the certificate passes verification
+    1  verification refuted the certificate
+    2  CertificateParseError ("parse error: ..."), any other ValueError
+       (bad parameters, NoEdgesError, an export over the size limit), or an
+       OSError writing an -o path ("cannot write <path>: <reason>")
+    3  ConstructionError ("<Name>: ...") or BudgetExceeded
+       ("budget exceeded: ...")
 """
 
 from __future__ import annotations
@@ -18,12 +26,7 @@ from .construct import (
     construct_sharp_hamiltonian,
 )
 from .core import SigmaHypergraph, edge_count, enumerate_edges, make_hypergraph, parse_partition
-from .errors import (
-    BudgetExceeded,
-    CertificateParseError,
-    ConstructionError,
-    NoEdgesError,
-)
+from .errors import BudgetExceeded, CertificateParseError, ConstructionError
 from .verify import (
     bounds_report,
     brute_force_max_matching,
@@ -49,34 +52,18 @@ def _hypergraph(args: argparse.Namespace) -> SigmaHypergraph:
     return make_hypergraph(args.n, args.q, parse_partition(args.sigma))
 
 
-def _cannot_write(command: str, path: str, exc: OSError) -> int:
-    print(f"{command}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        H = _hypergraph(args)
-        if args.kind == KIND_BERGE:
-            cert = construct_berge_hamiltonian(H)
-        elif args.kind == KIND_SHARP:
-            cert = construct_sharp_hamiltonian(H, p=args.split)
-        else:
-            if args.k is None:
-                print("construct: --k is required for kind k-intersecting", file=sys.stderr)
-                return EXIT_USAGE
-            cert = construct_k_intersecting(H, args.k)
-    except (ValueError, NoEdgesError) as exc:
-        print(f"construct: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConstructionError as exc:
-        print(f"construct: {exc.name}: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    H = _hypergraph(args)
+    if args.kind == KIND_BERGE:
+        cert = construct_berge_hamiltonian(H)
+    elif args.kind == KIND_SHARP:
+        cert = construct_sharp_hamiltonian(H, p=args.split)
+    elif args.k is None:
+        raise ValueError("--k is required for kind k-intersecting")
+    else:
+        cert = construct_k_intersecting(H, args.k)
     if args.output:
-        try:
-            certfile.write_certificate(cert, args.output)
-        except OSError as exc:
-            return _cannot_write("construct", args.output, exc)
+        certfile.write_certificate(cert, args.output)
     else:
         sys.stdout.write(certfile.dumps(cert))
     summary = f"{cert.kind}: {len(cert.edges)} edges"
@@ -89,11 +76,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cert = certfile.read_certificate(args.path)
-    except CertificateParseError as exc:
-        print(f"verify: parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = certfile.read_certificate(args.path)
     H = cert.hypergraph
     if cert.kind == KIND_BERGE:
         report = verify_berge_hamiltonian(H, cert)
@@ -117,12 +100,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        H = _hypergraph(args)
-        rep = bounds_report(H, nu=args.nu)
-    except (ValueError, NoEdgesError) as exc:
-        print(f"bounds: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    H = _hypergraph(args)
+    rep = bounds_report(H, nu=args.nu)
     print(f"vertices: {H.vertex_count}")
     print(f"sharp cycle edge-count window: [{rep.sharp_edge_lower}, {rep.sharp_edge_upper}]")
     if rep.nu_upper is not None:
@@ -136,47 +115,26 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        H = _hypergraph(args)
-    except (ValueError, NoEdgesError) as exc:
-        print(f"oracle: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    H = _hypergraph(args)
     if args.oracle == "max-matching":
-        try:
-            result = brute_force_max_matching(H, budget=args.budget)
-        except BudgetExceeded as exc:
-            print(f"oracle: budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+        result = brute_force_max_matching(H, budget=args.budget)
         if result.exact:
             print(result.nu)
         else:
             print(f">= {result.nu} (inexact, budget exhausted)")
         return EXIT_OK
-    try:
-        result = brute_force_sharp_hamiltonian_exists(
-            H, max_len=args.max_len, budget=args.budget
-        )
-    except BudgetExceeded as exc:
-        print(f"oracle: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    result = brute_force_sharp_hamiltonian_exists(H, max_len=args.max_len, budget=args.budget)
     if result.status == "found":
         print(f"found ({len(result.certificate.edges)} edges)")
         if args.output:
-            try:
-                certfile.write_certificate(result.certificate, args.output)
-            except OSError as exc:
-                return _cannot_write("oracle", args.output, exc)
+            certfile.write_certificate(result.certificate, args.output)
     else:
         print("exhausted")
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        H = _hypergraph(args)
-    except (ValueError, NoEdgesError) as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    H = _hypergraph(args)
     if args.count_only:
         print(edge_count(H))
         return EXIT_OK
@@ -186,22 +144,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        cert = certfile.read_certificate(args.path)
-    except CertificateParseError as exc:
-        print(f"export: parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
-    except ValueError as exc:
-        print(f"export: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = certfile.read_certificate(args.path)
+    text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _cannot_write("export", args.output, exc)
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -254,9 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CertificateParseError as exc:
+        message, code = f"parse error: {exc}", EXIT_USAGE
+    except ValueError as exc:
+        message, code = str(exc), EXIT_USAGE
+    except OSError as exc:
+        # reads fail as CertificateParseError, so an error naming a file
+        # comes from the -o write; one without (a closed stdout) propagates
+        if exc.filename is None:
+            raise
+        message, code = f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE
+    except ConstructionError as exc:
+        message, code = f"{exc.name}: {exc}", EXIT_UNSUPPORTED
+    except BudgetExceeded as exc:
+        message, code = f"budget exceeded: {exc}", EXIT_UNSUPPORTED
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

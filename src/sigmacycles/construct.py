@@ -7,6 +7,7 @@ verifier has accepted it.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Sequence
 
@@ -28,9 +29,9 @@ from .errors import (
 )
 from .verify import (
     VerificationReport,
-    _verify_sharp_edges,
     verify_berge_hamiltonian,
     verify_k_intersecting,
+    verify_sharp_cycle,
 )
 
 
@@ -188,18 +189,17 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
         raise ValueError(f"split index must satisfy 1 <= p < s={s}")
     if _zero_head(H, blocks, p):
         p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), p)
-    edges = _chain_blocks(H, blocks, [p])
-    report = _verify_sharp_edges(H, edges)
-    _require_verified(report, str(H))
-    return CycleCertificate(
+    cert = CycleCertificate(
         hypergraph=H,
         kind=KIND_SHARP,
-        edges=edges,
+        edges=_chain_blocks(H, blocks, [p]),
         split_index=p,
         claimed_hamiltonian=True,
-        claimed_t=report.profile.uniform_t,
-        claimed_z=report.profile.uniform_z,
     )
+    report = verify_sharp_cycle(H, cert)
+    _require_verified(report, str(H))
+    t, z = report.profile.uniform_t, report.profile.uniform_z
+    return dataclasses.replace(cert, claimed_t=t, claimed_z=z)
 
 
 def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NoEdgesError
 
@@ -167,6 +167,16 @@ class Edge:
 
     def __contains__(self, v: GridVertex) -> bool:
         return v in self.vertices
+
+
+def incidence(edges: Sequence[Edge]) -> dict[GridVertex, list[int]]:
+    """Map each vertex to the ascending indices of the edges that contain it.
+    Two edges meet exactly when both indices sit in some vertex's list."""
+    index: dict[GridVertex, list[int]] = defaultdict(list)
+    for i, e in enumerate(edges):
+        for v in e.vertices:
+            index[v].append(i)
+    return index
 
 
 def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
+
 from .certificates import CycleCertificate
+from .core import incidence
 
 _CELL = 22
 _PAD = 14
@@ -19,19 +24,15 @@ def _check_size(items: int, what: str) -> None:
 
 def render_dot(cert: CycleCertificate) -> str:
     """Intersection graph of the cycle: one node per edge, an arc for every
-    nonempty pairwise intersection labeled with its size.  Raises ValueError
-    when the cycle has more edge pairs than the rendering limit."""
-    p = len(cert.edges)
-    _check_size(p * (p - 1) // 2, "dot edge pairs")
-    sets = [e.vertex_set() for e in cert.edges]
+    nonempty pairwise intersection labeled with its size.  The arcs are read
+    off the vertex -> edge incidence index; raises ValueError when its lists
+    hold more edge pairs than the rendering limit."""
+    lists = incidence(cert.edges).values()
+    _check_size(sum(math.comb(len(ids), 2) for ids in lists), "dot edge pairs")
+    shared = Counter(pair for ids in lists for pair in itertools.combinations(ids, 2))
     lines = ["graph cycle {"]
-    for i in range(len(sets)):
-        lines.append(f'  e{i} [label="e{i}"];')
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            size = len(sets[i] & sets[j])
-            if size:
-                lines.append(f'  e{i} -- e{j} [label="{size}"];')
+    lines += [f'  e{i} [label="e{i}"];' for i in range(len(cert.edges))]
+    lines += [f'  e{i} -- e{j} [label="{size}"];' for (i, j), size in sorted(shared.items())]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

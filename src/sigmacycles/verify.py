@@ -13,14 +13,14 @@ vertex's incidence list.  Each list yields its own first violating candidate
 and the verifier reports the minimum over the candidates, which keeps the
 first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
-The brute-force oracles search the same index over all edges of H, held as
-int bitsets.
+The index itself is core.incidence, which export.render_dot reads too.  The
+brute-force oracles search the same index over all edges of H, held as int
+bitsets.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -32,7 +32,7 @@ from .certificates import (
     CycleCertificate,
     SharpnessProfile,
 )
-from .core import Edge, GridVertex, SigmaHypergraph, edge_count, enumerate_edges, is_edge
+from .core import Edge, GridVertex, SigmaHypergraph, edge_count, enumerate_edges, incidence, is_edge
 from .errors import BudgetExceeded
 
 TAG_DUPLICATE_EDGE = "duplicate-edge"
@@ -115,15 +115,6 @@ def verify_berge_hamiltonian(H: SigmaHypergraph, cert: CycleCertificate) -> Veri
     return VerificationReport(ok=True, hamiltonian=True)
 
 
-def _incidence(edges: Sequence[Edge]) -> dict[GridVertex, list[int]]:
-    """Map each vertex to the ascending indices of the edges that contain it."""
-    index: dict[GridVertex, list[int]] = defaultdict(list)
-    for i, e in enumerate(edges):
-        for v in e.vertices:
-            index[v].append(i)
-    return index
-
-
 def _first_shared_non_window(
     index: dict[GridVertex, list[int]], k: int, p: int
 ) -> Optional[tuple[int, ...]]:
@@ -158,7 +149,7 @@ def _verify_sharp_edges(H: SigmaHypergraph, edges: Sequence[Edge]) -> Verificati
     pair_sizes = tuple(
         len(set(edges[i].vertices).intersection(edges[(i + 1) % p].vertices)) for i in range(p)
     )
-    index = _incidence(edges)
+    index = incidence(edges)
     candidates = [(i, i + 1, TAG_CONSECUTIVE_EMPTY) for i in range(p - 1) if not pair_sizes[i]]
     if not pair_sizes[p - 1]:
         candidates.append((0, p - 1, TAG_CONSECUTIVE_EMPTY))
@@ -243,7 +234,7 @@ def verify_k_intersecting(
             return VerificationReport.failure(
                 TAG_FORBIDDEN_NONEMPTY, f"window of {k + 1} consecutive edges {w1} shares a vertex"
             )
-    index = _incidence(edges)
+    index = incidence(edges)
     subset = _first_shared_non_window(index, k, p)
     if subset is not None:
         return VerificationReport.failure(
@@ -258,7 +249,7 @@ def verify_matching(H: SigmaHypergraph, edges: Iterable[Edge]) -> bool:
     """True iff all edges are valid and pairwise vertex-disjoint."""
     es = list(edges)
     return _edge_validity_failure(H, es) is None and all(
-        len(ids) == 1 for ids in _incidence(es).values()
+        len(ids) == 1 for ids in incidence(es).values()
     )
 
 
@@ -292,7 +283,10 @@ def matching_upper_bound(H: SigmaHypergraph) -> Optional[tuple[int, Fraction]]:
 
 def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
     """Edge-count window for any sharp Hamiltonian cycle:
-    nq/(r-1) <= |E(C)| <= 2nq/r."""
+    nq/(r-1) <= |E(C)| <= 2nq/r.  Raises ValueError when r < 2, where
+    consecutive edges cannot share a vertex without being equal."""
+    if H.r < 2:
+        raise ValueError(f"sharp cycle bounds need r >= 2, got r={H.r}")
     nq = H.vertex_count
     return Fraction(nq, H.r - 1), Fraction(2 * nq, H.r)
 
@@ -300,10 +294,10 @@ def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
 def sharp_nonexistence_test(H: SigmaHypergraph, nu: int) -> bool:
     """True iff 2*nu + 1 < nq/(r-1); with nu >= the true maximum matching
     size this certifies that no sharp Hamiltonian cycle exists.  Raises
-    ValueError when nu < 0, which no matching size can be."""
+    ValueError when nu < 0, which no matching size can be, or when r < 2."""
     if nu < 0:
         raise ValueError(f"matching size nu must be >= 0, got {nu}")
-    return 2 * nu + 1 < Fraction(H.vertex_count, H.r - 1)
+    return 2 * nu + 1 < sharp_cycle_bounds(H)[0]
 
 
 def bounds_report(H: SigmaHypergraph, nu: Optional[int] = None) -> BoundsReport:
@@ -351,7 +345,7 @@ def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]
     vertices = list(H.vertices())
     vindex = {v: i for i, v in enumerate(vertices)}
     masks = [_bitset((vindex[v] for v in e.vertices), len(vertices)) for e in edges]
-    index = _incidence(edges)
+    index = incidence(edges)
     inc = [_bitset(index.get(v, ()), len(edges)) for v in vertices]
     return edges, masks, inc
 
@@ -380,7 +374,10 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     by size + floor(reachable_vertices / r) <= best.  When the node budget
     runs out the best matching found so far is returned flagged inexact.
     Candidate sets are int bitsets over the edges (see _edge_bitsets).
+    Raises ValueError when budget < 0.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
@@ -437,8 +434,11 @@ def brute_force_sharp_hamiltonian_exists(
     Any cycle found is re-checked by verify_sharp_cycle before it is returned.
     The extensions of a path are read off int bitsets over the edges (see
     _edge_bitsets), in ascending edge order.  The result carries the number
-    of search nodes.  Raises BudgetExceeded when the node budget runs out.
+    of search nodes.  Raises BudgetExceeded when the node budget runs out,
+    and ValueError when max_len or budget is negative.
     """
+    if max_len < 0 or budget < 0:
+        raise ValueError(f"max_len and budget must be >= 0, got {max_len} and {budget}")
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")

@@ -21,6 +21,7 @@ from sigmacycles.errors import (
     NoEdgesError,
     NTooSmall,
 )
+from sigmacycles.export import _check_size
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
     TAG_DEGENERATE_LENGTH,
@@ -625,3 +626,28 @@ def reference_construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCerti
         k=k,
         claimed_hamiltonian=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference DOT renderer: the intersection of every one of the p(p-1)/2 edge
+# pairs, with the cap counted over all of them.  sigmacycles.export reads the
+# pairs off the incidence index and must write the same bytes.
+
+
+def reference_render_dot(cert: CycleCertificate) -> str:
+    """Intersection graph of the cycle: one node per edge, an arc for every
+    nonempty pairwise intersection labeled with its size.  Raises ValueError
+    when the cycle has more edge pairs than the rendering limit."""
+    p = len(cert.edges)
+    _check_size(p * (p - 1) // 2, "dot edge pairs")
+    sets = [e.vertex_set() for e in cert.edges]
+    lines = ["graph cycle {"]
+    for i in range(len(sets)):
+        lines.append(f'  e{i} [label="e{i}"];')
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            size = len(sets[i] & sets[j])
+            if size:
+                lines.append(f'  e{i} -- e{j} [label="{size}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

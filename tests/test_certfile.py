@@ -131,12 +131,19 @@ def test_invalid_k(k, tmp_path, capsys):
         (("claims",), False, "claims must be an object"),
         (("claims",), "", "claims must be an object"),
         (("claims",), None, "claims must be an object"),
+        # out of range: each of these verified PASS before the reader checked ranges
+        (("cycle", "split_index"), -3, "split_index must be in 1..1"),
+        (("cycle", "split_index"), 0, "split_index must be in 1..1"),
+        (("cycle", "split_index"), 99, "split_index must be in 1..1"),
+        (("claims", "t"), -5, "claims.t and claims.z must be >= 0"),
+        (("claims", "z"), -1, "claims.t and claims.z must be >= 0"),
     ],
     ids=[
         "true-coordinate", "false-row", "true-in-vertex-sequence", "vertex-sequence-number",
         "hamiltonian-string", "hamiltonian-number", "t-string", "z-float", "t-true",
         "split-true", "n-true", "q-true", "sigma-true",
         "claims-empty-array", "claims-zero", "claims-false", "claims-empty-string", "claims-null",
+        "split-negative", "split-zero", "split-too-large", "t-negative", "z-negative",
     ],
 )
 def test_strict_scalar_types(path, value, fragment, tmp_path, capsys):

@@ -84,22 +84,26 @@ def test_dumps_matches_reference_on_parsed_shapes(changes):
 def strict_type_case(doc) -> bool:
     """True when the document holds a value that the reference reader takes
     but the strict one rejects: a boolean as n, q, a sigma part, split_index
-    or a vertex coordinate; a claims.hamiltonian that is not a boolean; a
-    claims.t or claims.z that is not an integer; a vertex_sequence that is
-    present but not an array; claims that are present and falsy but not an
-    object (the reference reads them as empty claims)."""
+    or a vertex coordinate; an integer split_index outside 1..s-1; a
+    claims.hamiltonian that is not a boolean; a claims.t or claims.z that is
+    not an integer, or is negative; a vertex_sequence that is present but
+    not an array; claims that are present and falsy but not an object (the
+    reference reads them as empty claims)."""
     if not isinstance(doc, dict):
         return False
     hg = doc.get("hypergraph")
+    sigma = hg.get("sigma") if isinstance(hg, dict) else None
     if isinstance(hg, dict):
         if isinstance(hg.get("n"), bool) or isinstance(hg.get("q"), bool):
             return True
-        sigma = hg.get("sigma")
         if isinstance(sigma, list) and any(isinstance(a, bool) for a in sigma):
             return True
     cycle = doc.get("cycle")
     if isinstance(cycle, dict):
-        if isinstance(cycle.get("split_index"), bool):
+        split = cycle.get("split_index")
+        if isinstance(split, bool):
+            return True
+        if type(split) is int and isinstance(sigma, list) and not 1 <= split < len(sigma):
             return True
         vseq = cycle.get("vertex_sequence")
         if vseq is not None and not isinstance(vseq, list):
@@ -117,6 +121,8 @@ def strict_type_case(doc) -> bool:
         if "hamiltonian" in claims and not isinstance(claims["hamiltonian"], bool):
             return True
         if any(claims.get(key) is not None and type(claims[key]) is not int for key in "tz"):
+            return True
+        if any(type(claims.get(key)) is int and claims[key] < 0 for key in "tz"):
             return True
     return False
 

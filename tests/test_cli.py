@@ -204,6 +204,12 @@ class TestBounds:
         assert code == 0
         assert "12 edges" in out
 
+    def test_uniform_r1_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--sigma", "1", "--n", "3", "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert "bounds: sharp cycle bounds need r >= 2, got r=1" in err
+
     def test_matching_bound(self, capsys):
         code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "2", "--q", "3")
         assert code == 0
@@ -259,6 +265,23 @@ class TestOracle:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "3", "False"]
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["sharp-exists", "--max-len", "-1"], "max_len and budget must be >= 0, got -1 and"),
+            (["sharp-exists", "--budget", "-1"], "max_len and budget must be >= 0, got 12 and -1"),
+            (["max-matching", "--budget", "-1"], "budget must be >= 0, got -1"),
+        ],
+        ids=["sharp-max-len", "sharp-budget", "matching-budget"],
+    )
+    def test_negative_limit_is_usage_error(self, capsys, argv, fragment):
+        code, out, err = run(
+            capsys, "oracle", argv[0], "--sigma", "2,1", "--n", "3", "--q", "3", *argv[1:]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"oracle: {fragment}" in err
 
     def test_budget_exit(self, capsys):
         code, _, err = run(
@@ -347,17 +370,33 @@ class TestExport:
         assert out.count("[label=\"e") == 1
 
     def test_oversize_dot_refused(self, capsys, tmp_path):
-        # 1600 edges: 1,279,200 pairs to intersect
+        # 1500 copies of one 3-vertex edge: each vertex lists all 1500, so the
+        # index holds 3 * C(1500, 2) = 3,372,750 pairs
+        path = tmp_path / "c.json"
+        doc = {
+            "schema_version": "1",
+            "hypergraph": {"n": 3, "q": 3, "sigma": [2, 1]},
+            "cycle": {"kind": "sharp", "edges": [[[0, 0], [0, 1], [1, 0]]] * 1500},
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export", str(path), "--format", "dot")
+        assert code == 2
+        assert out == ""
+        assert "export: dot edge pairs: 3372750 exceeds the rendering limit" in err
+
+    def test_long_cycle_dot_renders(self, capsys, tmp_path):
+        # 1600 edges, 1,279,200 edge pairs: over the limit if every pair
+        # were intersected, but only consecutive edges share a vertex
         path = tmp_path / "c.json"
         code, _, _ = run(
             capsys, "construct", "--sigma", "1,1", "--n", "40", "--q", "40",
             "--kind", "berge", "-o", str(path),
         )
         assert code == 0
-        code, out, err = run(capsys, "export", str(path), "--format", "dot")
-        assert code == 2
-        assert out == ""
-        assert "export: dot edge pairs: 1279200 exceeds the rendering limit" in err
+        code, out, _ = run(capsys, "export", str(path), "--format", "dot")
+        assert code == 0
+        assert out.count("[label=\"e") == 1600
+        assert out.count(" -- ") == 1600
 
     def test_limit_clears_benchmark_size(self):
         # a 200-edge sharp cycle on a 10 x 30 grid draws 60,000 cells; keep a

@@ -144,6 +144,16 @@ class TestBounds:
         lo, hi = sharp_cycle_bounds(H(3, 4, "1,1"))
         assert lo == hi == 12
 
+    def test_r1_rejected(self):
+        # nq/(r-1) has no value for r = 1
+        h = H(3, 3, "1")
+        with pytest.raises(ValueError, match="r >= 2"):
+            sharp_cycle_bounds(h)
+        with pytest.raises(ValueError, match="r >= 2"):
+            sharp_nonexistence_test(h, 1)
+        with pytest.raises(ValueError, match="r >= 2"):
+            bounds_report(h)
+
     def test_nonexistence(self):
         assert sharp_nonexistence_test(H(5, 5, "3,3,3"), 1)
         assert not sharp_nonexistence_test(H(3, 6, "2,1"), 6)
@@ -185,6 +195,10 @@ class TestMaxMatchingOracle:
         with pytest.raises(BudgetExceeded):
             brute_force_max_matching(H(5, 5, "3,3,3"), budget=100)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            brute_force_max_matching(H(2, 3, "2,2"), budget=-1)
+
     def test_oracle_meets_divisibility_bound(self):
         h = H(2, 3, "2,2")
         _, nu_upper = matching_upper_bound(h)
@@ -210,3 +224,8 @@ class TestSharpExistsOracle:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             brute_force_sharp_hamiltonian_exists(H(3, 6, "2,1"), max_len=12, budget=5)
+
+    @pytest.mark.parametrize("max_len, budget", [(-1, 100), (6, -1)])
+    def test_negative_limits_rejected(self, max_len, budget):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            brute_force_sharp_hamiltonian_exists(H(2, 2, "1,1"), max_len=max_len, budget=budget)
