@@ -12,12 +12,13 @@ CertificateParseError.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 from .certificates import KIND_BERGE, KINDS, CycleCertificate
-from .core import Edge, GridVertex, Partition, SigmaHypergraph
+from .core import Edge, GridVertex, Partition, SigmaHypergraph, proven_coordinates
 from .errors import CertificateParseError, NoEdgesError
 
 SCHEMA_VERSION = "1"
@@ -89,7 +90,8 @@ def _vertices(items: Any, where: str, H: SigmaHypergraph, r: int | None) -> list
     Checks, in order: an array of [c, row] integer pairs; for an edge (r
     given), r vertices and no duplicate, and the vertices come back sorted;
     every vertex in range.  The first failing check raises, naming `where`.
-    Messages are built only on failure: this runs once per edge.
+    The caller builds `where`, so from_json_dict runs this per edge only
+    when _proven_edges cannot prove the whole edge array.
     """
     if type(items) is not list:
         raise CertificateParseError(f"{where} must be an array of vertices")
@@ -108,6 +110,24 @@ def _vertices(items: Any, where: str, H: SigmaHypergraph, r: int | None) -> list
         bad = next(v for v in map(tuple, items) if not H.in_bounds(v))
         raise CertificateParseError(f"{where}: vertex {list(bad)} out of range for {H}")
     return vs
+
+
+def _proven_edges(edges_raw: list, H: SigmaHypergraph) -> Optional[tuple[Edge, ...]]:
+    """The edges of a JSON edge array that C-level passes prove valid, else None.
+
+    Proves what the per-edge _vertices loop checks, all at once: arrays of r
+    [c, row] pairs of in-range ints (core.proven_coordinates; booleans are
+    not ints) with no duplicate vertex within an edge.  None means "not
+    proven"; the caller then runs the loop, which names the first failure
+    in file order.
+    """
+    coordinates = proven_coordinates(H, edges_raw, list)
+    if coordinates is None:
+        return None
+    edges = list(map(tuple, map(sorted, zip(*[zip(*coordinates)] * H.r))))
+    if {H.r} != set(map(len, map(set, edges))):
+        return None
+    return tuple(map(Edge, edges))
 
 
 def from_json_dict(doc: Any) -> CycleCertificate:
@@ -146,9 +166,11 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     edges_raw = cycle.get("edges")
     _expect(type(edges_raw) is list and edges_raw, "cycle.edges must be a nonempty array")
     r = H.r
-    edges = tuple(
-        Edge(tuple(_vertices(e_raw, f"edge {idx}", H, r))) for idx, e_raw in enumerate(edges_raw)
-    )
+    edges = _proven_edges(edges_raw, H)
+    if edges is None:
+        edges = tuple(
+            Edge(tuple(_vertices(e_raw, f"edge {idx}", H, r))) for idx, e_raw in enumerate(edges_raw)
+        )
 
     vseq_raw = cycle.get("vertex_sequence")
     if kind == KIND_BERGE:
@@ -181,10 +203,19 @@ def from_json_dict(doc: Any) -> CycleCertificate:
 
 
 def read_certificate(path: str | Path) -> CycleCertificate:
+    """Read and validate a certificate file.  The cyclic garbage collector is
+    paused while the file is parsed: json.loads and from_json_dict build no
+    reference cycles, only many containers that would set it off."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers invalid UTF-8 and JSONDecodeError; RecursionError
-        # is deeply nested arrays.
-        raise CertificateParseError(f"cannot read certificate: {exc}") from exc
-    return from_json_dict(doc)
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers invalid UTF-8 and JSONDecodeError; RecursionError
+            # is deeply nested arrays.
+            raise CertificateParseError(f"cannot read certificate: {exc}") from exc
+        return from_json_dict(doc)
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -12,7 +12,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NoEdgesError
 
@@ -134,7 +134,7 @@ def make_hypergraph(n: int, q: int, sigma: Partition) -> SigmaHypergraph:
     return SigmaHypergraph(n, q, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """An edge stored as its canonical vertex tuple, sorted by (class, row)."""
 
@@ -177,6 +177,31 @@ def incidence(edges: Sequence[Edge]) -> dict[GridVertex, list[int]]:
         for v in e.vertices:
             index[v].append(i)
     return index
+
+
+def proven_coordinates(
+    H: SigmaHypergraph, vertex_lists: Sequence, container: type
+) -> Optional[tuple[list[int], list[int]]]:
+    """The columns and the rows of all vertices in vertex_lists, in order,
+    when C-level passes prove every list a `container` of r vertices and
+    every vertex a `container` pair of ints in range for H; else None.
+
+    Types are checked before anything that could raise, and `type(x) is int`
+    keeps booleans and floats (NaN breaks min/max) out of the bounds test.
+    None means "not proven", never "invalid".
+    """
+    if {container} != set(map(type, vertex_lists)) or {H.r} != set(map(len, vertex_lists)):
+        return None
+    flat = list(itertools.chain.from_iterable(vertex_lists))
+    if {container} != set(map(type, flat)) or {2} != set(map(len, flat)):
+        return None
+    coords = list(itertools.chain.from_iterable(flat))
+    if {int} != set(map(type, coords)):
+        return None
+    cols, rows = coords[0::2], coords[1::2]
+    if min(cols) < 0 or max(cols) >= H.n or min(rows) < 0 or max(rows) >= H.q:
+        return None
+    return cols, rows
 
 
 def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:

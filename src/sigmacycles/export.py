@@ -25,9 +25,10 @@ def _check_size(items: int, what: str) -> None:
 def render_dot(cert: CycleCertificate) -> str:
     """Intersection graph of the cycle: one node per edge, an arc for every
     nonempty pairwise intersection labeled with its size.  The arcs are read
-    off the vertex -> edge incidence index; raises ValueError when its lists
-    hold more edge pairs than the rendering limit."""
-    lists = incidence(cert.edges).values()
+    off the vertex -> edge incidence index, each list without repeats (an
+    Edge built directly may list a vertex twice); raises ValueError when the
+    lists hold more edge pairs than the rendering limit."""
+    lists = [dict.fromkeys(ids) for ids in incidence(cert.edges).values()]
     _check_size(sum(math.comb(len(ids), 2) for ids in lists), "dot edge pairs")
     shared = Counter(pair for ids in lists for pair in itertools.combinations(ids, 2))
     lines = ["graph cycle {"]

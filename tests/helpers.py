@@ -25,11 +25,12 @@ from sigmacycles.export import _check_size
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
     TAG_DEGENERATE_LENGTH,
+    TAG_DUPLICATE_EDGE,
     TAG_FORBIDDEN_NONEMPTY,
+    TAG_NON_EDGE,
     MaxMatchingResult,
     SharpSearchResult,
     VerificationReport,
-    _edge_validity_failure,
     verify_k_intersecting,
     verify_sharp_cycle,
 )
@@ -62,6 +63,32 @@ def exhaustive_edges(H: SigmaHypergraph) -> list[frozenset]:
 
 
 # ---------------------------------------------------------------------------
+# Reference edge-validity stage: is_edge on every edge in order, then a dict
+# of the edges seen.  sigmacycles.verify proves blocks of edges valid with
+# builtins first and must return the same report or raise the same exception.
+
+
+def reference_edge_validity_failure(
+    H: SigmaHypergraph, edges: Sequence[Edge]
+) -> Optional[VerificationReport]:
+    for i, e in enumerate(edges):
+        try:
+            valid = is_edge(H, e.vertices)
+        except ValueError:
+            valid = False
+        if not valid:
+            return VerificationReport.failure(TAG_NON_EDGE, f"edge {i} is not an edge of {H}")
+    seen: dict[tuple, int] = {}
+    for i, e in enumerate(edges):
+        if e.vertices in seen:
+            return VerificationReport.failure(
+                TAG_DUPLICATE_EDGE, f"edge {i} duplicates edge {seen[e.vertices]}"
+            )
+        seen[e.vertices] = i
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Reference verifiers: the pairwise sharp check and the C(p, k) subset sweep,
 # quadratic and exponential in p.  The incidence-index verifiers in
 # sigmacycles.verify must return identical reports.
@@ -71,7 +98,7 @@ def reference_verify_sharp_edges(H: SigmaHypergraph, edges: Sequence[Edge]) -> V
     p = len(edges)
     if p < 4:
         return VerificationReport.failure(TAG_DEGENERATE_LENGTH, f"{p} edges; a sharp cycle needs at least 4")
-    bad = _edge_validity_failure(H, edges)
+    bad = reference_edge_validity_failure(H, edges)
     if bad is not None:
         return bad
     sets = [e.vertex_set() for e in edges]
@@ -107,7 +134,7 @@ def reference_verify_k_intersecting(
         return VerificationReport.failure(
             TAG_DEGENERATE_LENGTH, f"{p} edges; a {k}-intersecting cycle needs at least {k + 2}"
         )
-    bad = _edge_validity_failure(H, edges)
+    bad = reference_edge_validity_failure(H, edges)
     if bad is not None:
         return bad
     sets = [e.vertex_set() for e in edges]

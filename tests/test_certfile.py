@@ -1,5 +1,6 @@
 """JSON certificate serialization: round trips and parse diagnostics."""
 
+import gc
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from sigmacycles import (
     make_hypergraph,
     parse_partition,
 )
+from sigmacycles import certfile
 from sigmacycles.certfile import dumps, from_json_dict, read_certificate, write_certificate
 from sigmacycles.cli import main
 
@@ -178,3 +180,44 @@ def test_truncated_file(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(CertificateParseError):
         read_certificate(tmp_path / "nope.json")
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state whatever a test leaves it in."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("content", ["valid", "truncated", "not-a-certificate"])
+def test_read_restores_gc_state(enabled, content, gc_state, tmp_path, monkeypatch):
+    path = tmp_path / "cert.json"
+    write_certificate(next(certs()), path)
+    if content == "truncated":  # fails in json.loads
+        path.write_text(path.read_text()[:40])
+    elif content == "not-a-certificate":  # fails in from_json_dict
+        path.write_text("{}")
+    seen = []
+    parse = certfile.from_json_dict
+
+    def spy(doc):
+        seen.append(gc.isenabled())
+        return parse(doc)
+
+    monkeypatch.setattr(certfile, "from_json_dict", spy)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if content == "valid":
+        read_certificate(path)
+        assert seen == [False]  # paused while the document is validated
+    else:
+        with pytest.raises(CertificateParseError):
+            read_certificate(path)
+    assert gc.isenabled() is enabled

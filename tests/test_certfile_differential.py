@@ -28,7 +28,7 @@ from sigmacycles import (
     make_hypergraph,
     parse_partition,
 )
-from sigmacycles.certfile import dumps, from_json_dict
+from sigmacycles.certfile import _proven_edges, dumps, from_json_dict
 from sigmacycles.cli import main
 from sigmacycles.errors import NoEdgesError
 
@@ -249,3 +249,33 @@ def test_arbitrary_json_raises_only_parse_errors(base, replacements, data):
         return
     text = dumps(cert)
     assert dumps(from_json_dict(json.loads(text))) == text
+
+
+# A bad vertex at the first or the last edge: the batched proof fails and the
+# per-edge loop must name the same edge with the same message as the reference.
+EDGE_MUTATIONS = {
+    "row-out-of-range": lambda edges, i, doc: edges[i][0].__setitem__(1, doc["hypergraph"]["q"]),
+    "column-negative": lambda edges, i, doc: edges[i][-1].__setitem__(0, -1),
+    "float-coordinate": lambda edges, i, doc: edges[i][0].__setitem__(1, 0.5),
+    "three-coordinates": lambda edges, i, doc: edges[i][0].append(0),
+    "string-vertex": lambda edges, i, doc: edges[i].__setitem__(0, "x"),
+    "missing-vertex": lambda edges, i, doc: edges[i].pop(),
+    "extra-vertex": lambda edges, i, doc: edges[i].append(list(edges[i][0])),
+    "duplicate-vertex": lambda edges, i, doc: edges[i].__setitem__(-1, list(edges[i][0])),
+    "edge-not-an-array": lambda edges, i, doc: edges.__setitem__(i, {}),
+}
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("mutation", sorted(EDGE_MUTATIONS))
+@pytest.mark.parametrize("base", range(len(BASES)))
+def test_bad_first_or_last_edge_matches_reference(base, mutation, position):
+    doc = copy.deepcopy(BASES[base])
+    edges = doc["cycle"]["edges"]
+    EDGE_MUTATIONS[mutation](edges, position, doc)
+    H = from_json_dict(BASES[base]).hypergraph
+    assert _proven_edges(edges, H) is None
+    got = outcome(from_json_dict, doc)
+    assert got[0] == "error"
+    assert got == outcome(reference_from_json_dict, doc)
+    assert f"edge {position % len(edges)}" in got[1]

@@ -402,3 +402,29 @@ class TestExport:
         # a 200-edge sharp cycle on a 10 x 30 grid draws 60,000 cells; keep a
         # tenfold margin above it
         assert export._MAX_ITEMS >= 10 * 200 * 10 * 30
+
+
+class TestParserReuse:
+    def test_consecutive_calls_parse_independently(self, capsys, tmp_path):
+        # main reuses one parser: options of one call must not leak into the next
+        path = tmp_path / "c.json"
+        code, out, _ = run(
+            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6",
+            "--kind", "sharp", "--split", "1", "-o", str(path),
+        )
+        assert code == 0
+        assert out.startswith("sharp: 12 edges, profile")
+        code, out, _ = run(capsys, "bounds", "--sigma", "3,3,3", "--n", "5", "--q", "5", "--nu", "1")
+        assert code == 0
+        assert "REFUTES-SHARP-HC" in out
+        code, out, _ = run(capsys, "bounds", "--sigma", "3,3,3", "--n", "5", "--q", "5")
+        assert code == 0
+        assert "REFUTES-SHARP-HC" not in out and "INCONCLUSIVE" not in out
+        code, out, _ = run(
+            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "3", "--kind", "berge"
+        )
+        assert code == 0
+        assert json.loads(out[: out.rindex("}") + 1])["cycle"]["kind"] == "berge"
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out.endswith("PASS\n")
