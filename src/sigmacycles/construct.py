@@ -2,7 +2,9 @@
 
 All constructors are deterministic, search-free, and verifier-gated: a
 certificate is only returned after the corresponding definition-level
-verifier has accepted it.
+verifier has accepted it.  Before building an edge they raise ValueError
+when the certificate would hold more vertex slots (edges x r) than the
+export item limit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .certificates import (
     CycleCertificate,
     Matching,
 )
-from .core import Edge, GridVertex, SigmaHypergraph
+from .core import Edge, GridVertex, SigmaHypergraph, edge_count
 from .errors import (
     ConstructionUnsupported,
     DegenerateIntersection,
@@ -27,6 +29,7 @@ from .errors import (
     OnlyOneEdge,
     QNotRepresentable,
 )
+from .export import _MAX_ITEMS
 from .verify import (
     VerificationReport,
     verify_berge_hamiltonian,
@@ -135,6 +138,15 @@ def _blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:
     return blocks
 
 
+def _check_size(H: SigmaHypergraph, edges: int) -> None:
+    """Refuse, before any edge is built, a certificate whose vertex slots
+    (edges x r) exceed the export item limit.  A block chain counts its
+    blocks as sum(frobenius_decompose(q, r)), without listing them."""
+    slots = edges * H.r
+    if slots > _MAX_ITEMS:
+        raise ValueError(f"{H}: {slots} certificate vertex slots exceed the limit of {_MAX_ITEMS}")
+
+
 def _zero_head(H: SigmaHypergraph, blocks: list[tuple[int, int]], threshold: int) -> bool:
     """True when an (r+1)-block leaves a diagonal edge and its shifted edge
     with this threshold no common vertex (head size t-1 = 0)."""
@@ -148,10 +160,6 @@ def _chain_blocks(
     by one shifted edge per threshold.  The tails of class j come from
     diagonal edge j+1; those of the last class come from the next block's
     diagonal edge 0, and the last block wraps to the first."""
-    if _zero_head(H, blocks, min(thresholds)):
-        raise DegenerateIntersection(
-            f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
-        )
     edges: list[Edge] = []
     for m, (b, h) in enumerate(blocks):
         next_b, _ = blocks[(m + 1) % len(blocks)]
@@ -184,11 +192,16 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
         raise ConstructionUnsupported("sharp construction needs at least two parts")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
+    _check_size(H, sum(frobenius_decompose(H.q, H.r)) * 2 * H.n)
     blocks = _blocks(H)
     if not 1 <= p < s:
         raise ValueError(f"split index must satisfy 1 <= p < s={s}")
     if _zero_head(H, blocks, p):
-        p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), p)
+        p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), None)
+    if p is None:
+        raise DegenerateIntersection(
+            f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
+        )
     cert = CycleCertificate(
         hypergraph=H,
         kind=KIND_SHARP,
@@ -208,17 +221,27 @@ def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
     Edge k anchors its first part at the walk position (class k mod n,
     counting row passes from the bottom); parts that wrap past the last
     class sit one row higher, and row arithmetic is modulo q.
+
+    Refuses (ConstructionUnsupported) r = 1, fewer than nq edges, where no
+    Berge Hamiltonian cycle exists, and a rectangular sigma with q equal to
+    its part size, which the walk does not cover; a single edge raises
+    OnlyOneEdge.
     """
     sigma = H.sigma
     n, q, s = H.n, H.q, sigma.s
-    if sigma.rectangular and q == sigma.delta_max:
-        if n == s:
-            raise OnlyOneEdge(f"{H} has a single edge")
-        if sigma.delta_max >= 2:
-            raise ConstructionUnsupported(
-                f"{H}: too few edges for a cycle through all {n * q} vertices"
-            )
     nq = n * q
+    q_is_part = sigma.rectangular and q == sigma.delta_max
+    if q_is_part and n == s:
+        raise OnlyOneEdge(f"{H} has a single edge")
+    if H.r < 2:
+        raise ConstructionUnsupported(f"{H}: a Berge cycle needs edges of at least 2 vertices")
+    if edge_count(H) < nq:
+        raise ConstructionUnsupported(f"{H}: too few edges for a cycle through all {nq} vertices")
+    if q_is_part and sigma.delta_max >= 2:
+        raise ConstructionUnsupported(
+            f"{H}: the walk recipe does not cover a rectangular sigma with q equal to its part size"
+        )
+    _check_size(H, nq)
     verts = tuple((m % n, q - 1 - (m // n)) for m in range(nq))
     edges = []
     for k in range(nq):
@@ -257,7 +280,13 @@ def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
         raise KOutOfRange(f"k={k} outside [2, {s}]")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
-    edges = _chain_blocks(H, _blocks(H), range(k - 1, 0, -1))
+    _check_size(H, sum(frobenius_decompose(H.q, H.r)) * H.n * k)
+    blocks = _blocks(H)
+    if _zero_head(H, blocks, 1):
+        raise DegenerateIntersection(
+            f"sigma=({H.sigma}) with an (r+1)-block: threshold 1 gives a zero intersection"
+        )
+    edges = _chain_blocks(H, blocks, range(k - 1, 0, -1))
     cert = CycleCertificate(
         hypergraph=H, kind=KIND_K_INTERSECTING, edges=edges, k=k, claimed_hamiltonian=True
     )

@@ -230,18 +230,27 @@ def _row_choice_cmp(r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
 
 def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
     """Yield every edge exactly once, in lexicographic order of the
-    canonical vertex sequences.  Restartable; nothing is materialized."""
+    canonical vertex sequences.  Restartable; nothing is materialized.
+
+    A recursion places the parts class by class.  Once one part is left,
+    its placements in the remaining classes come from itertools.combinations
+    over each class's vertices, mapped to edges without a generator frame
+    per edge; no placement list is built, so the enumeration stays lazy."""
 
     sigma_parts = H.sigma.parts
     n, q = H.n, H.q
+    columns = [tuple((c, row) for row in range(q)) for c in range(n)]
     # the sorted row choices depend only on the parts still to place
     choices_for: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def rec(c: int, remaining: tuple[int, ...], acc: list[GridVertex]) -> Iterator[Edge]:
-        if not remaining:
-            yield Edge(tuple(acc))
-            return
+    def rec(c: int, remaining: tuple[int, ...], acc: tuple[GridVertex, ...]) -> Iterator[Edge]:
         if n - c < len(remaining):
+            return
+        if len(remaining) == 1:
+            # the last part goes into one class; classes in order, rows
+            # ascending, is the lexicographic order of the edges
+            for column in columns[c:]:
+                yield from map(Edge, map(acc.__add__, itertools.combinations(column, remaining[0])))
             return
         choices = choices_for.get(remaining)
         if choices is None:
@@ -254,11 +263,11 @@ def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
             if rows:
                 rest = list(remaining)
                 rest.remove(len(rows))
-                yield from rec(c + 1, tuple(rest), acc + [(c, rr) for rr in rows])
+                yield from rec(c + 1, tuple(rest), acc + tuple((c, rr) for rr in rows))
             else:
                 yield from rec(c + 1, remaining, acc)
 
-    return rec(0, sigma_parts, [])
+    return rec(0, sigma_parts, ())
 
 
 def edge_count(H: SigmaHypergraph) -> int:

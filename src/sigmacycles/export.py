@@ -13,7 +13,8 @@ _CELL = 22
 _PAD = 14
 _RADIUS = 7
 _PANELS_PER_ROW = 6
-# most DOT edge pairs or SVG grid cells a rendering may examine
+# most DOT edge pairs or SVG grid cells a rendering may examine; the
+# constructors cap a certificate's vertex slots (edges x r) at it too
 _MAX_ITEMS = 1_000_000
 
 

@@ -15,7 +15,9 @@ first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
 The index itself is core.incidence, which export.render_dot reads too.  The
 brute-force oracles search the same index over all edges of H, held as int
-bitsets.
+bitsets and built in builtin passes (_edge_bitsets) from the lazy
+core.enumerate_edges; the sharp search carries the edges through blocked
+vertices down its tree as one bitset.
 
 Edge validity, the first stage of every verifier, is a batched proof: a few
 C-level passes (map, set, min, max, zip) over blocks of edges show every
@@ -387,12 +389,8 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _bitset(ids: Iterable[int], size: int) -> int:
-    """The int with exactly the bits ids set, each below size."""
-    buf = bytearray((size + 7) // 8)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+# _BIT_DIGITS[b] maps each byte to b"1" when its bit b is set, else b"0"
+_BIT_DIGITS = [bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8)]
 
 
 def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]:
@@ -401,13 +399,24 @@ def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]
     Returns the edges in enumeration order, each edge's vertex bitmask, and
     for each vertex the bitmask of the edges through it.  Vertex bit i is the
     i-th vertex of H.vertices() (grid order); edge bit j is edges[j].
+
+    No Python loop runs per (edge, vertex) pair.  An edge's mask is a sum of
+    vertex bits.  The masks, written as B little-endian bytes each, form one
+    buffer whose stride-B column of byte u >> 3 holds vertex u's bit of every
+    edge; translating that column to ASCII binary digits on bit u & 7 and
+    reversing it gives the base-2 numeral of the vertex's edge bitset (int()
+    in base 2 has no digit limit).
     """
     edges = list(enumerate_edges(H))
-    vertices = list(H.vertices())
-    vindex = {v: i for i, v in enumerate(vertices)}
-    masks = [_bitset((vindex[v] for v in e.vertices), len(vertices)) for e in edges]
-    index = incidence(edges)
-    inc = [_bitset(index.get(v, ()), len(edges)) for v in vertices]
+    q = H.q
+    bit = {(c, row): 1 << (c * q + row) for c, row in H.vertices()}
+    masks = [sum(map(bit.__getitem__, e.vertices)) for e in edges]
+    width = (H.vertex_count + 7) // 8
+    buf = b"".join([mask.to_bytes(width, "little") for mask in masks])
+    inc = [
+        int(buf[u >> 3 :: width].translate(_BIT_DIGITS[u & 7])[::-1], 2)
+        for u in range(H.vertex_count)
+    ]
     return edges, masks, inc
 
 
@@ -515,10 +524,11 @@ def brute_force_sharp_hamiltonian_exists(
         if nodes > budget:
             raise BudgetExceeded(f"search budget {budget} exhausted")
 
-    def dfs(path: list[int], union: int, blocked: int) -> Optional[list[int]]:
-        # blocked: vertices in path edges other than the last; a new edge
-        # must avoid them, intersect the last edge, and (unless it closes
-        # the cycle) avoid the first edge as well.
+    def dfs(path: list[int], union: int, blocked_edges: int) -> Optional[list[int]]:
+        # blocked_edges: the edges through a vertex outside the first edge
+        # that a path edge other than the last one holds.  A new edge must
+        # avoid those vertices, intersect the last edge, and (unless it
+        # closes the cycle) avoid the first edge as well.
         check()
         depth = len(path)
         if depth >= max_len:
@@ -536,7 +546,7 @@ def brute_force_sharp_hamiltonian_exists(
         # (it meets the edge before it, not the first one); the second edge
         # at depth 2 meets the first and goes with the filter below.
         cand = _edges_meeting(last_mask, inc) >> (first + 1) << (first + 1)
-        cand &= ~_edges_meeting(blocked & ~first_mask, inc)
+        cand &= ~blocked_edges
         if depth >= 2:
             # past the second edge, an edge that meets the first one is only
             # tried as a closing edge, and a closing edge holds every
@@ -547,6 +557,9 @@ def brute_force_sharp_hamiltonian_exists(
                 for u in _bits(target & ~union):
                     closers &= inc[u]
             cand &= ~first_meets | closers
+        # the children's blocked edges, computed only once a child is entered;
+        # computing them at every node was slower on exhausted searches
+        child_blocked = None
         for j in _bits(cand):
             mj = masks[j]
             closes = depth + 1 >= 4 and (mj & first_mask) and (mj | union) == target
@@ -566,7 +579,9 @@ def brute_force_sharp_hamiltonian_exists(
             # the second edge is consecutive to the first; later extensions
             # must stay disjoint from it until the cycle closes
             if depth == 1 or not (mj & first_mask):
-                found = dfs(path + [j], union | mj, blocked | last_mask)
+                if child_blocked is None:
+                    child_blocked = blocked_edges | _edges_meeting(last_mask & ~first_mask, inc)
+                found = dfs(path + [j], union | mj, child_blocked)
                 if found is not None:
                     return found
         return None

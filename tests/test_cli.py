@@ -48,6 +48,33 @@ class TestConstruct:
         assert code == 3
         assert "NTooSmall" in err
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["2,2", "4", "2"], "too few edges for a cycle through all 8 vertices"),
+            (["2,2", "5", "2"], "the walk recipe does not cover"),
+            (["1", "3", "2"], "a Berge cycle needs edges of at least 2 vertices"),
+            (["2,2", "2", "2"], "OnlyOneEdge"),
+        ],
+        ids=["too-few-edges", "walk-recipe", "r1", "single-edge"],
+    )
+    def test_berge_refusals(self, capsys, argv, fragment):
+        sigma, n, q = argv
+        code, out, err = run(
+            capsys, "construct", "--sigma", sigma, "--n", n, "--q", q, "--kind", "berge"
+        )
+        assert code == 3
+        assert out == ""
+        assert fragment in err
+
+    def test_oversize_refused(self, capsys):
+        code, out, err = run(
+            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "200000", "--kind", "sharp"
+        )
+        assert code == 2
+        assert out == ""
+        assert "construct: " in err and "certificate vertex slots exceed the limit" in err
+
     def test_usage_error(self, capsys):
         code, _, err = run(
             capsys, "construct", "--sigma", "0,1", "--n", "3", "--q", "3", "--kind", "berge"

@@ -71,7 +71,7 @@ def test_k_intersecting_matches_reference(H, data):
     if want[0] == DegenerateIntersection.__name__:
         assert got == (
             want[0],
-            f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection",
+            f"sigma=({H.sigma}) with an (r+1)-block: threshold 1 gives a zero intersection",
         )
     else:
         assert got == want

@@ -18,6 +18,7 @@ from sigmacycles import (
     construct_k_intersecting,
     construct_sharp_hamiltonian,
     diagonal_matching,
+    edge_count,
     frobenius_decompose,
     make_hypergraph,
     parse_partition,
@@ -128,6 +129,36 @@ class TestBergeConstructor:
         with pytest.raises(ConstructionUnsupported):
             construct_berge_hamiltonian(make_hypergraph(3, 2, parse_partition("2,2")))
 
+    @pytest.mark.parametrize("sigma, n, q", [("3,3", 2, 3), ("1", 1, 1)])
+    def test_single_edge_cases(self, sigma, n, q):
+        with pytest.raises(OnlyOneEdge):
+            construct_berge_hamiltonian(make_hypergraph(n, q, parse_partition(sigma)))
+
+    @pytest.mark.parametrize("sigma, n, q", [("2,2", 4, 2), ("3,3", 5, 3)])
+    def test_too_few_edges_message(self, sigma, n, q):
+        # C(n, 2) < nq edges: no Berge cycle through all nq vertices exists
+        H = make_hypergraph(n, q, parse_partition(sigma))
+        assert edge_count(H) < n * q
+        with pytest.raises(ConstructionUnsupported, match="too few edges for a cycle through all"):
+            construct_berge_hamiltonian(H)
+
+    def test_walk_recipe_refusal_does_not_deny_a_cycle(self):
+        # 10 edges for 10 vertices, and a Berge Hamiltonian cycle exists: the
+        # refusal names the recipe's limit, not the absence of a cycle
+        H = make_hypergraph(5, 2, parse_partition("2,2"))
+        assert edge_count(H) == 10
+        with pytest.raises(ConstructionUnsupported) as info:
+            construct_berge_hamiltonian(H)
+        assert "walk recipe does not cover" in str(info.value)
+        assert "too few edges" not in str(info.value)
+
+    @pytest.mark.parametrize("n, q", [(1, 2), (3, 1), (3, 4)])
+    def test_r1_refused_up_front(self, n, q):
+        with pytest.raises(ConstructionUnsupported) as info:
+            construct_berge_hamiltonian(make_hypergraph(n, q, parse_partition("1")))
+        assert "needs edges of at least 2 vertices" in str(info.value)
+        assert "recipe failed verification" not in str(info.value)
+
     def test_graph_case(self):
         H = make_hypergraph(3, 2, parse_partition("1,1"))
         cert = construct_berge_hamiltonian(H)
@@ -174,7 +205,7 @@ class TestSharpConstructor:
 
     def test_degenerate_split(self):
         # q forces an (r+1)-block and every split head has size 1
-        with pytest.raises(DegenerateIntersection):
+        with pytest.raises(DegenerateIntersection, match="every split gives a zero intersection"):
             construct_sharp_hamiltonian(make_hypergraph(3, 3, parse_partition("1,1")))
 
     def test_split_retry_prefers_wider_head(self):
@@ -212,6 +243,16 @@ class TestKIntersectingConstructor:
         with pytest.raises(DegenerateIntersection):
             construct_k_intersecting(make_hypergraph(3, 3, parse_partition("1,1")), 2)
 
+    def test_degenerate_message_names_threshold(self):
+        # q=4 forces an (r+1)-block; threshold 2 keeps a shared vertex, only
+        # threshold 1 leaves the intersection empty
+        H = make_hypergraph(4, 4, parse_partition("1,1,1"))
+        with pytest.raises(DegenerateIntersection) as info:
+            construct_k_intersecting(H, 3)
+        assert str(info.value) == (
+            "sigma=(1,1,1) with an (r+1)-block: threshold 1 gives a zero intersection"
+        )
+
     def test_k_out_of_range(self):
         H = make_hypergraph(4, 3, parse_partition("1,1,1"))
         with pytest.raises(KOutOfRange):
@@ -222,3 +263,26 @@ class TestKIntersectingConstructor:
     def test_n_too_small(self):
         with pytest.raises(NTooSmall):
             construct_k_intersecting(make_hypergraph(3, 3, parse_partition("1,1,1")), 2)
+
+
+class TestSizeCap:
+    # just over export's 1,000,000-item limit: a missing cap costs seconds
+    @pytest.mark.parametrize(
+        "build, sigma, n, q, slots",
+        [
+            (construct_sharp_hamiltonian, "2,1", 3, 200_000, 1_199_988),
+            (lambda H: construct_k_intersecting(H, 3), "2,1,1", 4, 100_000, 1_200_000),
+            (construct_berge_hamiltonian, "2,1", 3, 200_000, 1_800_000),
+        ],
+        ids=["sharp", "k-intersecting", "berge"],
+    )
+    def test_refused_before_building(self, build, sigma, n, q, slots):
+        H = make_hypergraph(n, q, parse_partition(sigma))
+        with pytest.raises(ValueError, match=f"{slots} certificate vertex slots exceed the limit"):
+            build(H)
+
+    def test_benchmark_sizes_build(self):
+        # the largest certificates the benchmark constructs stay under the cap
+        H = make_hypergraph(60, 120, parse_partition("3,2,1"))
+        assert len(construct_berge_hamiltonian(H).edges) == 7200
+        assert len(construct_sharp_hamiltonian(H).edges) == 2400

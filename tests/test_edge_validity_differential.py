@@ -48,18 +48,19 @@ def odd_vertex(draw, v, H):
 
 @st.composite
 def odd_edge(draw, vertices, H):
-    """The vertex tuple of a valid edge with one change that may or may not
-    keep it an edge."""
+    """The vertex tuple of an edge with one change that may or may not keep
+    it an edge.  The tuple may already be changed, even emptied, by an
+    earlier draw; an empty one has no vertex to change or drop."""
     vs = list(vertices)
     change = draw(st.sampled_from(["vertex"] * 3 + ["shuffle", "repeat", "drop", "add", "list"]))
-    if change == "vertex":
+    if change == "vertex" and vs:
         i = draw(st.integers(0, len(vs) - 1))
         vs[i] = draw(odd_vertex(vs[i], H))
     elif change == "shuffle":
         vs = draw(st.permutations(vs))
     elif change == "repeat" and len(vs) > 1:
         vs[draw(st.integers(1, len(vs) - 1))] = vs[0]
-    elif change == "drop":
+    elif change == "drop" and vs:
         del vs[draw(st.integers(0, len(vs) - 1))]
     elif change == "add":
         vs.append((draw(st.integers(0, H.n - 1)), draw(st.integers(0, H.q - 1))))

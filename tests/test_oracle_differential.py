@@ -1,8 +1,11 @@
 """Differential tests: the bitset oracles against the numpy branch and bound
-and the list-scan DFS in helpers.py, and the cached edge enumeration against
-the one that re-sorts at every node.  Both oracles must walk the same search
-trees, so answers, node counts, found certificates and BudgetExceeded
-messages agree exactly, also when the budget cuts a search mid-tree."""
+and the list-scan DFS in helpers.py, the edge enumeration against the one
+that re-sorts at every node, and the oracles' bitset index against the one
+built pair by pair.  Both oracles must walk the same search trees, so
+answers, node counts, found certificates and BudgetExceeded messages agree
+exactly, also when the budget cuts a search mid-tree."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from helpers import (
     partitions_of,
     reference_brute_force_max_matching,
     reference_brute_force_sharp_hamiltonian_exists,
+    reference_edge_bitsets,
     reference_enumerate_edges,
 )
 from sigmacycles import (
@@ -22,7 +26,9 @@ from sigmacycles import (
     enumerate_edges,
     make_hypergraph,
 )
+from sigmacycles import core
 from sigmacycles.errors import BudgetExceeded, NoEdgesError
+from sigmacycles.verify import _edge_bitsets
 
 SETTINGS = settings(deadline=None, max_examples=300)
 
@@ -101,6 +107,18 @@ def test_pinned_sharp_exists(sigma, n, q, max_len, status):
 
 
 @pytest.mark.parametrize(
+    "sigma, n, q, nu, nodes",
+    [
+        ((3, 3, 3), 5, 5, 1, 9007),  # 10,000 edges
+        ((2, 2, 2), 4, 6, 4, 4267),  # 13,500 edges
+    ],
+)
+def test_benchmark_matching_trees(sigma, n, q, nu, nodes):
+    result = brute_force_max_matching(make_hypergraph(n, q, Partition(sigma)))
+    assert (result.nu, result.exact, result.nodes) == (nu, True, nodes)
+
+
+@pytest.mark.parametrize(
     "sigma, n, q, budget, expected",
     [
         # more edges than the budget: refused before the search
@@ -174,3 +192,37 @@ def test_enumeration_order_matches_reference():
                 H = hypergraph(sigma, n, q)
                 if H is not None:
                     assert list(enumerate_edges(H)) == list(reference_enumerate_edges(H))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    sigma=st.sampled_from(SIGMAS),  # sigma=(1) included
+    n=st.integers(1, 5),
+    q=st.integers(1, 6),
+    q_is_largest_part=st.booleans(),
+)
+def test_edge_bitsets_match_reference(sigma, n, q, q_is_largest_part):
+    H = hypergraph(sigma, n, sigma[0] if q_is_largest_part else q)
+    if H is None:
+        return
+    assert _edge_bitsets(H) == reference_edge_bitsets(H)
+
+
+def test_enumeration_is_lazy(monkeypatch):
+    # 49,787,136 edges: an enumeration that built them all before the first
+    # would hit the construction limit below instead of taking minutes
+    H = make_hypergraph(9, 9, Partition((3, 3, 3)))
+    assert edge_count(H) == 49_787_136
+    built = itertools.count()
+    real_edge = core.Edge
+
+    def counted_edge(vertices):
+        if next(built) > 10_000:
+            raise AssertionError("enumerate_edges built more edges than were asked for")
+        return real_edge(vertices)
+
+    monkeypatch.setattr(core, "Edge", counted_edge)
+    first = list(itertools.islice(enumerate_edges(H), 1000))
+    monkeypatch.undo()
+    assert first == list(itertools.islice(reference_enumerate_edges(H), 1000))
+    assert next(enumerate_edges(H)) == first[0]
