@@ -7,7 +7,8 @@ The writer emits the layout of `json.dumps(doc, indent=2)` directly.
 The reader is the validation boundary for untrusted files: every check is
 strict about JSON types (a boolean is not an integer), and any file that is
 unreadable, not JSON or not a valid certificate raises
-CertificateParseError.
+CertificateParseError.  Each vertex list is checked in one pass over its
+vertices, and a message names the first failing edge in file order.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import gc
 import json
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NoReturn, Optional
 
 from .certificates import KIND_BERGE, KINDS, CycleCertificate
-from .core import Edge, GridVertex, Partition, SigmaHypergraph, proven_coordinates
+from .core import Edge, GridVertex, Partition, SigmaHypergraph
 from .errors import CertificateParseError, NoEdgesError
 
 SCHEMA_VERSION = "1"
@@ -84,50 +85,47 @@ def _expect(cond: bool, message: str) -> None:
         raise CertificateParseError(message)
 
 
-def _vertices(items: Any, where: str, H: SigmaHypergraph, r: int | None) -> list[GridVertex]:
-    """Validate one JSON vertex list in a single pass and return its vertices.
+_PAIR = ": vertex must be a [class_index, row_index] integer pair"
 
-    Checks, in order: an array of [c, row] integer pairs; for an edge (r
-    given), r vertices and no duplicate, and the vertices come back sorted;
-    every vertex in range.  The first failing check raises, naming `where`.
-    The caller builds `where`, so from_json_dict runs this per edge only
-    when _proven_edges cannot prove the whole edge array.
+
+def _fail(edge: Optional[int], message: str) -> NoReturn:
+    where = "vertex_sequence" if edge is None else f"edge {edge}"
+    raise CertificateParseError(where + message)
+
+
+def _vertices(items: Any, H: SigmaHypergraph, edge: Optional[int] = None) -> tuple[GridVertex, ...]:
+    """Validate one JSON vertex list in a single pass and return its vertices:
+    cycle.edges[edge], or vertex_sequence when edge is None.
+
+    Checks, in order: an array of [c, row] integer pairs; for an edge, r
+    vertices and no duplicate, and the vertices come back sorted; every
+    vertex in range, the first one out of range in file order named.  The
+    first failing check raises; its "edge {idx}" label is built only then.
     """
     if type(items) is not list:
-        raise CertificateParseError(f"{where} must be an array of vertices")
-    pairs = {list} >= set(map(type, items)) and {2} >= set(map(len, items))
-    vs = list(map(tuple, items)) if pairs else []
-    cols, rows = zip(*vs) if vs else ((), ())
-    if not (pairs and {int} >= set(map(type, cols + rows))):
-        raise CertificateParseError(f"{where}: vertex must be a [class_index, row_index] integer pair")
-    if r is not None:
+        _fail(edge, " must be an array of vertices")
+    n, q = H.n, H.q
+    vs = []
+    bad = None
+    for item in items:
+        if type(item) is not list or len(item) != 2:
+            _fail(edge, _PAIR)
+        c, row = item
+        if type(c) is not int or type(row) is not int:
+            _fail(edge, _PAIR)
+        if bad is None and not (0 <= c < n and 0 <= row < q):
+            bad = item
+        vs.append((c, row))
+    if edge is not None:
+        r = H.r
         if len(vs) != r:
-            raise CertificateParseError(f"{where} has {len(vs)} vertices, expected r={r}")
+            _fail(edge, f" has {len(vs)} vertices, expected r={r}")
         vs.sort()
         if len(set(vs)) != r:
-            raise CertificateParseError(f"{where} has a duplicate vertex")
-    if vs and not (0 <= min(cols) and max(cols) < H.n and 0 <= min(rows) and max(rows) < H.q):
-        bad = next(v for v in map(tuple, items) if not H.in_bounds(v))
-        raise CertificateParseError(f"{where}: vertex {list(bad)} out of range for {H}")
-    return vs
-
-
-def _proven_edges(edges_raw: list, H: SigmaHypergraph) -> Optional[tuple[Edge, ...]]:
-    """The edges of a JSON edge array that C-level passes prove valid, else None.
-
-    Proves what the per-edge _vertices loop checks, all at once: arrays of r
-    [c, row] pairs of in-range ints (core.proven_coordinates; booleans are
-    not ints) with no duplicate vertex within an edge.  None means "not
-    proven"; the caller then runs the loop, which names the first failure
-    in file order.
-    """
-    coordinates = proven_coordinates(H, edges_raw, list)
-    if coordinates is None:
-        return None
-    edges = list(map(tuple, map(sorted, zip(*[zip(*coordinates)] * H.r))))
-    if {H.r} != set(map(len, map(set, edges))):
-        return None
-    return tuple(map(Edge, edges))
+            _fail(edge, " has a duplicate vertex")
+    if bad is not None:
+        _fail(edge, f": vertex {bad} out of range for {H}")
+    return tuple(vs)
 
 
 def from_json_dict(doc: Any) -> CycleCertificate:
@@ -165,19 +163,14 @@ def from_json_dict(doc: Any) -> CycleCertificate:
 
     edges_raw = cycle.get("edges")
     _expect(type(edges_raw) is list and edges_raw, "cycle.edges must be a nonempty array")
-    r = H.r
-    edges = _proven_edges(edges_raw, H)
-    if edges is None:
-        edges = tuple(
-            Edge(tuple(_vertices(e_raw, f"edge {idx}", H, r))) for idx, e_raw in enumerate(edges_raw)
-        )
+    edges = tuple(Edge(_vertices(e_raw, H, idx)) for idx, e_raw in enumerate(edges_raw))
 
     vseq_raw = cycle.get("vertex_sequence")
     if kind == KIND_BERGE:
         _expect(type(vseq_raw) is list, "berge certificate requires cycle.vertex_sequence")
     vseq = None
     if vseq_raw is not None:
-        vseq = tuple(_vertices(vseq_raw, "vertex_sequence", H, None))
+        vseq = _vertices(vseq_raw, H)
 
     claims = doc.get("claims", {})
     _expect(type(claims) is dict, "claims must be an object")

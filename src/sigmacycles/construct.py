@@ -85,9 +85,6 @@ def diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_height: in
     """n pairwise-disjoint edges placed diagonally: edge j takes its i-th part
     from class j+i (mod n), covering the block's top r x n subgrid."""
     _check_block(H, block_start_row, block_height)
-    s = H.sigma.s
-    if H.n < s:
-        raise NTooSmall(f"n={H.n} < s={s}")
     return Matching(tuple(_diagonal_edge(H, block_start_row, j) for j in range(H.n)))
 
 

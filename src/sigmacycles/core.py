@@ -11,8 +11,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NoEdgesError
 
@@ -179,31 +178,6 @@ def incidence(edges: Sequence[Edge]) -> dict[GridVertex, list[int]]:
     return index
 
 
-def proven_coordinates(
-    H: SigmaHypergraph, vertex_lists: Sequence, container: type
-) -> Optional[tuple[list[int], list[int]]]:
-    """The columns and the rows of all vertices in vertex_lists, in order,
-    when C-level passes prove every list a `container` of r vertices and
-    every vertex a `container` pair of ints in range for H; else None.
-
-    Types are checked before anything that could raise, and `type(x) is int`
-    keeps booleans and floats (NaN breaks min/max) out of the bounds test.
-    None means "not proven", never "invalid".
-    """
-    if {container} != set(map(type, vertex_lists)) or {H.r} != set(map(len, vertex_lists)):
-        return None
-    flat = list(itertools.chain.from_iterable(vertex_lists))
-    if {container} != set(map(type, flat)) or {2} != set(map(len, flat)):
-        return None
-    coords = list(itertools.chain.from_iterable(flat))
-    if {int} != set(map(type, coords)):
-        return None
-    cols, rows = coords[0::2], coords[1::2]
-    if min(cols) < 0 or max(cols) >= H.n or min(rows) < 0 or max(rows) >= H.q:
-        return None
-    return cols, rows
-
-
 def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:
     """True iff K is an r-set whose sorted nonzero class sizes equal sigma."""
     vs = list(K)
@@ -214,18 +188,6 @@ def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:
         return False
     counts = Counter(c for c, _ in vs)
     return tuple(sorted(counts.values(), reverse=True)) == H.sigma.parts
-
-
-def _row_choice_cmp(r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
-    # Lexicographic on the induced vertex sequence: a choice that is a strict
-    # prefix of another continues with a later class, so the longer one sorts
-    # first; the empty choice (skip this class) sorts last.
-    for a, b in zip(r1, r2):
-        if a != b:
-            return -1 if a < b else 1
-    if len(r1) == len(r2):
-        return 0
-    return 1 if len(r1) < len(r2) else -1
 
 
 def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
@@ -257,7 +219,11 @@ def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
             choices = [()]
             for a in set(remaining):
                 choices.extend(itertools.combinations(range(q), a))
-            choices.sort(key=cmp_to_key(_row_choice_cmp))
+            # lexicographic on the induced vertex sequence: a choice that is a
+            # strict prefix of another continues with a later class, so it
+            # sorts after it, and the empty choice (skip this class) sorts
+            # last; the sentinel q, above every row, gives both
+            choices.sort(key=lambda rows: rows + (q,))
             choices_for[remaining] = choices
         for rows in choices:
             if rows:

@@ -19,16 +19,15 @@ bitsets and built in builtin passes (_edge_bitsets) from the lazy
 core.enumerate_edges; the sharp search carries the edges through blocked
 vertices down its tree as one bitset.
 
-Edge validity, the first stage of every verifier, is a batched proof: a few
-C-level passes (map, set, min, max, zip) over blocks of edges show every
-coordinate an in-range int, r distinct vertices per edge and the sigma shape
-of each distinct class pattern, and one set of the vertex tuples rules out
-repeated edges.  Only a block that the proof cannot accept is checked edge
-by edge with core.is_edge, which names the first failing edge exactly as a
-plain per-edge loop would; a reject costs at most one block's proof more
-than that loop, and a late one much less.  Reading a certificate file
-(certfile.read_certificate) is batched the same way and runs with the
-cyclic garbage collector paused.
+Edge validity, the first stage of every verifier, is one exact pass over the
+edge list that applies core.is_edge's rule inline: in-range vertex pairs, r
+distinct vertices, and the sigma shape of the columns, memoised per column
+tuple.  A second pass finds the first repeated edge.  A reject names the
+same edge with the same detail as a per-edge is_edge loop would.
+
+A certificate's claims (claims.hamiltonian, claims.t, claims.z) are never
+checked: no verdict or tag compares them with what the verifier measures,
+which the report carries (profile, window sizes, coverage).
 """
 
 from __future__ import annotations
@@ -46,16 +45,7 @@ from .certificates import (
     CycleCertificate,
     SharpnessProfile,
 )
-from .core import (
-    Edge,
-    GridVertex,
-    SigmaHypergraph,
-    edge_count,
-    enumerate_edges,
-    incidence,
-    is_edge,
-    proven_coordinates,
-)
+from .core import Edge, GridVertex, SigmaHypergraph, edge_count, enumerate_edges, incidence
 from .errors import BudgetExceeded
 
 TAG_DUPLICATE_EDGE = "duplicate-edge"
@@ -82,58 +72,41 @@ class VerificationReport:
         return cls(ok=False, violated_condition=tag, detail=detail)
 
 
-# Edges per block of the validity proof: a failing block sends at most this
-# many edges to is_edge, and the per-block overhead stays small.
-_PROOF_BLOCK = 64
-
-
-def _edges_proven(H: SigmaHypergraph, block: list, shapes: dict[tuple, bool]) -> bool:
-    """True when C-level passes prove every vertex tuple in block an edge of
-    H: in-range int pairs (core.proven_coordinates), r distinct vertices and
-    the class pattern of sigma.  False means "not proven", never "not an
-    edge".  shapes memoises the sigma test per class pattern across blocks.
-    """
-    coordinates = proven_coordinates(H, block, tuple)
-    if coordinates is None or {H.r} != set(map(len, map(set, block))):
-        return False
-    for pattern in set(zip(*[iter(coordinates[0])] * H.r)):
-        ok = shapes.get(pattern)
-        if ok is None:
-            ok = shapes[pattern] = (
-                tuple(sorted(Counter(pattern).values(), reverse=True)) == H.sigma.parts
-            )
-        if not ok:
-            return False
-    return True
-
-
 def _edge_validity_failure(H: SigmaHypergraph, edges: Sequence[Edge]) -> Optional[VerificationReport]:
     """The first non-edge, else the first repeated edge, else None.
 
-    Blocks of edges are proven valid by _edges_proven; only the edges of a
-    block it cannot prove go to is_edge one by one, so a reject names the
-    same edge with the same detail as a plain per-edge loop.  When every
-    block is proven, one set of the vertex tuples rules out repeats.
+    One pass applies core.is_edge's rule to each edge inline, in its order:
+    every vertex a pair in range (a vertex that is not a pair raises
+    ValueError, which marks a non-edge), then r distinct vertices, then the
+    sigma shape of the edge's columns, memoised per column tuple.  A second
+    pass finds the first repeated edge with a dict, as the per-edge
+    reference does, so an unhashable edge after a repeat is never hashed.
     """
-    tuples = [e.vertices for e in edges]
+    n, q, r = H.n, H.q, H.r
     shapes: dict[tuple, bool] = {}
-    proven = True
-    for start in range(0, len(tuples), _PROOF_BLOCK):
-        block = tuples[start : start + _PROOF_BLOCK]
-        if _edges_proven(H, block, shapes):
-            continue
-        proven = False
-        for i, vs in enumerate(block, start):
-            try:
-                valid = is_edge(H, vs)
-            except ValueError:
-                valid = False
-            if not valid:
-                return VerificationReport.failure(TAG_NON_EDGE, f"edge {i} is not an edge of {H}")
-    if proven and len(set(tuples)) == len(tuples):
-        return None
+    for i, e in enumerate(edges):
+        vs = e.vertices
+        try:
+            cols = []
+            for c, row in vs:
+                if not (0 <= c < n and 0 <= row < q):
+                    raise ValueError
+                cols.append(c)
+            valid = len(set(vs)) == len(vs) == r
+            if valid:
+                key = tuple(cols)
+                valid = shapes.get(key)
+                if valid is None:
+                    valid = shapes[key] = (
+                        tuple(sorted(Counter(key).values(), reverse=True)) == H.sigma.parts
+                    )
+        except ValueError:
+            valid = False
+        if not valid:
+            return VerificationReport.failure(TAG_NON_EDGE, f"edge {i} is not an edge of {H}")
     seen: dict[tuple, int] = {}
-    for i, vs in enumerate(tuples):
+    for i, e in enumerate(edges):
+        vs = e.vertices
         if vs in seen:
             return VerificationReport.failure(TAG_DUPLICATE_EDGE, f"edge {i} duplicates edge {seen[vs]}")
         seen[vs] = i
@@ -452,8 +425,6 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
     edges, masks, inc = _edge_bitsets(H)
-    if not edges:
-        return MaxMatchingResult(0, True, 0)
     r = H.r
     best = 0
     nodes = 0
@@ -518,9 +489,9 @@ def brute_force_sharp_hamiltonian_exists(
     target = (1 << nq) - 1
     nodes = 0
 
-    def check(node_cost: int = 1) -> None:
+    def check() -> None:
         nonlocal nodes
-        nodes += node_cost
+        nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"search budget {budget} exhausted")
 

@@ -14,7 +14,6 @@ from sigmacycles.construct import _blocks, _check_block, _part_vertices, frobeni
 from sigmacycles.core import (
     GridVertex,
     Partition,
-    _row_choice_cmp,
     edge_count,
     enumerate_edges,
     incidence,
@@ -71,8 +70,8 @@ def exhaustive_edges(H: SigmaHypergraph) -> list[frozenset]:
 
 # ---------------------------------------------------------------------------
 # Reference edge-validity stage: is_edge on every edge in order, then a dict
-# of the edges seen.  sigmacycles.verify proves blocks of edges valid with
-# builtins first and must return the same report or raise the same exception.
+# of the edges seen.  sigmacycles.verify applies is_edge's rule inline and
+# must return the same report or raise the same exception.
 
 
 def reference_edge_validity_failure(
@@ -310,6 +309,18 @@ def reference_from_json_dict(doc: Any) -> CycleCertificate:
 # The bitset oracles in sigmacycles.verify must walk the same search trees:
 # same answers, node counts, certificates and BudgetExceeded messages.  The
 # DFS reference also returns its node count.
+
+
+def _row_choice_cmp(r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
+    # Lexicographic on the induced vertex sequence: a choice that is a strict
+    # prefix of another continues with a later class, so the longer one sorts
+    # first; the empty choice (skip this class) sorts last.
+    for a, b in zip(r1, r2):
+        if a != b:
+            return -1 if a < b else 1
+    if len(r1) == len(r2):
+        return 0
+    return 1 if len(r1) < len(r2) else -1
 
 
 def reference_enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:

@@ -1,5 +1,8 @@
 """CLI subcommands, exit codes and renderer determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -7,11 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sigmacycles
 from sigmacycles import export
 from sigmacycles.cli import main
 from sigmacycles.certfile import read_certificate
+from test_certfile_differential import BASES, mutate
 
 
 def run(capsys, *argv):
@@ -455,3 +461,78 @@ class TestParserReuse:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert out.endswith("PASS\n")
+
+
+def exit_code(argv) -> int:
+    """main's exit code with its output discarded; argparse's usage errors
+    leave through SystemExit, whose code counts as the exit code.  Any other
+    exception propagates and fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+# tmp_path only receives -o outputs and the mutated file, rewritten by each
+# example, so sharing it across examples is safe
+EXIT_SETTINGS = settings(
+    deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+# half the draws come from the valid range, so that commands also get past
+# argument validation into construction, search and enumeration
+SIZE = st.one_of(st.integers(2, 5), st.integers(-2, 5)).map(str)
+PART = st.one_of(st.integers(1, 3), st.integers(-1, 4))
+SIGMA = st.lists(PART, max_size=3).map(lambda parts: ",".join(map(str, parts)))
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def argv(draw, out):
+    command = draw(st.sampled_from(["construct", "bounds", "oracle", "enumerate"]))
+    args = [command]
+    if command == "oracle":
+        args.append(draw(st.sampled_from(["max-matching", "sharp-exists"])))
+    args += ["--sigma", draw(SIGMA), "--n", draw(SIZE), "--q", draw(SIZE)]
+    if command == "construct":
+        args += ["--kind", draw(st.sampled_from(["berge", "sharp", "k-intersecting"]))]
+        args += draw(optional("--k", st.integers(-1, 5))) + draw(optional("--split", st.integers(-1, 4)))
+    elif command == "bounds":
+        args += draw(optional("--nu", st.integers(-2, 30)))
+    elif command == "oracle":
+        args += draw(optional("--budget", st.integers(-1, 3000)))
+        args += draw(optional("--max-len", st.integers(-1, 8)))
+    else:
+        args += draw(st.sampled_from([[], ["--count-only"]]))
+    if command in ("construct", "oracle"):
+        args += draw(st.sampled_from([[], ["-o", str(out)]]))
+    return args
+
+
+class TestExitCodes:
+    """Any argument list or certificate file ends in a documented exit code,
+    never a traceback: 0 success, 1 refuted (verify only), 2 usage or parse
+    error, 3 construction unsupported or budget exceeded."""
+
+    @EXIT_SETTINGS
+    @given(st.data())
+    def test_fuzzed_arguments(self, tmp_path, data):
+        args = data.draw(argv(tmp_path / "out.json"))
+        allowed = {0, 2} if args[0] in ("bounds", "enumerate") else {0, 2, 3}
+        assert exit_code(args) in allowed
+
+    @EXIT_SETTINGS
+    @given(st.sampled_from(range(len(BASES))), st.integers(0, 3), st.data())
+    def test_mutated_certificate_files(self, tmp_path, base, mutations, data):
+        doc = copy.deepcopy(BASES[base])
+        for _ in range(mutations):
+            mutate(doc, data)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        assert exit_code(["verify", str(path)]) in {0, 1, 2}
+        for fmt in ("dot", "svg"):
+            assert exit_code(["export", str(path), "--format", fmt]) in {0, 2}
