@@ -15,9 +15,11 @@ first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
 The index itself is core.incidence, which export.render_dot reads too.  The
 brute-force oracles search the same index over all edges of H, held as int
-bitsets and built in builtin passes (_edge_bitsets) from the lazy
-core.enumerate_edges; the sharp search carries the edges through blocked
-vertices down its tree as one bitset.
+bitsets (_edge_bitsets) and built in builtin passes from core.edge_masks,
+which shares one run recursion with core.enumerate_edges but builds no Edge
+per enumerated edge.  The sharp search carries the edges through blocked
+vertices down its tree as one bitset, and decodes an Edge from a mask only
+for a cycle it hands to verify_sharp_cycle.
 
 Edge validity, the first stage of every verifier, is one exact pass over the
 edge list that applies core.is_edge's rule inline: in-range vertex pairs, r
@@ -45,7 +47,15 @@ from .certificates import (
     CycleCertificate,
     SharpnessProfile,
 )
-from .core import Edge, GridVertex, SigmaHypergraph, edge_count, enumerate_edges, incidence
+from .core import (
+    Edge,
+    GridVertex,
+    SigmaHypergraph,
+    edge_count,
+    edge_masks,
+    edge_of_mask,
+    incidence,
+)
 from .errors import BudgetExceeded
 
 TAG_DUPLICATE_EDGE = "duplicate-edge"
@@ -366,31 +376,33 @@ def _bits(x: int) -> Iterator[int]:
 _BIT_DIGITS = [bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8)]
 
 
-def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]:
+def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[int], list[int]]:
     """The incidence index of all edges of H as int bitsets.
 
-    Returns the edges in enumeration order, each edge's vertex bitmask, and
-    for each vertex the bitmask of the edges through it.  Vertex bit i is the
-    i-th vertex of H.vertices() (grid order); edge bit j is edges[j].
+    Returns each edge's vertex bitmask, in enumerate_edges order, and for
+    each vertex the bitmask of the edges through it.  Vertex bit i is the
+    i-th vertex of H.vertices() (grid order); edge bit j is the j-th edge.
 
-    No Python loop runs per (edge, vertex) pair.  An edge's mask is a sum of
-    vertex bits.  The masks, written as B little-endian bytes each, form one
-    buffer whose stride-B column of byte u >> 3 holds vertex u's bit of every
-    edge; translating that column to ASCII binary digits on bit u & 7 and
-    reversing it gives the base-2 numeral of the vertex's edge bitset (int()
-    in base 2 has no digit limit).
+    The masks come from core.edge_masks, which builds no Edge or vertex
+    tuple per edge; core.edge_of_mask decodes one.  No Python loop runs per
+    (edge, vertex) pair.  The masks, written as B little-endian bytes each,
+    form one buffer whose stride-B column of byte u >> 3 holds vertex u's bit
+    of every edge; translating that column to ASCII binary digits on bit
+    u & 7 and reversing it gives the base-2 numeral of the vertex's edge
+    bitset (int() in base 2 has no digit limit).
     """
-    edges = list(enumerate_edges(H))
-    q = H.q
-    bit = {(c, row): 1 << (c * q + row) for c, row in H.vertices()}
-    masks = [sum(map(bit.__getitem__, e.vertices)) for e in edges]
+    masks = edge_masks(H)
     width = (H.vertex_count + 7) // 8
     buf = b"".join([mask.to_bytes(width, "little") for mask in masks])
     inc = [
         int(buf[u >> 3 :: width].translate(_BIT_DIGITS[u & 7])[::-1], 2)
         for u in range(H.vertex_count)
     ]
-    return edges, masks, inc
+    return masks, inc
+
+
+# the most bits the sharp search's per-edge memo holds at once (8 MiB)
+_MEETS_MEMO_BITS = 1 << 26
 
 
 def _edges_meeting(vertex_mask: int, inc: list[int]) -> int:
@@ -424,7 +436,7 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    edges, masks, inc = _edge_bitsets(H)
+    masks, inc = _edge_bitsets(H)
     r = H.r
     best = 0
     nodes = 0
@@ -453,7 +465,10 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
         if exact:
             rec(cand & ~inc[v], reach, size)
 
-    rec((1 << len(edges)) - 1, list(range(H.vertex_count)), 0)
+    rec((1 << len(masks)) - 1, list(range(H.vertex_count)), 0)
+    # rec holds itself through its closure: deleting it frees the index now,
+    # not at the next full garbage collection
+    del rec
     return MaxMatchingResult(best, exact, nodes)
 
 
@@ -474,20 +489,35 @@ def brute_force_sharp_hamiltonian_exists(
     (remaining edges x (r-1) >= uncovered vertices) prunes dead branches.
     Any cycle found is re-checked by verify_sharp_cycle before it is returned.
     The extensions of a path are read off int bitsets over the edges (see
-    _edge_bitsets), in ascending edge order.  The result carries the number
-    of search nodes.  Raises BudgetExceeded when the node budget runs out,
-    and ValueError when max_len or budget is negative.
+    _edge_bitsets), in ascending edge order; the bitset of the edges that
+    meet an edge is computed when the search first needs it and kept in a
+    memo of at most _MEETS_MEMO_BITS bits.
+    The result carries the number of search nodes.  Raises BudgetExceeded
+    when the node budget runs out, and ValueError when max_len or budget is
+    negative.
     """
     if max_len < 0 or budget < 0:
         raise ValueError(f"max_len and budget must be >= 0, got {max_len} and {budget}")
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    edges, masks, inc = _edge_bitsets(H)
-    nq = H.vertex_count
-    r = H.r
+    masks, inc = _edge_bitsets(H)
+    nq, r = H.vertex_count, H.r
     target = (1 << nq) - 1
     nodes = 0
+    # meets[j]: the edges that meet edge j, kept once computed while fewer
+    # than memo_cap are held, so the memo stays within _MEETS_MEMO_BITS bits
+    # (one m-bit int per edge would be m*m/8 bytes)
+    meets: dict[int, int] = {}
+    memo_cap = _MEETS_MEMO_BITS // max(1, len(masks))
+
+    def meeting(j: int) -> int:
+        mj = meets.get(j)
+        if mj is None:
+            mj = _edges_meeting(masks[j], inc)
+            if len(meets) < memo_cap:
+                meets[j] = mj
+        return mj
 
     def check() -> None:
         nonlocal nodes
@@ -495,7 +525,7 @@ def brute_force_sharp_hamiltonian_exists(
         if nodes > budget:
             raise BudgetExceeded(f"search budget {budget} exhausted")
 
-    def dfs(path: list[int], union: int, blocked_edges: int) -> Optional[list[int]]:
+    def dfs(path: list[int], union: int, blocked_edges: int) -> Optional[CycleCertificate]:
         # blocked_edges: the edges through a vertex outside the first edge
         # that a path edge other than the last one holds.  A new edge must
         # avoid those vertices, intersect the last edge, and (unless it
@@ -516,7 +546,7 @@ def brute_force_sharp_hamiltonian_exists(
         # outside the first edge, and so has the last edge from depth 3 on
         # (it meets the edge before it, not the first one); the second edge
         # at depth 2 meets the first and goes with the filter below.
-        cand = _edges_meeting(last_mask, inc) >> (first + 1) << (first + 1)
+        cand = meeting(path[-1]) >> (first + 1) << (first + 1)
         cand &= ~blocked_edges
         if depth >= 2:
             # past the second edge, an edge that meets the first one is only
@@ -538,15 +568,14 @@ def brute_force_sharp_hamiltonian_exists(
             # closing edge may meet the second edge; such an edge cannot pass
             # verify_sharp_cycle, so it is not handed to it
             if closes and not (mj & masks[path[1]]):
-                candidate = path + [j]
                 cert = CycleCertificate(
                     hypergraph=H,
                     kind=KIND_SHARP,
-                    edges=tuple(edges[i] for i in candidate),
+                    edges=tuple(edge_of_mask(H, masks[i]) for i in path + [j]),
                 )
                 report = verify_sharp_cycle(H, cert)
                 if report.ok and report.hamiltonian:
-                    return candidate
+                    return cert
             # the second edge is consecutive to the first; later extensions
             # must stay disjoint from it until the cycle closes
             if depth == 1 or not (mj & first_mask):
@@ -557,14 +586,18 @@ def brute_force_sharp_hamiltonian_exists(
                     return found
         return None
 
-    all_edges = (1 << len(edges)) - 1
-    for start in range(len(edges)):
-        check()
-        first_meets = _edges_meeting(masks[start], inc)  # read by dfs
-        found = dfs([start], masks[start], 0)
-        if found is not None:
-            cert = CycleCertificate(
-                hypergraph=H, kind=KIND_SHARP, edges=tuple(edges[i] for i in found)
-            )
-            return SharpSearchResult("found", cert, nodes)
-    return SharpSearchResult("exhausted", nodes=nodes)
+    all_edges = (1 << len(masks)) - 1
+    try:
+        for start in range(len(masks)):
+            check()
+            first_meets = meeting(start)  # read by dfs
+            found = dfs([start], masks[start], 0)
+            # cand drops every edge up to the first one, so no later start
+            # or node reads meets[start] again
+            meets.pop(start, None)
+            if found is not None:
+                return SharpSearchResult("found", found, nodes)
+        return SharpSearchResult("exhausted", nodes=nodes)
+    finally:
+        # as in brute_force_max_matching: free the index and the memo now
+        del dfs

@@ -1,14 +1,15 @@
 """Differential tests: the bitset oracles against the numpy branch and bound
-and the list-scan DFS in helpers.py, the edge enumeration against the one
-that re-sorts at every node, and the oracles' bitset index against the one
-built pair by pair.  Both oracles must walk the same search trees, so
-answers, node counts, found certificates and BudgetExceeded messages agree
-exactly, also when the budget cuts a search mid-tree."""
+and the list-scan DFS in helpers.py, the edge enumeration and the edge masks
+against the enumeration that re-sorts at every node, and the oracles' bitset
+index against the one built pair by pair.  Both oracles must walk the same
+search trees, so answers, node counts, found certificates and BudgetExceeded
+messages agree exactly, also when the budget cuts a search mid-tree."""
 
+import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,6 +20,7 @@ from helpers import (
     reference_enumerate_edges,
 )
 from sigmacycles import (
+    Edge,
     Partition,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
@@ -26,8 +28,9 @@ from sigmacycles import (
     enumerate_edges,
     make_hypergraph,
 )
-from sigmacycles import core
+from sigmacycles import core, verify
 from sigmacycles.errors import BudgetExceeded, NoEdgesError
+from sigmacycles.core import edge_masks, edge_of_mask
 from sigmacycles.verify import _edge_bitsets
 
 SETTINGS = settings(deadline=None, max_examples=300)
@@ -205,7 +208,61 @@ def test_edge_bitsets_match_reference(sigma, n, q, q_is_largest_part):
     H = hypergraph(sigma, n, sigma[0] if q_is_largest_part else q)
     if H is None:
         return
-    assert _edge_bitsets(H) == reference_edge_bitsets(H)
+    edges, masks, inc = reference_edge_bitsets(H)
+    got = _edge_bitsets(H)
+    assert got == (masks, inc)
+    # each mask decodes to the reference edge at its position: the edge
+    # order is checked, and so is the decoding the sharp search uses
+    assert [edge_of_mask(H, mask) for mask in got[0]] == edges
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    sigma=st.sampled_from(SIGMAS),
+    n=st.integers(1, 6),
+    q=st.integers(1, 6),
+    q_is_largest_part=st.booleans(),
+)
+@example(sigma=(1,), n=3, q=1, q_is_largest_part=True)
+@example(sigma=(2, 2), n=4, q=2, q_is_largest_part=True)
+def test_edge_masks_match_reference(sigma, n, q, q_is_largest_part):
+    H = hypergraph(sigma, n, sigma[0] if q_is_largest_part else q)
+    if H is None or edge_count(H) > 20_000:
+        return
+    vindex = {v: i for i, v in enumerate(H.vertices())}
+    expected = [sum(1 << vindex[v] for v in e.vertices) for e in reference_enumerate_edges(H)]
+    assert edge_masks(H) == expected
+
+
+def test_oracles_build_edges_only_for_checked_cycles(monkeypatch):
+    # the index comes from edge masks: max-matching builds no Edge at all, and
+    # the sharp search builds only the edges of the cycles it hands to
+    # verify_sharp_cycle, never one per enumerated edge
+    built = []
+    checked = []
+    real_edge = core.Edge
+    real_verify = verify.verify_sharp_cycle
+
+    def counted_edge(vertices):
+        built.append(vertices)
+        return real_edge(vertices)
+
+    def recording_verify(H, cert):
+        checked.extend(e.vertices for e in cert.edges)
+        return real_verify(H, cert)
+
+    monkeypatch.setattr(core, "Edge", counted_edge)
+    monkeypatch.setattr(verify, "Edge", counted_edge)
+    monkeypatch.setattr(verify, "verify_sharp_cycle", recording_verify)
+    H = make_hypergraph(4, 6, Partition((2, 2, 2)))
+    assert brute_force_max_matching(H).nu == 4
+    assert built == []
+    H = make_hypergraph(3, 6, Partition((2, 1)))
+    assert edge_count(H) == 540
+    result = brute_force_sharp_hamiltonian_exists(H, 12)
+    assert result.status == "found"
+    assert built and built == checked
+    assert result.certificate.edges == tuple(map(Edge, checked[-len(result.certificate.edges):]))
 
 
 def test_enumeration_is_lazy(monkeypatch):
@@ -226,3 +283,53 @@ def test_enumeration_is_lazy(monkeypatch):
     monkeypatch.undo()
     assert first == list(itertools.islice(reference_enumerate_edges(H), 1000))
     assert next(enumerate_edges(H)) == first[0]
+
+
+def test_oracles_free_their_index_on_return():
+    # each search closure refers to itself; unless the oracle breaks that
+    # cycle, its index (one mask per edge) and the sharp search's memo wait
+    # for the cyclic garbage collector, and peak memory creeps up over calls
+    H = make_hypergraph(3, 6, Partition((2, 1)))
+    m = edge_count(H)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        brute_force_max_matching(H)
+        brute_force_sharp_hamiltonian_exists(H, 12)
+        gc.collect()
+        assert not [x for x in gc.garbage if isinstance(x, list) and len(x) == m]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_edge_runs_leave_no_reference_cycle():
+    # the run recursion is a module-level function, not a closure that refers
+    # to itself, so neither edge_masks nor enumerate_edges (run to the end or
+    # dropped midway) leaves its generators or row choices to the collector
+    H = make_hypergraph(4, 6, Partition((2, 2, 2)))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        edge_masks(H)
+        list(enumerate_edges(H))
+        next(enumerate_edges(H))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("cap_edges", [0, 1, 5])
+@pytest.mark.parametrize("sigma, n, q, max_len, budget", [((2, 2), 3, 6, 10, 1000), ((3, 3), 3, 4, 6, 2000)])
+def test_sharp_exists_with_a_full_memo(monkeypatch, cap_edges, sigma, n, q, max_len, budget):
+    # the memo of the edges meeting each edge is capped in bits; once it is
+    # full the search recomputes instead, and walks the same tree
+    H = make_hypergraph(n, q, Partition(sigma))
+    monkeypatch.setattr(verify, "_MEETS_MEMO_BITS", cap_edges * edge_count(H))
+    assert_same_sharp(H, max_len, budget)
