@@ -52,20 +52,12 @@ class Partition:
         return self.parts[0]
 
     @property
-    def delta_min(self) -> int:
-        return self.parts[-1]
-
-    @property
     def gcd_parts(self) -> int:
         return math.gcd(*self.parts)
 
     @property
     def rectangular(self) -> bool:
         return self.parts[0] == self.parts[-1]
-
-    @property
-    def square(self) -> bool:
-        return self.rectangular and self.delta_max == self.s
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.parts)
@@ -145,18 +137,6 @@ class Edge:
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate vertex in edge")
         return cls(vs)
-
-    @property
-    def parts(self) -> dict[int, int]:
-        """Map class index -> nonzero intersection size."""
-        counts: dict[int, int] = {}
-        for c, _ in self.vertices:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-    def part_sizes(self) -> tuple[int, ...]:
-        """Nonzero class-intersection sizes, sorted non-increasing."""
-        return tuple(sorted(self.parts.values(), reverse=True))
 
     def vertex_set(self) -> frozenset[GridVertex]:
         return frozenset(self.vertices)

@@ -17,9 +17,12 @@ The index itself is core.incidence, which export.render_dot reads too.  The
 brute-force oracles search the same index over all edges of H, held as int
 bitsets (_edge_bitsets) and built in builtin passes from core.edge_masks,
 which shares one run recursion with core.enumerate_edges but builds no Edge
-per enumerated edge.  The sharp search carries the edges through blocked
-vertices down its tree as one bitset, and decodes an Edge from a mask only
-for a cycle it hands to verify_sharp_cycle.
+per enumerated edge.  The sharp search starts from edge 0 only: permuting
+the classes and the rows within each class maps H onto itself and any edge
+onto any other, so a sharp Hamiltonian cycle exists if and only if one
+passes through edge 0.  It carries the edges through blocked vertices down
+its tree as one bitset, and decodes an Edge from a mask only for a cycle it
+hands to verify_sharp_cycle.
 
 Edge validity, the first stage of every verifier, is one exact pass over the
 edge list that applies core.is_edge's rule inline: in-range vertex pairs, r
@@ -484,10 +487,17 @@ def brute_force_sharp_hamiltonian_exists(
 ) -> SharpSearchResult:
     """Exhaustive search for a sharp Hamiltonian cycle of up to max_len edges.
 
-    Depth-first over edge sequences whose first edge is the lexicographically
-    smallest of the cycle; prefixes must be sharp paths and the coverage bound
-    (remaining edges x (r-1) >= uncovered vertices) prunes dead branches.
-    Any cycle found is re-checked by verify_sharp_cycle before it is returned.
+    An edge of H is fixed only by its per-class intersection sizes, so the
+    group S_q wr S_n, which permutes the classes and the rows within each
+    class, acts on H by automorphisms and is transitive on the edges.  A
+    sharp Hamiltonian cycle of up to max_len edges therefore exists if and
+    only if one passes through edge 0, and the search is one depth-first
+    pass over edge sequences that start at edge 0.  Prefixes must be sharp
+    paths and the coverage bound (remaining edges x (r-1) >= uncovered
+    vertices) prunes dead branches.  With max_len >= floor(2nq/r) (see
+    sharp_cycle_bounds), "exhausted" proves that no sharp Hamiltonian cycle
+    exists.  Any cycle found is re-checked by verify_sharp_cycle before it is
+    returned.
     The extensions of a path are read off int bitsets over the edges (see
     _edge_bitsets), in ascending edge order; the bitset of the edges that
     meet an edge is computed when the search first needs it and kept in a
@@ -525,6 +535,11 @@ def brute_force_sharp_hamiltonian_exists(
         if nodes > budget:
             raise BudgetExceeded(f"search budget {budget} exhausted")
 
+    # every path starts at edge 0 (see the docstring)
+    first_mask = masks[0]
+    first_meets = _edges_meeting(first_mask, inc)
+    all_edges = (1 << len(masks)) - 1
+
     def dfs(path: list[int], union: int, blocked_edges: int) -> Optional[CycleCertificate]:
         # blocked_edges: the edges through a vertex outside the first edge
         # that a path edge other than the last one holds.  A new edge must
@@ -537,17 +552,14 @@ def brute_force_sharp_hamiltonian_exists(
         uncovered = nq - bin(union).count("1")
         if uncovered > (max_len - depth) * (r - 1):
             return None
-        first = path[0]
-        first_mask = masks[first]
         last_mask = masks[path[-1]]
-        # edges after the first that meet the last edge and avoid the
+        # edges other than the first that meet the last edge and avoid the
         # blocked vertices outside the first edge.  No path edge is left:
         # each edge between the first and the last has a blocked vertex
         # outside the first edge, and so has the last edge from depth 3 on
         # (it meets the edge before it, not the first one); the second edge
         # at depth 2 meets the first and goes with the filter below.
-        cand = meeting(path[-1]) >> (first + 1) << (first + 1)
-        cand &= ~blocked_edges
+        cand = meeting(path[-1]) & ~1 & ~blocked_edges
         if depth >= 2:
             # past the second edge, an edge that meets the first one is only
             # tried as a closing edge, and a closing edge holds every
@@ -586,18 +598,12 @@ def brute_force_sharp_hamiltonian_exists(
                     return found
         return None
 
-    all_edges = (1 << len(masks)) - 1
     try:
-        for start in range(len(masks)):
-            check()
-            first_meets = meeting(start)  # read by dfs
-            found = dfs([start], masks[start], 0)
-            # cand drops every edge up to the first one, so no later start
-            # or node reads meets[start] again
-            meets.pop(start, None)
-            if found is not None:
-                return SharpSearchResult("found", found, nodes)
-        return SharpSearchResult("exhausted", nodes=nodes)
+        check()
+        found = dfs([0], first_mask, 0)
     finally:
         # as in brute_force_max_matching: free the index and the memo now
         del dfs
+    if found is not None:
+        return SharpSearchResult("found", found, nodes)
+    return SharpSearchResult("exhausted", nodes=nodes)

@@ -27,10 +27,8 @@ class TestPartition:
         assert p.r == 3
         assert p.s == 2
         assert p.delta_max == 2
-        assert p.delta_min == 1
         assert p.gcd_parts == 1
         assert not p.rectangular
-        assert not p.square
 
     def test_parse_sorts(self):
         assert parse_partition("1,2").parts == (2, 1)
@@ -42,11 +40,9 @@ class TestPartition:
         assert p.delta_max == 3
         assert p.gcd_parts == 3
         assert p.rectangular
-        assert p.square
 
     def test_rectangular_not_square(self):
         assert parse_partition("2,2,2").rectangular
-        assert not parse_partition("2,2,2").square
 
     @pytest.mark.parametrize("text", ["", "0", "-1,2", "a,b", "2,,1"])
     def test_parse_rejects(self, text):
@@ -114,10 +110,6 @@ class TestEdge:
         e2 = Edge.of([(0, 0), (0, 1), (1, 0)])
         assert e1 == e2
         assert e1.vertices == ((0, 0), (0, 1), (1, 0))
-
-    def test_part_sizes(self):
-        e = Edge.of([(0, 0), (0, 1), (1, 0)])
-        assert e.part_sizes() == (2, 1)
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Differential tests: the bitset oracles against the numpy branch and bound
 and the list-scan DFS in helpers.py, the edge enumeration and the edge masks
 against the enumeration that re-sorts at every node, and the oracles' bitset
-index against the one built pair by pair.  Both oracles must walk the same
-search trees, so answers, node counts, found certificates and BudgetExceeded
-messages agree exactly, also when the budget cuts a search mid-tree."""
+index against the one built pair by pair.  Both max-matching oracles walk
+the same search tree, so answers, node counts and BudgetExceeded messages
+agree exactly, also when the budget cuts a search mid-tree.  The sharp
+search starts from edge 0 only, the reference from every edge in turn; the
+symmetry that makes the two agree is tested on its own."""
 
 import gc
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +30,7 @@ from sigmacycles import (
     edge_count,
     enumerate_edges,
     make_hypergraph,
+    sharp_cycle_bounds,
 )
 from sigmacycles import core, verify
 from sigmacycles.errors import BudgetExceeded, NoEdgesError
@@ -69,8 +73,19 @@ def assert_same_matching(H, budget=2_000_000):
 
 
 def assert_same_sharp(H, max_len, budget=2_000_000):
+    # the reference's search from edge 0 is the oracle's whole search.  By
+    # edge-transitivity a cycle exists only if one passes through edge 0, so
+    # the reference finds one there, with the same nodes, or not at all: an
+    # exhausted search ends no later, and a budget cut after edge 0's tree
+    # becomes "exhausted"
     got = sharp_outcome(brute_force_sharp_hamiltonian_exists, H, max_len, budget)
-    assert got == sharp_outcome(reference_brute_force_sharp_hamiltonian_exists, H, max_len, budget)
+    ref = sharp_outcome(reference_brute_force_sharp_hamiltonian_exists, H, max_len, budget)
+    if ref[0] == "found":
+        assert got == ref
+    elif ref[0] == "exhausted":
+        assert got[0] == "exhausted" and got[2] <= ref[2]
+    else:
+        assert got == ref or got[0] == "exhausted"
     return got
 
 
@@ -142,7 +157,7 @@ def test_max_matching_budget_cut(sigma, n, q, budget, expected):
     [
         ((2, 1), 3, 6, 12, 5),  # more edges than the budget
         ((2, 2), 3, 6, 10, 1000),  # 675 edges, 2946 nodes: stops mid-tree
-        ((3, 3), 3, 4, 6, 600),  # 48 edges, exhausted after 1224 nodes
+        ((3, 3), 3, 4, 6, 600),  # 48 edges: exhausted after 49 nodes, the reference needs 1224
     ],
 )
 def test_sharp_exists_budget_cut(sigma, n, q, max_len, budget):
@@ -153,10 +168,98 @@ def test_sharp_exists_reports_nodes():
     # a budget of exactly the node count passes, one less raises
     H = make_hypergraph(3, 4, Partition((3, 3)))
     nodes = brute_force_sharp_hamiltonian_exists(H, 6).nodes
-    assert nodes == 1224
+    assert nodes == 49
     assert brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes).status == "exhausted"
-    with pytest.raises(BudgetExceeded, match="search budget 1223 exhausted"):
+    with pytest.raises(BudgetExceeded, match="search budget 48 exhausted"):
         brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes - 1)
+
+
+def test_sharp_exists_searches_from_edge_zero_only():
+    # 120,000 edges and no cycle within 12 edges: the coverage bound prunes
+    # edge 0's tree at its root, so 2 nodes decide what a search from every
+    # edge needs 240,000 nodes for
+    H = make_hypergraph(10, 10, Partition((1, 1, 1)))
+    assert edge_count(H) == 120_000
+    result = brute_force_sharp_hamiltonian_exists(H, 12)
+    assert (result.status, result.nodes) == ("exhausted", 2)
+    assert brute_force_sharp_hamiltonian_exists(H, 12, budget=120_000).status == "exhausted"
+
+
+# Sharp-existence answers just outside the theorem's hypotheses (n >= s+1 and
+# q >= r(r-1)), searched up to floor(2nq/r) edges, the most a sharp
+# Hamiltonian cycle can have: there "exhausted" proves that none exists.
+OUTSIDE_HYPOTHESES = [
+    ((2, 1), 2, 6, "found"),  # n = s
+    ((3, 1), 2, 8, "found"),  # n = s, q < r(r-1)
+    ((1, 1, 1, 1), 4, 6, "found"),  # n = s, q < r(r-1)
+    ((2, 1, 1), 3, 6, "found"),  # n = s, q < r(r-1)
+    ((2, 2), 3, 4, "found"),  # q < r(r-1)
+    ((2, 2), 3, 3, "exhausted"),  # q < r(r-1)
+]
+
+
+@pytest.mark.parametrize("sigma, n, q, status", OUTSIDE_HYPOTHESES)
+def test_sharp_exists_outside_the_hypotheses(sigma, n, q, status):
+    H = make_hypergraph(n, q, Partition(sigma))
+    assert n < H.sigma.s + 1 or q < H.r * (H.r - 1)
+    lower, upper = sharp_cycle_bounds(H)
+    got = assert_same_sharp(H, math.floor(upper))
+    assert got[0] == status
+    if status == "found":
+        assert lower <= len(got[1]) <= upper
+
+
+def relabel(edge, classes, rows):
+    """The image of edge when class c goes to classes[c] and row y of class c
+    to row rows[c][y]."""
+    return Edge.of((classes[c], rows[c][y]) for c, y in edge.vertices)
+
+
+def map_onto(e0, e, n, q):
+    """A class permutation and per-class row permutations that send edge e0 to
+    edge e: the classes of each part size in e0 go to those of the same size
+    in e, and the rows that e0 holds in a class to the rows e holds in the
+    image class."""
+    held0, held = [[[y for c, y in edge.vertices if c == k] for k in range(n)] for edge in (e0, e)]
+    by_size0, by_size = [sorted(range(n), key=lambda k: -len(rs[k])) for rs in (held0, held)]
+    classes, rows = [0] * n, [[0] * q for _ in range(n)]
+    for k0, k in zip(by_size0, by_size):
+        classes[k0] = k
+        rest0 = [y for y in range(q) if y not in held0[k0]]
+        rest = [y for y in range(q) if y not in held[k]]
+        for y0, y in zip(held0[k0] + rest0, held[k] + rest):
+            rows[k0][y0] = y
+    return classes, rows
+
+
+@settings(deadline=None, max_examples=200)
+@given(sigma=st.sampled_from(SIGMAS), n=st.integers(1, 4), q=st.integers(1, 5), data=st.data())
+def test_class_and_row_permutations_are_automorphisms(sigma, n, q, data):
+    # the premise of the sharp search from edge 0: an edge is fixed by its
+    # per-class intersection sizes alone, so relabelling classes and rows
+    # maps the edge set onto itself
+    H = hypergraph(sigma, n, q)
+    if H is None:
+        return
+    classes = data.draw(st.permutations(range(n)))
+    rows = [data.draw(st.permutations(range(q))) for _ in range(n)]
+    edges = set(enumerate_edges(H))
+    assert {relabel(e, classes, rows) for e in edges} == edges
+
+
+@settings(deadline=None, max_examples=100)
+@given(sigma=st.sampled_from(SIGMAS), n=st.integers(1, 4), q=st.integers(1, 5))
+def test_automorphisms_are_transitive_on_edges(sigma, n, q):
+    # and some relabelling sends edge 0 to any edge
+    H = hypergraph(sigma, n, q)
+    if H is None:
+        return
+    edges = list(enumerate_edges(H))
+    for e in edges:
+        classes, rows = map_onto(edges[0], e, n, q)
+        assert sorted(classes) == list(range(n))
+        assert all(sorted(perm) == list(range(q)) for perm in rows)
+        assert relabel(edges[0], classes, rows) == e
 
 
 @SETTINGS
@@ -331,5 +434,6 @@ def test_sharp_exists_with_a_full_memo(monkeypatch, cap_edges, sigma, n, q, max_
     # the memo of the edges meeting each edge is capped in bits; once it is
     # full the search recomputes instead, and walks the same tree
     H = make_hypergraph(n, q, Partition(sigma))
+    uncapped = sharp_outcome(brute_force_sharp_hamiltonian_exists, H, max_len, budget)
     monkeypatch.setattr(verify, "_MEETS_MEMO_BITS", cap_edges * edge_count(H))
-    assert_same_sharp(H, max_len, budget)
+    assert assert_same_sharp(H, max_len, budget) == uncapped
