@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -32,6 +33,7 @@ from .verify import (
     bounds_report,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
+    sharp_cycle_bounds,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_sharp_cycle,
@@ -131,6 +133,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             certfile.write_certificate(result.certificate, args.output)
     else:
         print("exhausted")
+        # sharp_cycle_bounds refuses r < 2, where no sharp cycle exists
+        if H.r >= 2:
+            lower, upper = sharp_cycle_bounds(H)
+            if args.max_len < math.floor(upper):
+                print(
+                    f"note: only sharp cycles of at most {args.max_len} edges are ruled out; "
+                    f"the sharp cycle edge-count window is [{lower}, {upper}]",
+                    file=sys.stderr,
+                )
     return EXIT_OK
 
 

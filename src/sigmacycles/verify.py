@@ -14,15 +14,17 @@ and the verifier reports the minimum over the candidates, which keeps the
 first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
 The index itself is core.incidence, which export.render_dot reads too.  The
-brute-force oracles search the same index over all edges of H, held as int
-bitsets (_edge_bitsets) and built in builtin passes from core.edge_masks,
-which shares one run recursion with core.enumerate_edges but builds no Edge
-per enumerated edge.  The sharp search starts from edge 0 only: permuting
-the classes and the rows within each class maps H onto itself and any edge
-onto any other, so a sharp Hamiltonian cycle exists if and only if one
-passes through edge 0.  It carries the edges through blocked vertices down
-its tree as one bitset, and decodes an Edge from a mask only for a cycle it
-hands to verify_sharp_cycle.
+sharp brute-force oracle searches the same index over all edges of H, held
+as int bitsets (_edge_bitsets) and built in builtin passes from
+core.edge_masks, which shares one run recursion with core.enumerate_edges
+but builds no Edge per enumerated edge.  The sharp search starts from edge 0
+only: permuting the classes and the rows within each class maps H onto
+itself and any edge onto any other, so a sharp Hamiltonian cycle exists if
+and only if one passes through edge 0.  It carries the edges through blocked
+vertices down its tree as one bitset, and decodes an Edge from a mask only
+for a cycle it hands to verify_sharp_cycle.  The max-matching oracle builds
+no index: an edge is fixed by its per-class part sizes, so it searches the
+class loads of packings of sigma, not the edges.
 
 Edge validity, the first stage of every verifier, is one exact pass over the
 edge list that applies core.is_edge's rule inline: in-range vertex pairs, r
@@ -423,56 +425,91 @@ class MaxMatchingResult:
     nodes: int
 
 
-def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> MaxMatchingResult:
-    """Exact maximum matching size by branch and bound.
+def _placements(
+    state: tuple[int, ...], parts: tuple[int, ...], taken: list[int], out: dict[tuple[int, ...], None]
+) -> None:
+    """Add to out, in depth-first order, every state left by placing parts
+    (non-increasing) into distinct classes of state that have room for them;
+    taken[j] is the part already placed in class j, or 0.
 
-    Branches on the lexicographically-first vertex still reachable by a
-    candidate edge: either some candidate edge through it is taken, or the
-    vertex is left unmatched and all edges through it are discarded.  Pruned
-    by size + floor(reachable_vertices / r) <= best.  When the node budget
-    runs out the best matching found so far is returned flagged inexact.
-    Candidate sets are int bitsets over the edges (see _edge_bitsets).
-    Raises ValueError when budget < 0.
+    Classes of equal capacity are interchangeable, and state is sorted, so
+    a part skips a class whose capacity equals the last class it tried.
+    """
+    if not parts:
+        child = tuple(sorted((c - t for c, t in zip(state, taken) if c > t), reverse=True))
+        out.setdefault(child)
+        return
+    need, tried = parts[0], None
+    for j, c in enumerate(state):
+        if c < need:
+            break
+        if taken[j] or c == tried:
+            continue
+        taken[j], tried = need, c
+        _placements(state, parts[1:], taken, out)
+        taken[j] = 0
+
+
+def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> MaxMatchingResult:
+    """Exact maximum matching size by a memoised search over class loads.
+
+    An edge is fixed by its per-class part sizes alone, and rows within a
+    class are interchangeable, so nu(H) is the largest number of copies of
+    sigma that pack into n classes of capacity q with each copy's parts in
+    distinct classes.  A state is the tuple of non-zero residual class
+    capacities, sorted in descending order; its children are the distinct
+    states one more copy can leave (see _placements), and
+    f(state) = max(0, 1 + max over children of f(child)), memoised.  A state
+    stops branching once it reaches floor(sum of capacities / r).  The
+    search is depth first over an explicit stack, so its depth (nu) is not
+    bounded by the recursion limit, and the first descent is a greedy
+    packing.  nodes counts the states expanded: the memo misses with room
+    for r more vertices (a state with fewer is worth 0).  When nodes exceeds
+    the budget the largest packing found so far is returned flagged inexact.
+    Builds no edge index.  Raises BudgetExceeded when H has more edges than
+    the budget, which so bounds the size of H as well as the search, and
+    ValueError when budget < 0.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    masks, inc = _edge_bitsets(H)
-    r = H.r
-    best = 0
-    nodes = 0
-    exact = True
-
-    def rec(cand: int, reach: list[int], size: int) -> None:
-        # reach: the parent's reachable vertices, ascending; cand only
-        # shrinks, so no other vertex can be reachable here
-        nonlocal best, nodes, exact
-        nodes += 1
-        if nodes > budget:
-            exact = False
-            return
-        if not cand:
-            best = max(best, size)
-            return
-        reach = [u for u in reach if cand & inc[u]]
-        best = max(best, size + 1)
-        if size + len(reach) // r <= best:
-            return
-        v = reach[0]
-        for j in _bits(cand & inc[v]):
-            if not exact:
-                return
-            rec(cand & ~_edges_meeting(masks[j], inc), reach, size + 1)
-        if exact:
-            rec(cand & ~inc[v], reach, size)
-
-    rec((1 << len(masks)) - 1, list(range(H.vertex_count)), 0)
-    # rec holds itself through its closure: deleting it frees the index now,
-    # not at the next full garbage collection
-    del rec
-    return MaxMatchingResult(best, exact, nodes)
+    parts, r = H.sigma.parts, H.r
+    memo: dict[tuple[int, ...], int] = {}
+    best = nodes = 0
+    # the current path, one frame per state: [state, children left (next
+    # last), value so far, ceiling]; the frame at depth d has d copies placed
+    path: list[list] = [[(H.q,) * H.n, None, 0, 0]]
+    while path:
+        frame = path[-1]
+        state, left, value, ceiling = frame
+        depth = len(path) - 1
+        if left is None:
+            best = max(best, depth)
+            nodes += 1
+            if nodes > budget:
+                return MaxMatchingResult(best, False, nodes)
+            out: dict[tuple[int, ...], None] = {}
+            _placements(state, parts, [0] * len(state), out)
+            frame[1] = left = list(out)[::-1]
+            frame[3] = ceiling = sum(state) // r
+        if left and value < ceiling:
+            child = left.pop()
+            # fewer than r vertices left: no copy fits, so no expansion
+            got = memo.get(child) if sum(child) >= r else 0
+            if got is None:
+                path.append([child, None, 0, 0])
+            else:
+                frame[2] = max(value, 1 + got)
+                best = max(best, depth + frame[2])
+            continue
+        path.pop()
+        memo[state] = value
+        if path:
+            path[-1][2] = max(path[-1][2], 1 + value)
+            best = max(best, depth + value)
+    return MaxMatchingResult(best, True, nodes)
 
 
 @dataclass(frozen=True)
@@ -602,7 +639,8 @@ def brute_force_sharp_hamiltonian_exists(
         check()
         found = dfs([0], first_mask, 0)
     finally:
-        # as in brute_force_max_matching: free the index and the memo now
+        # dfs holds itself through its closure: deleting it frees the index
+        # and the memo now, not at the next full garbage collection
         del dfs
     if found is not None:
         return SharpSearchResult("found", found, nodes)

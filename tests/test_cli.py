@@ -271,6 +271,27 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "exhausted"
 
+    def test_sharp_exists_short_search_notes_the_window(self, capsys):
+        # the default max-len 12 is far below floor(2nq/r) = 66: exhausted
+        # says nothing about Hamiltonian cycles, and stderr says so
+        code, out, err = run(
+            capsys, "oracle", "sharp-exists", "--sigma", "1,1,1", "--n", "10", "--q", "10"
+        )
+        assert (code, out) == (0, "exhausted\n")
+        assert err == (
+            "note: only sharp cycles of at most 12 edges are ruled out; "
+            "the sharp cycle edge-count window is [50, 200/3]\n"
+        )
+
+    def test_sharp_exists_full_search_has_no_note(self, capsys):
+        # max-len 4 = floor(2nq/r): exhausted proves that no sharp
+        # Hamiltonian cycle exists
+        code, out, err = run(
+            capsys, "oracle", "sharp-exists", "--sigma", "2,2", "--n", "3", "--q", "3",
+            "--max-len", "4",
+        )
+        assert (code, out, err) == (0, "exhausted\n", "")
+
     def test_sharp_exists_found(self, capsys, tmp_path):
         path = tmp_path / "found.json"
         code, out, _ = run(

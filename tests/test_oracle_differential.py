@@ -1,15 +1,17 @@
-"""Differential tests: the bitset oracles against the numpy branch and bound
-and the list-scan DFS in helpers.py, the edge enumeration and the edge masks
-against the enumeration that re-sorts at every node, and the oracles' bitset
-index against the one built pair by pair.  Both max-matching oracles walk
-the same search tree, so answers, node counts and BudgetExceeded messages
-agree exactly, also when the budget cuts a search mid-tree.  The sharp
-search starts from edge 0 only, the reference from every edge in turn; the
-symmetry that makes the two agree is tested on its own."""
+"""Differential tests: the oracles against the numpy branch and bound and
+the list-scan DFS in helpers.py, the edge enumeration and the edge masks
+against the enumeration that re-sorts at every node, and the sharp search's
+bitset index against the one built pair by pair.  The max-matching oracle
+searches class loads, the reference every edge, so their trees differ: they
+agree on refusals and exact answers, and a reference cut by the budget finds
+no larger matching.  The sharp search starts from edge 0 only, the reference
+from every edge in turn; the symmetry that makes the two agree is tested on
+its own."""
 
 import gc
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,12 +32,13 @@ from sigmacycles import (
     edge_count,
     enumerate_edges,
     make_hypergraph,
+    matching_upper_bound,
     sharp_cycle_bounds,
 )
 from sigmacycles import core, verify
 from sigmacycles.errors import BudgetExceeded, NoEdgesError
 from sigmacycles.core import edge_masks, edge_of_mask
-from sigmacycles.verify import _edge_bitsets
+from sigmacycles.verify import MaxMatchingResult, _edge_bitsets
 
 SETTINGS = settings(deadline=None, max_examples=300)
 
@@ -67,8 +70,18 @@ def sharp_outcome(oracle, H, max_len, budget):
 
 
 def assert_same_matching(H, budget=2_000_000):
+    # the class-load search and the reference's edge branch and bound walk
+    # different trees: a refusal keeps its message, an exact reference answer
+    # is the oracle's exact answer, and a reference cut by the budget found a
+    # matching no larger than the oracle's
     got = matching_outcome(brute_force_max_matching, H, budget)
-    assert got == matching_outcome(reference_brute_force_max_matching, H, budget)
+    ref = matching_outcome(reference_brute_force_max_matching, H, budget)
+    if ref[0] == "budget":
+        assert got == ref
+    elif ref[1]:
+        assert got[:2] == ref[:2]
+    else:
+        assert got[0] >= ref[0]
     return got
 
 
@@ -118,6 +131,15 @@ def test_pinned_max_matching(sigma, n, q, nu):
     assert assert_same_matching(make_hypergraph(n, q, Partition(sigma)))[:2] == (nu, True)
 
 
+def test_pinned_max_matching_states():
+    # the class-load states the oracle expands, in PINNED_MATCHING order
+    states = [
+        brute_force_max_matching(make_hypergraph(n, q, Partition(sigma))).nodes
+        for sigma, n, q, _ in PINNED_MATCHING
+    ]
+    assert states == [2, 6, 4, 8, 3, 5, 3, 4, 4, 4, 2, 4, 3]
+
+
 @pytest.mark.parametrize("sigma, n, q, max_len, status", PINNED_SHARP)
 def test_pinned_sharp_exists(sigma, n, q, max_len, status):
     H = make_hypergraph(n, q, Partition(sigma))
@@ -132,24 +154,76 @@ def test_pinned_sharp_exists(sigma, n, q, max_len, status):
     ],
 )
 def test_benchmark_matching_trees(sigma, n, q, nu, nodes):
-    result = brute_force_max_matching(make_hypergraph(n, q, Partition(sigma)))
+    # the reference's edge branch and bound on the two largest pinned
+    # instances; the oracle needs 2 and 4 class-load states (PINNED_MATCHING)
+    result = reference_brute_force_max_matching(make_hypergraph(n, q, Partition(sigma)))
     assert (result.nu, result.exact, result.nodes) == (nu, True, nodes)
 
 
 @pytest.mark.parametrize(
     "sigma, n, q, budget, expected",
     [
-        # more edges than the budget: refused before the search
+        # more edges than the budget: both refuse before the search
         ((3, 3, 3), 5, 5, 10, "budget"),
-        # 600 edges, 5803 nodes: the search stops mid-tree, inexact
+        # 600 edges, 5803 reference nodes: the reference stops mid-tree,
+        # inexact, below that budget; the oracle's 8 states fit every one
         ((2, 2), 4, 5, 1000, False),
         ((2, 2), 4, 5, 5802, False),
         ((2, 2), 4, 5, 5803, True),
     ],
 )
 def test_max_matching_budget_cut(sigma, n, q, budget, expected):
-    got = assert_same_matching(make_hypergraph(n, q, Partition(sigma)), budget)
-    assert (got[0] if expected == "budget" else got[1]) == expected
+    H = make_hypergraph(n, q, Partition(sigma))
+    got = assert_same_matching(H, budget)
+    ref = matching_outcome(reference_brute_force_max_matching, H, budget)
+    assert (ref[0] if expected == "budget" else ref[1]) == expected
+    if expected != "budget":
+        assert got == (4, True, 8)
+
+
+@pytest.mark.parametrize("budget", [1, 21, 200, 641])
+def test_max_matching_cut_by_its_budget(monkeypatch, budget):
+    # 84,700 edges, so every budget below that is refused before the search;
+    # lifting that refusal reaches the class-load search's own cut.  It needs
+    # 642 states: the first greedy descent finds 20 copies, the rest rule out
+    # 21 and 22 = floor(nq/r).
+    H = make_hypergraph(8, 11, Partition((2, 2)))
+    assert brute_force_max_matching(H, budget=edge_count(H)) == MaxMatchingResult(20, True, 642)
+    monkeypatch.setattr(verify, "edge_count", lambda H: 0)
+    result = brute_force_max_matching(H, budget=budget)
+    assert not result.exact and result.nodes == budget + 1
+    assert result.nu <= 20
+
+
+@pytest.mark.parametrize(
+    "sigma, n, q, budget, nu",
+    [
+        # gcd 2 and q odd: n(q-1)/r is matching_upper_bound's ceiling
+        ((2, 2), 8, 11, 2_000_000, 20),
+        # perfect matchings, nq/r
+        ((2, 1), 10, 15, 2_000_000, 50),
+        ((3, 2, 1), 12, 20, 10**10, 40),  # 5,718,240,000 edges
+        # 5,000 copies deep, past the default recursion limit
+        ((1,), 1, 5000, 2_000_000, 5000),
+    ],
+)
+def test_max_matching_beyond_brute_force(sigma, n, q, budget, nu):
+    H = make_hypergraph(n, q, Partition(sigma))
+    frag = matching_upper_bound(H)
+    assert nu == (frag[1] if frag else Fraction(n * q, H.r))
+    result = brute_force_max_matching(H, budget=budget)
+    assert (result.nu, result.exact) == (nu, True)
+
+
+def test_max_matching_builds_no_index(monkeypatch):
+    # the class-load search reads only n, q and sigma: no edge masks, no
+    # vertex -> edge bitsets
+    def refuse(H):
+        raise AssertionError("the max-matching oracle built an edge index")
+
+    monkeypatch.setattr(verify, "edge_masks", refuse)
+    monkeypatch.setattr(verify, "_edge_bitsets", refuse)
+    assert brute_force_max_matching(make_hypergraph(4, 6, Partition((2, 2, 2)))).nu == 4
 
 
 @pytest.mark.parametrize(
