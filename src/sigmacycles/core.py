@@ -170,20 +170,6 @@ def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:
     return tuple(sorted(counts.values(), reverse=True)) == H.sigma.parts
 
 
-# a run of edges, (prefix, c, a): see _edge_runs
-_Run = tuple[tuple[GridVertex, ...], int, int]
-
-
-def _edge_runs(H: SigmaHypergraph) -> Iterator[_Run]:
-    """Yield the edges of H as runs (prefix, c, a), in lexicographic order
-    of the canonical vertex sequences.  A run stands for the edges that
-    extend the vertex tuple prefix by every a-row choice in class c, rows
-    ascending, in itertools.combinations order.  Lazy: one prefix is built
-    per run, never a list of edges."""
-    # the sorted row choices depend only on the parts still to place
-    return _runs_from(H.n, H.q, {}, 0, H.sigma.parts, ())
-
-
 def _runs_from(
     n: int,
     q: int,
@@ -191,12 +177,16 @@ def _runs_from(
     c: int,
     remaining: tuple[int, ...],
     acc: tuple[GridVertex, ...],
-) -> Iterator[_Run]:
-    """The runs of _edge_runs that place the parts remaining from class c on,
-    after the vertices acc.  The parts go class by class; once one part is
-    left, each remaining class in order gives one run.  A module-level
-    recursion, not a closure that refers to itself, so a call leaves no
-    reference cycle for the garbage collector."""
+) -> Iterator[tuple[tuple[GridVertex, ...], int, int]]:
+    """Yield the edges that place the parts remaining from class c on, after
+    the vertices acc, as runs (prefix, cc, a) in lexicographic order of the
+    canonical vertex sequences.  A run stands for the edges that extend the
+    vertex tuple prefix by every a-row choice in class cc, rows ascending, in
+    itertools.combinations order.  The parts go class by class; once one
+    part is left, each remaining class in order gives one run.  choices_for
+    memoises the sorted row choices per tuple of parts still to place.  A
+    module-level recursion, not a closure that refers to itself, so a call
+    leaves no reference cycle for the garbage collector."""
     if n - c < len(remaining):
         return
     if len(remaining) == 1:
@@ -230,37 +220,11 @@ def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
     """Yield every edge exactly once, in lexicographic order of the
     canonical vertex sequences.  Restartable; nothing is materialized.
 
-    Each run of _edge_runs maps itertools.combinations over its class's
+    Each run of _runs_from maps itertools.combinations over its class's
     vertices to edges without a generator frame per edge."""
     columns = [tuple((c, row) for row in range(H.q)) for c in range(H.n)]
-    for acc, c, a in _edge_runs(H):
+    for acc, c, a in _runs_from(H.n, H.q, {}, 0, H.sigma.parts, ()):
         yield from map(Edge, map(acc.__add__, itertools.combinations(columns[c], a)))
-
-
-def edge_masks(H: SigmaHypergraph) -> list[int]:
-    """The vertex bitmask of every edge, in enumerate_edges order.  Vertex
-    (c, row) is bit c*q + row, its position in H.vertices().
-
-    Reads the runs of _edge_runs, as enumerate_edges does, and builds no
-    vertex tuple or Edge per edge: a run's masks are its prefix's mask plus
-    each a-row choice's mask in class c, listed once per (c, a)."""
-    q = H.q
-    tails: dict[tuple[int, int], list[int]] = {}
-    masks: list[int] = []
-    for acc, c, a in _edge_runs(H):
-        tail = tails.get((c, a))
-        if tail is None:
-            bits = itertools.combinations(range(c * q, c * q + q), a)
-            tail = tails[c, a] = [sum(1 << u for u in us) for us in bits]
-        masks.extend(map(sum(1 << (cc * q + row) for cc, row in acc).__add__, tail))
-    return masks
-
-
-def edge_of_mask(H: SigmaHypergraph, mask: int) -> Edge:
-    """The edge whose edge_masks bitmask is mask: the inverse of edge_masks'
-    layout, bit u is vertex divmod(u, q)."""
-    q = H.q
-    return Edge(tuple(divmod(u, q) for u in range(mask.bit_length()) if mask >> u & 1))
 
 
 def edge_count(H: SigmaHypergraph) -> int:

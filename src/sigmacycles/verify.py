@@ -13,16 +13,14 @@ vertex's incidence list.  Each list yields its own first violating candidate
 and the verifier reports the minimum over the candidates, which keeps the
 first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
-The index itself is core.incidence, which export.render_dot reads too.  The
-sharp brute-force oracle searches the same index over all edges of H, held
-as int bitsets (_edge_bitsets) and built in builtin passes from
-core.edge_masks, which shares one run recursion with core.enumerate_edges
-but builds no Edge per enumerated edge.  The sharp search starts from edge 0
-only: permuting the classes and the rows within each class maps H onto
-itself and any edge onto any other, so a sharp Hamiltonian cycle exists if
-and only if one passes through edge 0.  It carries the edges through blocked
-vertices down its tree as one bitset, and decodes an Edge from a mask only
-for a cycle it hands to verify_sharp_cycle.  The max-matching oracle builds
+There is one such index, core.incidence: the verifiers, export.render_dot
+and the sharp brute-force oracle all read it.  The oracle builds it over
+core.enumerate_edges, all edges of H, and holds it as int bitsets
+(_edge_bitsets).  The sharp search starts from edge 0 only: permuting the
+classes and the rows within each class maps H onto itself and any edge onto
+any other, so a sharp Hamiltonian cycle exists if and only if one passes
+through edge 0.  It carries the edges through blocked vertices down its
+tree as one bitset, on an explicit stack.  The max-matching oracle builds
 no index: an edge is fixed by its per-class part sizes, so it searches the
 class loads of packings of sigma, not the edges.
 
@@ -57,8 +55,7 @@ from .core import (
     GridVertex,
     SigmaHypergraph,
     edge_count,
-    edge_masks,
-    edge_of_mask,
+    enumerate_edges,
     incidence,
 )
 from .errors import BudgetExceeded
@@ -377,44 +374,34 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-# _BIT_DIGITS[b] maps each byte to b"1" when its bit b is set, else b"0"
-_BIT_DIGITS = [bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8)]
-
-
-def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[int], list[int]]:
+def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]:
     """The incidence index of all edges of H as int bitsets.
 
-    Returns each edge's vertex bitmask, in enumerate_edges order, and for
-    each vertex the bitmask of the edges through it.  Vertex bit i is the
-    i-th vertex of H.vertices() (grid order); edge bit j is the j-th edge.
-
-    The masks come from core.edge_masks, which builds no Edge or vertex
-    tuple per edge; core.edge_of_mask decodes one.  No Python loop runs per
-    (edge, vertex) pair.  The masks, written as B little-endian bytes each,
-    form one buffer whose stride-B column of byte u >> 3 holds vertex u's bit
-    of every edge; translating that column to ASCII binary digits on bit
-    u & 7 and reversing it gives the base-2 numeral of the vertex's edge
-    bitset (int() in base 2 has no digit limit).
+    Returns the edges in enumerate_edges order, each edge's vertex bitmask,
+    and for each vertex the bitmask of the edges through it, read off
+    core.incidence.  Vertex (c, row) is bit c*q + row, its position in
+    H.vertices(); edge bit j is edges[j].
     """
-    masks = edge_masks(H)
-    width = (H.vertex_count + 7) // 8
-    buf = b"".join([mask.to_bytes(width, "little") for mask in masks])
-    inc = [
-        int(buf[u >> 3 :: width].translate(_BIT_DIGITS[u & 7])[::-1], 2)
-        for u in range(H.vertex_count)
-    ]
-    return masks, inc
-
-
-# the most bits the sharp search's per-edge memo holds at once (8 MiB)
-_MEETS_MEMO_BITS = 1 << 26
+    edges = list(enumerate_edges(H))
+    index = incidence(edges)
+    masks = [0] * len(edges)
+    inc = []
+    for u, v in enumerate(H.vertices()):
+        buf = bytearray((len(edges) + 7) // 8)
+        for i in index.get(v, ()):
+            buf[i >> 3] |= 1 << (i & 7)
+            masks[i] |= 1 << u
+        inc.append(int.from_bytes(buf, "little"))
+    return edges, masks, inc
 
 
 def _edges_meeting(vertex_mask: int, inc: list[int]) -> int:
     """Bitmask of the edges through any vertex of vertex_mask."""
     out = 0
-    for u in _bits(vertex_mask):
-        out |= inc[u]
+    while vertex_mask:
+        low = vertex_mask & -vertex_mask
+        out |= inc[low.bit_length() - 1]
+        vertex_mask ^= low
     return out
 
 
@@ -459,11 +446,12 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     distinct classes.  A state is the tuple of non-zero residual class
     capacities, sorted in descending order; its children are the distinct
     states one more copy can leave (see _placements), and
-    f(state) = max(0, 1 + max over children of f(child)), memoised.  A state
-    stops branching once it reaches floor(sum of capacities / r).  The
-    search is depth first over an explicit stack, so its depth (nu) is not
-    bounded by the recursion limit, and the first descent is a greedy
-    packing.  nodes counts the states expanded: the memo misses with room
+    f(state) = max(0, 1 + max over children of f(child)), memoised.  Every
+    class load is a sum of parts, so a multiple of d = gcd(sigma), and a
+    state stops branching once it reaches floor(sum of (c - c mod d) / r)
+    over its capacities c.  The search is depth first over an explicit
+    stack, so its depth (nu) is not bounded by the recursion limit, and the
+    first descent is a greedy packing.  nodes counts the states expanded: the memo misses with room
     for r more vertices (a state with fewer is worth 0).  When nodes exceeds
     the budget the largest packing found so far is returned flagged inexact.
     Builds no edge index.  Raises BudgetExceeded when H has more edges than
@@ -475,7 +463,7 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    parts, r = H.sigma.parts, H.r
+    parts, r, d = H.sigma.parts, H.r, H.sigma.gcd_parts
     memo: dict[tuple[int, ...], int] = {}
     best = nodes = 0
     # the current path, one frame per state: [state, children left (next
@@ -493,7 +481,7 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
             out: dict[tuple[int, ...], None] = {}
             _placements(state, parts, [0] * len(state), out)
             frame[1] = left = list(out)[::-1]
-            frame[3] = ceiling = sum(state) // r
+            frame[3] = ceiling = sum(c - c % d for c in state) // r
         if left and value < ceiling:
             child = left.pop()
             # fewer than r vertices left: no copy fits, so no expansion
@@ -536,112 +524,98 @@ def brute_force_sharp_hamiltonian_exists(
     exists.  Any cycle found is re-checked by verify_sharp_cycle before it is
     returned.
     The extensions of a path are read off int bitsets over the edges (see
-    _edge_bitsets), in ascending edge order; the bitset of the edges that
-    meet an edge is computed when the search first needs it and kept in a
-    memo of at most _MEETS_MEMO_BITS bits.
-    The result carries the number of search nodes.  Raises BudgetExceeded
-    when the node budget runs out, and ValueError when max_len or budget is
-    negative.
+    _edge_bitsets), in ascending edge order.  The search runs on an explicit
+    stack, one frame per path edge, so max_len is not bounded by the
+    recursion limit.
+    The result carries the number of search nodes: the empty path and every
+    path entered.  Raises BudgetExceeded when the node budget runs out, and
+    ValueError when max_len or budget is negative.
     """
     if max_len < 0 or budget < 0:
         raise ValueError(f"max_len and budget must be >= 0, got {max_len} and {budget}")
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    masks, inc = _edge_bitsets(H)
+    edges, masks, inc = _edge_bitsets(H)
     nq, r = H.vertex_count, H.r
     target = (1 << nq) - 1
-    nodes = 0
-    # meets[j]: the edges that meet edge j, kept once computed while fewer
-    # than memo_cap are held, so the memo stays within _MEETS_MEMO_BITS bits
-    # (one m-bit int per edge would be m*m/8 bytes)
-    meets: dict[int, int] = {}
-    memo_cap = _MEETS_MEMO_BITS // max(1, len(masks))
-
-    def meeting(j: int) -> int:
-        mj = meets.get(j)
-        if mj is None:
-            mj = _edges_meeting(masks[j], inc)
-            if len(meets) < memo_cap:
-                meets[j] = mj
-        return mj
-
-    def check() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"search budget {budget} exhausted")
-
     # every path starts at edge 0 (see the docstring)
     first_mask = masks[0]
     first_meets = _edges_meeting(first_mask, inc)
     all_edges = (1 << len(masks)) - 1
-
-    def dfs(path: list[int], union: int, blocked_edges: int) -> Optional[CycleCertificate]:
-        # blocked_edges: the edges through a vertex outside the first edge
-        # that a path edge other than the last one holds.  A new edge must
-        # avoid those vertices, intersect the last edge, and (unless it
-        # closes the cycle) avoid the first edge as well.
-        check()
+    # the edges of the path; frames[i] belongs to the path path[: i + 1]
+    path: list[int] = []
+    # one frame per path edge: [union, blocked edges, the candidates left
+    # (an iterator), the children's blocked edges or None].  The blocked
+    # edges go through a vertex outside the first edge that a path edge
+    # other than the last one holds.  A new edge must avoid those vertices,
+    # intersect the last edge, and (unless it closes the cycle) avoid the
+    # first edge as well.
+    frames: list[list] = []
+    nodes = 1  # the empty path, whose one child is edge 0
+    j, union, blocked = 0, first_mask, 0
+    while j is not None:
+        # enter the path path + [j], which covers union
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"search budget {budget} exhausted")
+        path.append(j)
         depth = len(path)
-        if depth >= max_len:
-            return None
         uncovered = nq - bin(union).count("1")
-        if uncovered > (max_len - depth) * (r - 1):
-            return None
-        last_mask = masks[path[-1]]
-        # edges other than the first that meet the last edge and avoid the
-        # blocked vertices outside the first edge.  No path edge is left:
-        # each edge between the first and the last has a blocked vertex
-        # outside the first edge, and so has the last edge from depth 3 on
-        # (it meets the edge before it, not the first one); the second edge
-        # at depth 2 meets the first and goes with the filter below.
-        cand = meeting(path[-1]) & ~1 & ~blocked_edges
-        if depth >= 2:
-            # past the second edge, an edge that meets the first one is only
-            # tried as a closing edge, and a closing edge holds every
-            # uncovered vertex; the loop below skips every other such edge
-            closers = 0
-            if depth >= 3 and uncovered <= r:
-                closers = all_edges
-                for u in _bits(target & ~union):
-                    closers &= inc[u]
-            cand &= ~first_meets | closers
-        # the children's blocked edges, computed only once a child is entered;
-        # computing them at every node was slower on exhausted searches
-        child_blocked = None
-        for j in _bits(cand):
-            mj = masks[j]
-            closes = depth + 1 >= 4 and (mj & first_mask) and (mj | union) == target
-            # cand spares the blocked vertices inside the first edge, so a
-            # closing edge may meet the second edge; such an edge cannot pass
-            # verify_sharp_cycle, so it is not handed to it
-            if closes and not (mj & masks[path[1]]):
-                cert = CycleCertificate(
-                    hypergraph=H,
-                    kind=KIND_SHARP,
-                    edges=tuple(edge_of_mask(H, masks[i]) for i in path + [j]),
-                )
-                report = verify_sharp_cycle(H, cert)
-                if report.ok and report.hamiltonian:
-                    return cert
-            # the second edge is consecutive to the first; later extensions
-            # must stay disjoint from it until the cycle closes
-            if depth == 1 or not (mj & first_mask):
-                if child_blocked is None:
-                    child_blocked = blocked_edges | _edges_meeting(last_mask & ~first_mask, inc)
-                found = dfs(path + [j], union | mj, child_blocked)
-                if found is not None:
-                    return found
-        return None
-
-    try:
-        check()
-        found = dfs([0], first_mask, 0)
-    finally:
-        # dfs holds itself through its closure: deleting it frees the index
-        # and the memo now, not at the next full garbage collection
-        del dfs
-    if found is not None:
-        return SharpSearchResult("found", found, nodes)
+        if depth >= max_len or uncovered > (max_len - depth) * (r - 1):
+            path.pop()
+        else:
+            # edges other than the first that meet the last edge and avoid
+            # the blocked vertices outside the first edge.  No path edge is
+            # left: each edge between the first and the last has a blocked
+            # vertex outside the first edge, and so has the last edge from
+            # depth 3 on (it meets the edge before it, not the first one);
+            # the second edge at depth 2 meets the first and goes with the
+            # filter below.
+            cand = _edges_meeting(masks[j], inc) & ~1 & ~blocked
+            if depth >= 2:
+                # past the second edge, an edge that meets the first one is
+                # only tried as a closing edge, and a closing edge holds every
+                # uncovered vertex; the loop below skips every other such edge
+                closers = 0
+                if depth >= 3 and uncovered <= r:
+                    closers = all_edges
+                    for u in _bits(target & ~union):
+                        closers &= inc[u]
+                cand &= ~first_meets | closers
+            frames.append([union, blocked, _bits(cand), None])
+        # the next path to enter: the next candidate of the deepest frame
+        # that has one
+        j = None
+        while frames and j is None:
+            frame = frames[-1]
+            union, blocked, cands, child_blocked = frame
+            depth = len(path)
+            for j in cands:
+                mj = masks[j]
+                closes = depth + 1 >= 4 and (mj & first_mask) and (mj | union) == target
+                # cand spares the blocked vertices inside the first edge, so
+                # a closing edge may meet the second edge; such an edge cannot
+                # pass verify_sharp_cycle, so it is not handed to it
+                if closes and not (mj & masks[path[1]]):
+                    cert = CycleCertificate(
+                        hypergraph=H, kind=KIND_SHARP, edges=tuple(edges[i] for i in path + [j])
+                    )
+                    report = verify_sharp_cycle(H, cert)
+                    if report.ok and report.hamiltonian:
+                        return SharpSearchResult("found", cert, nodes)
+                # the second edge is consecutive to the first; later
+                # extensions must stay disjoint from it until the cycle closes
+                if depth == 1 or not (mj & first_mask):
+                    # computed only once a child is entered; computing it at
+                    # every node was slower on exhausted searches
+                    if child_blocked is None:
+                        child_blocked = blocked | _edges_meeting(masks[path[-1]] & ~first_mask, inc)
+                        frame[3] = child_blocked
+                    union, blocked = union | mj, child_blocked
+                    break
+            else:
+                j = None
+                frames.pop()
+                path.pop()
     return SharpSearchResult("exhausted", nodes=nodes)

@@ -33,17 +33,18 @@ def outcome(stage, H, edges):
 
 @st.composite
 def odd_vertex(draw, v, H):
-    """v with one change: an odd coordinate, a list, a 1- or 3-tuple."""
+    """v with one change: an odd coordinate, a list, a 1- or 3-tuple.  v may
+    already be changed by an earlier draw: a list, or a 1- or 3-tuple."""
     kind = draw(st.sampled_from(["coordinate"] * 3 + ["list", "short", "long"]))
     if kind == "coordinate":
         vs = list(v)
-        vs[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_COORDINATES + [H.n, H.q]))
+        vs[draw(st.integers(0, len(vs) - 1))] = draw(st.sampled_from(ODD_COORDINATES + [H.n, H.q]))
         return tuple(vs)
     if kind == "list":
         return list(v)
     if kind == "short":
         return v[:1]
-    return v + (draw(st.integers(0, 2)),)
+    return tuple(v) + (draw(st.integers(0, 2)),)
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """Differential tests: the oracles against the numpy branch and bound and
-the list-scan DFS in helpers.py, the edge enumeration and the edge masks
-against the enumeration that re-sorts at every node, and the sharp search's
-bitset index against the one built pair by pair.  The max-matching oracle
+the list-scan DFS in helpers.py, the edge enumeration against the one that
+re-sorts at every node, and the sharp search's bitset index against the one
+built with a bytearray per edge and per vertex.  The max-matching oracle
 searches class loads, the reference every edge, so their trees differ: they
 agree on refusals and exact answers, and a reference cut by the budget finds
 no larger matching.  The sharp search starts from edge 0 only, the reference
@@ -9,8 +9,10 @@ from every edge in turn; the symmetry that makes the two agree is tested on
 its own."""
 
 import gc
+import inspect
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,6 @@ from sigmacycles import (
 )
 from sigmacycles import core, verify
 from sigmacycles.errors import BudgetExceeded, NoEdgesError
-from sigmacycles.core import edge_masks, edge_of_mask
 from sigmacycles.verify import MaxMatchingResult, _edge_bitsets
 
 SETTINGS = settings(deadline=None, max_examples=300)
@@ -137,7 +138,7 @@ def test_pinned_max_matching_states():
         brute_force_max_matching(make_hypergraph(n, q, Partition(sigma))).nodes
         for sigma, n, q, _ in PINNED_MATCHING
     ]
-    assert states == [2, 6, 4, 8, 3, 5, 3, 4, 4, 4, 2, 4, 3]
+    assert states == [2, 6, 4, 5, 3, 5, 3, 4, 4, 4, 2, 4, 3]
 
 
 @pytest.mark.parametrize("sigma, n, q, max_len, status", PINNED_SHARP)
@@ -166,7 +167,7 @@ def test_benchmark_matching_trees(sigma, n, q, nu, nodes):
         # more edges than the budget: both refuse before the search
         ((3, 3, 3), 5, 5, 10, "budget"),
         # 600 edges, 5803 reference nodes: the reference stops mid-tree,
-        # inexact, below that budget; the oracle's 8 states fit every one
+        # inexact, below that budget; the oracle's 5 states fit every one
         ((2, 2), 4, 5, 1000, False),
         ((2, 2), 4, 5, 5802, False),
         ((2, 2), 4, 5, 5803, True),
@@ -178,17 +179,17 @@ def test_max_matching_budget_cut(sigma, n, q, budget, expected):
     ref = matching_outcome(reference_brute_force_max_matching, H, budget)
     assert (ref[0] if expected == "budget" else ref[1]) == expected
     if expected != "budget":
-        assert got == (4, True, 8)
+        assert got == (4, True, 5)
 
 
-@pytest.mark.parametrize("budget", [1, 21, 200, 641])
+@pytest.mark.parametrize("budget", [1, 5, 10, 20])
 def test_max_matching_cut_by_its_budget(monkeypatch, budget):
     # 84,700 edges, so every budget below that is refused before the search;
     # lifting that refusal reaches the class-load search's own cut.  It needs
-    # 642 states: the first greedy descent finds 20 copies, the rest rule out
-    # 21 and 22 = floor(nq/r).
+    # 21 states: the first greedy descent finds 20 copies, which is the root's
+    # ceiling, since every class load is even: 8 * 10 // 4 = 20.
     H = make_hypergraph(8, 11, Partition((2, 2)))
-    assert brute_force_max_matching(H, budget=edge_count(H)) == MaxMatchingResult(20, True, 642)
+    assert brute_force_max_matching(H, budget=edge_count(H)) == MaxMatchingResult(20, True, 21)
     monkeypatch.setattr(verify, "edge_count", lambda H: 0)
     result = brute_force_max_matching(H, budget=budget)
     assert not result.exact and result.nodes == budget + 1
@@ -216,13 +217,15 @@ def test_max_matching_beyond_brute_force(sigma, n, q, budget, nu):
 
 
 def test_max_matching_builds_no_index(monkeypatch):
-    # the class-load search reads only n, q and sigma: no edge masks, no
-    # vertex -> edge bitsets
-    def refuse(H):
+    # the class-load search reads only n, q and sigma: no enumerated edge, no
+    # Edge, no vertex -> edge bitsets
+    def refuse(arg):
         raise AssertionError("the max-matching oracle built an edge index")
 
-    monkeypatch.setattr(verify, "edge_masks", refuse)
+    monkeypatch.setattr(verify, "enumerate_edges", refuse)
     monkeypatch.setattr(verify, "_edge_bitsets", refuse)
+    monkeypatch.setattr(core, "Edge", refuse)
+    monkeypatch.setattr(verify, "Edge", refuse)
     assert brute_force_max_matching(make_hypergraph(4, 6, Partition((2, 2, 2)))).nu == 4
 
 
@@ -248,6 +251,29 @@ def test_sharp_exists_reports_nodes():
         brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes - 1)
 
 
+@pytest.mark.parametrize(
+    "sigma, n, q, max_len, status, nodes",
+    [
+        ((2, 2), 3, 6, 10, "found", 2946),
+        ((2, 2), 3, 4, 6, "found", 309),
+        ((3, 3), 3, 4, 6, "exhausted", 49),
+    ],
+)
+@pytest.mark.parametrize("short", [0, 1])
+def test_sharp_exists_budget_at_its_node_count(sigma, n, q, max_len, status, nodes, short):
+    # the stack of frames counts nodes as the recursion did: a budget of
+    # exactly the node count gives the same answer, one less raises, and the
+    # reference agrees at both.  Each tree has at least as many nodes as H
+    # has edges, so no budget here is refused before the search
+    H = make_hypergraph(n, q, Partition(sigma))
+    assert edge_count(H) <= nodes - 1
+    got = assert_same_sharp(H, max_len, nodes - short)
+    if short:
+        assert got == ("budget", f"search budget {nodes - 1} exhausted")
+    else:
+        assert got[0] == status and got[2] == nodes
+
+
 def test_sharp_exists_searches_from_edge_zero_only():
     # 120,000 edges and no cycle within 12 edges: the coverage bound prunes
     # edge 0's tree at its root, so 2 nodes decide what a search from every
@@ -257,6 +283,19 @@ def test_sharp_exists_searches_from_edge_zero_only():
     result = brute_force_sharp_hamiltonian_exists(H, 12)
     assert (result.status, result.nodes) == ("exhausted", 2)
     assert brute_force_sharp_hamiltonian_exists(H, 12, budget=120_000).status == "exhausted"
+
+
+def test_sharp_exists_deeper_than_the_recursion_limit():
+    # the search keeps one frame per path edge on its own stack, so a
+    # 200-edge cycle needs no Python frame per edge
+    H = make_hypergraph(2, 100, Partition((1, 1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        result = brute_force_sharp_hamiltonian_exists(H, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.status == "found" and len(result.certificate.edges) == 200
 
 
 # Sharp-existence answers just outside the theorem's hypotheses (n >= s+1 and
@@ -385,61 +424,32 @@ def test_edge_bitsets_match_reference(sigma, n, q, q_is_largest_part):
     H = hypergraph(sigma, n, sigma[0] if q_is_largest_part else q)
     if H is None:
         return
-    edges, masks, inc = reference_edge_bitsets(H)
-    got = _edge_bitsets(H)
-    assert got == (masks, inc)
-    # each mask decodes to the reference edge at its position: the edge
-    # order is checked, and so is the decoding the sharp search uses
-    assert [edge_of_mask(H, mask) for mask in got[0]] == edges
+    # the edges too, so their order is checked against the reference's
+    assert _edge_bitsets(H) == reference_edge_bitsets(H)
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    sigma=st.sampled_from(SIGMAS),
-    n=st.integers(1, 6),
-    q=st.integers(1, 6),
-    q_is_largest_part=st.booleans(),
-)
-@example(sigma=(1,), n=3, q=1, q_is_largest_part=True)
-@example(sigma=(2, 2), n=4, q=2, q_is_largest_part=True)
-def test_edge_masks_match_reference(sigma, n, q, q_is_largest_part):
-    H = hypergraph(sigma, n, sigma[0] if q_is_largest_part else q)
-    if H is None or edge_count(H) > 20_000:
-        return
-    vindex = {v: i for i, v in enumerate(H.vertices())}
-    expected = [sum(1 << vindex[v] for v in e.vertices) for e in reference_enumerate_edges(H)]
-    assert edge_masks(H) == expected
-
-
-def test_oracles_build_edges_only_for_checked_cycles(monkeypatch):
-    # the index comes from edge masks: max-matching builds no Edge at all, and
-    # the sharp search builds only the edges of the cycles it hands to
-    # verify_sharp_cycle, never one per enumerated edge
+def test_oracles_build_edges_only_by_enumeration(monkeypatch):
+    # max-matching builds no Edge at all; the sharp search builds one per
+    # enumerated edge, and its certificate reuses those, decoding nothing
     built = []
-    checked = []
     real_edge = core.Edge
-    real_verify = verify.verify_sharp_cycle
 
     def counted_edge(vertices):
-        built.append(vertices)
-        return real_edge(vertices)
-
-    def recording_verify(H, cert):
-        checked.extend(e.vertices for e in cert.edges)
-        return real_verify(H, cert)
+        edge = real_edge(vertices)
+        built.append(edge)
+        return edge
 
     monkeypatch.setattr(core, "Edge", counted_edge)
     monkeypatch.setattr(verify, "Edge", counted_edge)
-    monkeypatch.setattr(verify, "verify_sharp_cycle", recording_verify)
     H = make_hypergraph(4, 6, Partition((2, 2, 2)))
     assert brute_force_max_matching(H).nu == 4
     assert built == []
     H = make_hypergraph(3, 6, Partition((2, 1)))
-    assert edge_count(H) == 540
     result = brute_force_sharp_hamiltonian_exists(H, 12)
     assert result.status == "found"
-    assert built and built == checked
-    assert result.certificate.edges == tuple(map(Edge, checked[-len(result.certificate.edges):]))
+    assert len(built) == edge_count(H) == 540
+    ids = set(map(id, built))
+    assert all(id(e) in ids for e in result.certificate.edges)
 
 
 def test_enumeration_is_lazy(monkeypatch):
@@ -463,9 +473,8 @@ def test_enumeration_is_lazy(monkeypatch):
 
 
 def test_oracles_free_their_index_on_return():
-    # each search closure refers to itself; unless the oracle breaks that
-    # cycle, its index (one mask per edge) and the sharp search's memo wait
-    # for the cyclic garbage collector, and peak memory creeps up over calls
+    # an index caught in a reference cycle (one mask per edge) would wait for
+    # the cyclic garbage collector, and peak memory would creep up over calls
     H = make_hypergraph(3, 6, Partition((2, 1)))
     m = edge_count(H)
     enabled = gc.isenabled()
@@ -486,28 +495,16 @@ def test_oracles_free_their_index_on_return():
 
 def test_edge_runs_leave_no_reference_cycle():
     # the run recursion is a module-level function, not a closure that refers
-    # to itself, so neither edge_masks nor enumerate_edges (run to the end or
-    # dropped midway) leaves its generators or row choices to the collector
+    # to itself, so enumerate_edges (run to the end or dropped midway) leaves
+    # neither its generators nor its row choices to the collector
     H = make_hypergraph(4, 6, Partition((2, 2, 2)))
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        edge_masks(H)
         list(enumerate_edges(H))
         next(enumerate_edges(H))
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
-
-
-@pytest.mark.parametrize("cap_edges", [0, 1, 5])
-@pytest.mark.parametrize("sigma, n, q, max_len, budget", [((2, 2), 3, 6, 10, 1000), ((3, 3), 3, 4, 6, 2000)])
-def test_sharp_exists_with_a_full_memo(monkeypatch, cap_edges, sigma, n, q, max_len, budget):
-    # the memo of the edges meeting each edge is capped in bits; once it is
-    # full the search recomputes instead, and walks the same tree
-    H = make_hypergraph(n, q, Partition(sigma))
-    uncapped = sharp_outcome(brute_force_sharp_hamiltonian_exists, H, max_len, budget)
-    monkeypatch.setattr(verify, "_MEETS_MEMO_BITS", cap_edges * edge_count(H))
-    assert assert_same_sharp(H, max_len, budget) == uncapped
