@@ -5,7 +5,6 @@ from .certificates import (
     KIND_K_INTERSECTING,
     KIND_SHARP,
     CycleCertificate,
-    Matching,
     SharpnessProfile,
 )
 from .construct import (
@@ -40,11 +39,9 @@ from .errors import (
     QNotRepresentable,
 )
 from .verify import (
-    BoundsReport,
     MaxMatchingResult,
     SharpSearchResult,
     VerificationReport,
-    bounds_report,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
     matching_upper_bound,

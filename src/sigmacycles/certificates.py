@@ -1,4 +1,4 @@
-"""Certificate and matching value types shared by constructors and verifiers."""
+"""Certificate value types shared by constructors and verifiers."""
 
 from __future__ import annotations
 
@@ -11,21 +11,6 @@ KIND_BERGE = "berge"
 KIND_SHARP = "sharp"
 KIND_K_INTERSECTING = "k-intersecting"
 KINDS = (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges (disjointness not enforced
-    here; see verify.verify_matching)."""
-
-    edges: tuple[Edge, ...]
-
-    @property
-    def covered(self) -> frozenset[GridVertex]:
-        return frozenset(v for e in self.edges for v in e.vertices)
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -76,6 +61,3 @@ class CycleCertificate:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown cycle kind {self.kind!r}")
-
-    def covered(self) -> frozenset[GridVertex]:
-        return frozenset(v for e in self.edges for v in e.vertices)

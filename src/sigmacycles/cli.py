@@ -30,10 +30,11 @@ from .construct import (
 from .core import SigmaHypergraph, edge_count, enumerate_edges, make_hypergraph, parse_partition
 from .errors import BudgetExceeded, CertificateParseError, ConstructionError
 from .verify import (
-    bounds_report,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
+    matching_upper_bound,
     sharp_cycle_bounds,
+    sharp_nonexistence_test,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_sharp_cycle,
@@ -104,16 +105,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     H = _hypergraph(args)
-    rep = bounds_report(H, nu=args.nu)
+    # both raise ValueError (r < 2 first, then nu < 0) before anything prints
+    lower, upper = sharp_cycle_bounds(H)
+    refutes = None if args.nu is None else sharp_nonexistence_test(H, args.nu)
     print(f"vertices: {H.vertex_count}")
-    print(f"sharp cycle edge-count window: [{rep.sharp_edge_lower}, {rep.sharp_edge_upper}]")
-    if rep.nu_upper is not None:
-        print(f"unmatched vertices >= {rep.unmatched_lower}")
-        print(f"max matching <= {rep.nu_upper}")
+    print(f"sharp cycle edge-count window: [{lower}, {upper}]")
+    matching = matching_upper_bound(H)
+    if matching is not None:
+        print(f"unmatched vertices >= {matching[0]}")
+        print(f"max matching <= {matching[1]}")
     else:
         print("max matching bound: not applicable (gcd < 2 or q divisible by gcd)")
-    if args.nu is not None:
-        print("REFUTES-SHARP-HC" if rep.nonexistence_fired else "INCONCLUSIVE")
+    if refutes is not None:
+        print("REFUTES-SHARP-HC" if refutes else "INCONCLUSIVE")
     return EXIT_OK
 
 

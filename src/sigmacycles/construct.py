@@ -18,7 +18,6 @@ from .certificates import (
     KIND_K_INTERSECTING,
     KIND_SHARP,
     CycleCertificate,
-    Matching,
 )
 from .core import Edge, GridVertex, SigmaHypergraph, edge_count
 from .errors import (
@@ -81,11 +80,14 @@ def _diagonal_edge(H: SigmaHypergraph, block_start_row: int, j: int) -> Edge:
     )
 
 
-def diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_height: int) -> Matching:
-    """n pairwise-disjoint edges placed diagonally: edge j takes its i-th part
-    from class j+i (mod n), covering the block's top r x n subgrid."""
+def diagonal_matching(
+    H: SigmaHypergraph, block_start_row: int, block_height: int
+) -> tuple[Edge, ...]:
+    """The n pairwise-disjoint edges, as a tuple, placed diagonally: edge j
+    takes its i-th part from class j+i (mod n), covering the block's top
+    r x n subgrid."""
     _check_block(H, block_start_row, block_height)
-    return Matching(tuple(_diagonal_edge(H, block_start_row, j) for j in range(H.n)))
+    return tuple(_diagonal_edge(H, block_start_row, j) for j in range(H.n))
 
 
 def _shifted_edge(
@@ -109,8 +111,9 @@ def _shifted_edge(
 
 def shifted_matching(
     H: SigmaHypergraph, block_start_row: int, block_height: int, p: int
-) -> Matching:
-    """The companion matching to diagonal_matching under split index p."""
+) -> tuple[Edge, ...]:
+    """The companion matching to diagonal_matching under split index p, as a
+    tuple of n edges."""
     _check_block(H, block_start_row, block_height)
     s = H.sigma.s
     if not 1 <= p < s:
@@ -118,7 +121,7 @@ def shifted_matching(
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
     b, h, n = block_start_row, block_height, H.n
-    return Matching(tuple(_shifted_edge(H, b, h, j, p, b, (j + 1) % n) for j in range(n)))
+    return tuple(_shifted_edge(H, b, h, j, p, b, (j + 1) % n) for j in range(n))
 
 
 def _blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
 There is one such index, core.incidence: the verifiers, export.render_dot
 and the sharp brute-force oracle all read it.  The oracle builds it over
 core.enumerate_edges, all edges of H, and holds it as int bitsets
-(_edge_bitsets).  The sharp search starts from edge 0 only: permuting the
+(_edge_bitsets), unless max_len is too short to cover the grid from edge 0.  The sharp search starts from edge 0 only: permuting the
 classes and the rows within each class maps H onto itself and any edge onto
 any other, so a sharp Hamiltonian cycle exists if and only if one passes
 through edge 0.  It carries the edges through blocked vertices down its
@@ -305,17 +305,6 @@ def verify_matching(H: SigmaHypergraph, edges: Iterable[Edge]) -> bool:
 # Bounds
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Matching and sharp-cycle bounds, exact rationals throughout."""
-
-    nu_upper: Optional[Fraction]
-    unmatched_lower: Optional[int]
-    sharp_edge_lower: Fraction
-    sharp_edge_upper: Fraction
-    nonexistence_fired: Optional[bool] = None
-
-
 def matching_upper_bound(H: SigmaHypergraph) -> Optional[tuple[int, Fraction]]:
     """When d = gcd(sigma) >= 2 and t = q mod d >= 1, at least t*n vertices
     stay unmatched, so the maximum matching is at most n(q-t)/r.
@@ -346,20 +335,6 @@ def sharp_nonexistence_test(H: SigmaHypergraph, nu: int) -> bool:
     if nu < 0:
         raise ValueError(f"matching size nu must be >= 0, got {nu}")
     return 2 * nu + 1 < sharp_cycle_bounds(H)[0]
-
-
-def bounds_report(H: SigmaHypergraph, nu: Optional[int] = None) -> BoundsReport:
-    """All bounds for H; with nu, also the nonexistence test (ValueError for nu < 0)."""
-    frag = matching_upper_bound(H)
-    lower, upper = sharp_cycle_bounds(H)
-    fired = sharp_nonexistence_test(H, nu) if nu is not None else None
-    return BoundsReport(
-        nu_upper=frag[1] if frag else None,
-        unmatched_lower=frag[0] if frag else None,
-        sharp_edge_lower=lower,
-        sharp_edge_upper=upper,
-        nonexistence_fired=fired,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +498,12 @@ def brute_force_sharp_hamiltonian_exists(
     sharp_cycle_bounds), "exhausted" proves that no sharp Hamiltonian cycle
     exists.  Any cycle found is re-checked by verify_sharp_cycle before it is
     returned.
-    The extensions of a path are read off int bitsets over the edges (see
-    _edge_bitsets), in ascending edge order.  The search runs on an explicit
-    stack, one frame per path edge, so max_len is not bounded by the
-    recursion limit.
+    When the coverage bound already prunes edge 0 alone (max_len too short
+    to cover the grid from it), the answer is "exhausted" and no edge index
+    is built.  Otherwise the extensions of a path are read off int bitsets
+    over the edges (see _edge_bitsets), in ascending edge order.  The search
+    runs on an explicit stack, one frame per path edge that has candidates,
+    so max_len is not bounded by the recursion limit.
     The result carries the number of search nodes: the empty path and every
     path entered.  Raises BudgetExceeded when the node budget runs out, and
     ValueError when max_len or budget is negative.
@@ -536,22 +513,29 @@ def brute_force_sharp_hamiltonian_exists(
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    edges, masks, inc = _edge_bitsets(H)
+    # the root, edge 0, is the second node; it leaves nq - r vertices
+    # uncovered, and when the coverage bound prunes it the answer needs no
+    # edge index
+    if budget < 2:
+        raise BudgetExceeded(f"search budget {budget} exhausted")
     nq, r = H.vertex_count, H.r
+    if max_len <= 1 or nq - r > (max_len - 1) * (r - 1):
+        return SharpSearchResult("exhausted", nodes=2)
+    edges, masks, inc = _edge_bitsets(H)
     target = (1 << nq) - 1
     # every path starts at edge 0 (see the docstring)
     first_mask = masks[0]
     first_meets = _edges_meeting(first_mask, inc)
     all_edges = (1 << len(masks)) - 1
-    # the edges of the path; frames[i] belongs to the path path[: i + 1]
+    # the edges of the path
     path: list[int] = []
-    # one frame per path edge: [union, blocked edges, the candidates left
-    # (an iterator), the children's blocked edges or None].  The blocked
-    # edges go through a vertex outside the first edge that a path edge
-    # other than the last one holds.  A new edge must avoid those vertices,
+    # one frame per path edge that has candidates: (union, the candidates
+    # left (an iterator), the children's blocked edges).  The blocked edges
+    # go through a vertex outside the first edge that a path edge other
+    # than the last one holds.  A new edge must avoid those vertices,
     # intersect the last edge, and (unless it closes the cycle) avoid the
     # first edge as well.
-    frames: list[list] = []
+    frames: list[tuple[int, Iterator[int], int]] = []
     nodes = 1  # the empty path, whose one child is edge 0
     j, union, blocked = 0, first_mask, 0
     while j is not None:
@@ -562,9 +546,8 @@ def brute_force_sharp_hamiltonian_exists(
         path.append(j)
         depth = len(path)
         uncovered = nq - bin(union).count("1")
-        if depth >= max_len or uncovered > (max_len - depth) * (r - 1):
-            path.pop()
-        else:
+        cand = 0
+        if depth < max_len and uncovered <= (max_len - depth) * (r - 1):
             # edges other than the first that meet the last edge and avoid
             # the blocked vertices outside the first edge.  No path edge is
             # left: each edge between the first and the last has a blocked
@@ -583,37 +566,37 @@ def brute_force_sharp_hamiltonian_exists(
                     for u in _bits(target & ~union):
                         closers &= inc[u]
                 cand &= ~first_meets | closers
-            frames.append([union, blocked, _bits(cand), None])
+        if cand:
+            child_blocked = blocked | _edges_meeting(masks[j] & ~first_mask, inc)
+            frames.append((union, _bits(cand), child_blocked))
+        else:
+            path.pop()
         # the next path to enter: the next candidate of the deepest frame
         # that has one
         j = None
         while frames and j is None:
-            frame = frames[-1]
-            union, blocked, cands, child_blocked = frame
+            union, cands, child_blocked = frames[-1]
             depth = len(path)
             for j in cands:
                 mj = masks[j]
-                closes = depth + 1 >= 4 and (mj & first_mask) and (mj | union) == target
-                # cand spares the blocked vertices inside the first edge, so
-                # a closing edge may meet the second edge; such an edge cannot
-                # pass verify_sharp_cycle, so it is not handed to it
-                if closes and not (mj & masks[path[1]]):
+                # the second edge is consecutive to the first; later
+                # extensions must stay disjoint from it until the cycle closes
+                if depth == 1 or not (mj & first_mask):
+                    union, blocked = union | mj, child_blocked
+                    break
+                # a closing edge: the filter above admits an edge that meets
+                # the first one only from depth 3 on, and only when it holds
+                # every uncovered vertex.  cand spares the blocked vertices
+                # inside the first edge, so a closing edge may meet the second
+                # edge; such an edge cannot pass verify_sharp_cycle, so it is
+                # not handed to it
+                if not (mj & masks[path[1]]):
                     cert = CycleCertificate(
                         hypergraph=H, kind=KIND_SHARP, edges=tuple(edges[i] for i in path + [j])
                     )
                     report = verify_sharp_cycle(H, cert)
                     if report.ok and report.hamiltonian:
                         return SharpSearchResult("found", cert, nodes)
-                # the second edge is consecutive to the first; later
-                # extensions must stay disjoint from it until the cycle closes
-                if depth == 1 or not (mj & first_mask):
-                    # computed only once a child is entered; computing it at
-                    # every node was slower on exhausted searches
-                    if child_blocked is None:
-                        child_blocked = blocked | _edges_meeting(masks[path[-1]] & ~first_mask, inc)
-                        frame[3] = child_blocked
-                    union, blocked = union | mj, child_blocked
-                    break
             else:
                 j = None
                 frames.pop()

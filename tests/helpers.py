@@ -9,7 +9,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
-from sigmacycles.certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP, KINDS, Matching
+from sigmacycles.certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP, KINDS
 from sigmacycles.construct import _blocks, _check_block, _part_vertices, frobenius_decompose
 from sigmacycles.core import (
     GridVertex,
@@ -535,7 +535,9 @@ def reference_brute_force_sharp_hamiltonian_exists(
 # must give byte-identical certificates and the same exceptions.
 
 
-def reference_diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_height: int) -> Matching:
+def reference_diagonal_matching(
+    H: SigmaHypergraph, block_start_row: int, block_height: int
+) -> tuple[Edge, ...]:
     _check_block(H, block_start_row, block_height)
     s = H.sigma.s
     if H.n < s:
@@ -546,7 +548,7 @@ def reference_diagonal_matching(H: SigmaHypergraph, block_start_row: int, block_
         for i in range(s):
             vs += _part_vertices(H, block_start_row, j, i)
         edges.append(Edge.of(vs))
-    return Matching(tuple(edges))
+    return tuple(edges)
 
 
 def reference_shifted_edge(
@@ -577,17 +579,16 @@ def reference_shifted_edge(
 
 def reference_shifted_matching(
     H: SigmaHypergraph, block_start_row: int, block_height: int, p: int
-) -> Matching:
+) -> tuple[Edge, ...]:
     _check_block(H, block_start_row, block_height)
     s = H.sigma.s
     if not 1 <= p < s:
         raise ValueError(f"split index must satisfy 1 <= p < s={s}")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
-    edges = tuple(
+    return tuple(
         reference_shifted_edge(H, block_start_row, block_height, j, p) for j in range(H.n)
     )
-    return Matching(edges)
 
 
 def reference_resolve_split(H: SigmaHypergraph, p: int, y: int) -> int:

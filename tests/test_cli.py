@@ -238,10 +238,12 @@ class TestBounds:
         assert "12 edges" in out
 
     def test_uniform_r1_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "bounds", "--sigma", "1", "--n", "3", "--q", "3")
-        assert code == 2
-        assert out == ""
-        assert "bounds: sharp cycle bounds need r >= 2, got r=1" in err
+        # the r message wins over a negative nu, and nothing is printed first
+        for nu in ([], ["--nu", "-1"]):
+            code, out, err = run(capsys, "bounds", "--sigma", "1", "--n", "3", "--q", "3", *nu)
+            assert code == 2
+            assert out == ""
+            assert "bounds: sharp cycle bounds need r >= 2, got r=1" in err
 
     def test_matching_bound(self, capsys):
         code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "2", "--q", "3")

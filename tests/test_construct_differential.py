@@ -48,7 +48,7 @@ def outcome(build, *args):
 
 def matching_outcome(build, *args):
     try:
-        return "ok", build(*args).edges
+        return "ok", build(*args)
     except (ConstructionError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 

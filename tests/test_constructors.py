@@ -36,20 +36,21 @@ class TestDiagonalMatching:
     def test_edge_layout(self):
         H = make_hypergraph(3, 3, parse_partition("2,1"))
         m = diagonal_matching(H, 0, 3)
-        assert m.edges[0].vertex_set() == {(0, 0), (0, 1), (1, 2)}
-        assert m.edges[1].vertex_set() == {(1, 0), (1, 1), (2, 2)}
-        assert m.edges[2].vertex_set() == {(2, 0), (2, 1), (0, 2)}
+        assert m[0].vertex_set() == {(0, 0), (0, 1), (1, 2)}
+        assert m[1].vertex_set() == {(1, 0), (1, 1), (2, 2)}
+        assert m[2].vertex_set() == {(2, 0), (2, 1), (0, 2)}
 
     def test_covers_block(self):
         H = make_hypergraph(3, 3, parse_partition("2,1"))
         m = diagonal_matching(H, 0, 3)
-        assert m.covered == {(c, row) for c in range(3) for row in range(3)}
-        assert verify_matching(H, m.edges)
+        covered = {v for e in m for v in e.vertices}
+        assert covered == {(c, row) for c in range(3) for row in range(3)}
+        assert verify_matching(H, m)
 
     def test_offset_block(self):
         H = make_hypergraph(3, 6, parse_partition("2,1"))
         m = diagonal_matching(H, 3, 3)
-        assert m.edges[0].vertex_set() == {(0, 3), (0, 4), (1, 5)}
+        assert m[0].vertex_set() == {(0, 3), (0, 4), (1, 5)}
 
     def test_block_out_of_range(self):
         H = make_hypergraph(3, 3, parse_partition("2,1"))
@@ -62,20 +63,20 @@ class TestShiftedMatching:
         H = make_hypergraph(3, 3, parse_partition("2,1"))
         diag = diagonal_matching(H, 0, 3)
         star = shifted_matching(H, 0, 3, p=1)
-        assert star.edges[0].vertex_set() == {(0, 0), (0, 1), (2, 2)}
-        assert len(diag.edges[0].vertex_set() & star.edges[0].vertex_set()) == 2
-        assert len(star.edges[0].vertex_set() & diag.edges[1].vertex_set()) == 1
-        assert verify_matching(H, star.edges)
-        assert all(s != d for s in star.edges for d in diag.edges)
+        assert star[0].vertex_set() == {(0, 0), (0, 1), (2, 2)}
+        assert len(diag[0].vertex_set() & star[0].vertex_set()) == 2
+        assert len(star[0].vertex_set() & diag[1].vertex_set()) == 1
+        assert verify_matching(H, star)
+        assert all(s != d for s in star for d in diag)
 
     def test_tall_block_swaps_first_part_row(self):
         H = make_hypergraph(3, 4, parse_partition("2,1"))
         diag = diagonal_matching(H, 0, 4)
         star = shifted_matching(H, 0, 4, p=1)
-        assert star.edges[0].vertex_set() == {(0, 0), (0, 3), (2, 2)}
-        assert len(diag.edges[0].vertex_set() & star.edges[0].vertex_set()) == 1
+        assert star[0].vertex_set() == {(0, 0), (0, 3), (2, 2)}
+        assert len(diag[0].vertex_set() & star[0].vertex_set()) == 1
         # the swap makes the matching cover the block's extra row
-        assert (diag.covered | star.covered) >= {(c, 3) for c in range(3)}
+        assert {v for e in diag + star for v in e.vertices} >= {(c, 3) for c in range(3)}
 
     def test_requires_extra_class(self):
         H = make_hypergraph(2, 3, parse_partition("2,1"))
@@ -188,7 +189,7 @@ class TestSharpConstructor:
         cert = construct_sharp_hamiltonian(H, p=1)
         assert len(cert.edges) == 12
         assert (cert.claimed_t, cert.claimed_z) == (2, 1)
-        assert len(cert.covered()) == 18
+        assert len({v for e in cert.edges for v in e.vertices}) == 18
         report = verify_sharp_cycle(H, cert)
         assert report.ok and report.hamiltonian
 
@@ -197,7 +198,7 @@ class TestSharpConstructor:
         cert = construct_sharp_hamiltonian(H, p=1)
         assert len(cert.edges) == 6
         assert (cert.claimed_t, cert.claimed_z) == (1, 2)
-        assert len(cert.covered()) == 15
+        assert len({v for e in cert.edges for v in e.vertices}) == 15
 
     def test_n_too_small(self):
         with pytest.raises(NTooSmall):

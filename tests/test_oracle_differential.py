@@ -285,6 +285,20 @@ def test_sharp_exists_searches_from_edge_zero_only():
     assert brute_force_sharp_hamiltonian_exists(H, 12, budget=120_000).status == "exhausted"
 
 
+def test_sharp_exists_prunes_the_root_without_an_index(monkeypatch):
+    # edge 0 leaves 97 vertices uncovered and 11 more edges cover at most 22,
+    # so the answer comes before any vertex -> edge bitset is built; a budget
+    # below the root's 2 nodes still raises
+    def refuse(H):
+        raise AssertionError("the sharp oracle built an edge index")
+
+    monkeypatch.setattr(verify, "_edge_bitsets", refuse)
+    result = brute_force_sharp_hamiltonian_exists(make_hypergraph(10, 10, Partition((1, 1, 1))), 12)
+    assert (result.status, result.nodes) == ("exhausted", 2)
+    with pytest.raises(BudgetExceeded, match="search budget 1 exhausted"):
+        brute_force_sharp_hamiltonian_exists(make_hypergraph(1, 1, Partition((1,))), 12, budget=1)
+
+
 def test_sharp_exists_deeper_than_the_recursion_limit():
     # the search keeps one frame per path edge on its own stack, so a
     # 200-edge cycle needs no Python frame per edge

@@ -8,7 +8,6 @@ import pytest
 from sigmacycles import (
     BudgetExceeded,
     Edge,
-    bounds_report,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
     construct_berge_hamiltonian,
@@ -108,7 +107,7 @@ class TestKIntersectingVerifier:
 class TestVerifyMatching:
     def test_diagonal_matching_passes(self):
         h = H(3, 3, "2,1")
-        assert verify_matching(h, diagonal_matching(h, 0, 3).edges)
+        assert verify_matching(h, diagonal_matching(h, 0, 3))
 
     def test_shared_vertex_fails(self):
         h = H(3, 3, "2,1")
@@ -151,8 +150,6 @@ class TestBounds:
             sharp_cycle_bounds(h)
         with pytest.raises(ValueError, match="r >= 2"):
             sharp_nonexistence_test(h, 1)
-        with pytest.raises(ValueError, match="r >= 2"):
-            bounds_report(h)
 
     def test_nonexistence(self):
         assert sharp_nonexistence_test(H(5, 5, "3,3,3"), 1)
@@ -164,22 +161,13 @@ class TestBounds:
         assert Fraction(h.vertex_count, h.r - 1) == 9
         assert not sharp_nonexistence_test(h, 4)
 
-    def test_bounds_report(self):
-        rep = bounds_report(H(5, 5, "3,3,3"), nu=1)
-        assert rep.nonexistence_fired
-        rep = bounds_report(H(3, 6, "2,1"), nu=6)
-        assert not rep.nonexistence_fired
-        assert rep.nu_upper is None
-
     def test_negative_nu_rejected(self):
         # 2*nu + 1 < nq/(r-1) holds for every nu < 0 and would refute a
         # hypergraph that has a sharp Hamiltonian cycle
         h = H(3, 6, "2,1")
         with pytest.raises(ValueError, match="nu must be >= 0"):
             sharp_nonexistence_test(h, -5)
-        with pytest.raises(ValueError, match="nu must be >= 0"):
-            bounds_report(h, nu=-5)
-        assert bounds_report(h, nu=0).nonexistence_fired
+        assert sharp_nonexistence_test(h, 0)
 
 
 class TestMaxMatchingOracle:
