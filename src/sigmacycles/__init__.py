@@ -53,4 +53,10 @@ from .verify import (
     verify_sharp_cycle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imports above also bind the submodules (core, verify, ...) here; they
+# are not part of the star-import surface.
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, type(certificates))
+]

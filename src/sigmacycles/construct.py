@@ -5,12 +5,16 @@ certificate is only returned after the corresponding definition-level
 verifier has accepted it.  Before building an edge they raise ValueError
 when the certificate would hold more vertex slots (edges x r) than the
 export item limit.
+
+The sharp and k-intersecting cycles are block chains.  Each block's
+diagonal parts are computed once (_diagonal_parts), and every chain edge,
+like every edge of the public matchings, is cut from them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
+from itertools import accumulate, chain
 from typing import Sequence
 
 from .certificates import (
@@ -54,17 +58,6 @@ def frobenius_decompose(q: int, r: int) -> tuple[int, int]:
     return x, y
 
 
-def _part_vertices(
-    H: SigmaHypergraph, block_start_row: int, j: int, i: int
-) -> list[GridVertex]:
-    """Vertices of part i of the j-th diagonal edge of a block: part sizes
-    occupy consecutive row segments of the block's top r rows, class shifted
-    i columns right of j."""
-    off = [0, *itertools.accumulate(H.sigma.parts)]
-    cls = (j + i) % H.n
-    return [(cls, block_start_row + row) for row in range(off[i], off[i + 1])]
-
-
 def _check_block(H: SigmaHypergraph, block_start_row: int, block_height: int) -> None:
     r = H.r
     if block_height not in (r, r + 1):
@@ -73,11 +66,17 @@ def _check_block(H: SigmaHypergraph, block_start_row: int, block_height: int) ->
         raise ValueError("block out of range")
 
 
-def _diagonal_edge(H: SigmaHypergraph, block_start_row: int, j: int) -> Edge:
-    """Diagonal edge j of a block: part i from class j+i (mod n)."""
-    return Edge.of(
-        v for i in range(H.sigma.s) for v in _part_vertices(H, block_start_row, j, i)
-    )
+# the s parts of one diagonal edge, each a list of vertices
+_Parts = list[list[GridVertex]]
+
+
+def _diagonal_parts(H: SigmaHypergraph, b: int) -> list[_Parts]:
+    """For each class j, the s parts of diagonal edge j of the block at row b:
+    part i is a run of consecutive rows from the block's top r rows, in class
+    j+i (mod n).  Diagonal edge j is Edge.of(chain(*parts[j]))."""
+    off = [0, *accumulate(H.sigma.parts)]
+    rows = [range(b + off[i], b + off[i + 1]) for i in range(H.sigma.s)]
+    return [[[((j + i) % H.n, row) for row in rs] for i, rs in enumerate(rows)] for j in range(H.n)]
 
 
 def diagonal_matching(
@@ -87,25 +86,18 @@ def diagonal_matching(
     takes its i-th part from class j+i (mod n), covering the block's top
     r x n subgrid."""
     _check_block(H, block_start_row, block_height)
-    return tuple(_diagonal_edge(H, block_start_row, j) for j in range(H.n))
+    return tuple(Edge.of(chain(*parts)) for parts in _diagonal_parts(H, block_start_row))
 
 
-def _shifted_edge(
-    H: SigmaHypergraph, b: int, h: int, j: int, threshold: int, tail_b: int, tail_j: int
-) -> Edge:
-    """Shifted edge of the h-high block at row b: parts before threshold as in
-    diagonal edge j, later parts as in diagonal edge tail_j of the block at
-    row tail_b.  In an (r+1)-high block the first part trades its last row
-    for the block's extra row, so the shifted edges cover that row too."""
-    vs: list[GridVertex] = []
-    for i in range(H.sigma.s):
-        if i >= threshold:
-            vs += _part_vertices(H, tail_b, tail_j, i)
-            continue
-        pv = _part_vertices(H, b, j, i)
-        if i == 0 and h == H.r + 1:
-            pv[-1] = (pv[-1][0], b + H.r)
-        vs += pv
+def _shifted_edge(H: SigmaHypergraph, b: int, h: int, head: _Parts, tail: _Parts, t: int) -> Edge:
+    """Shifted edge of the h-high block at row b: the parts before threshold t
+    from head, the rest from tail.  In an (r+1)-high block the first part
+    trades its last row for the block's extra row, so the shifted edges cover
+    that row too."""
+    vs = list(chain(*head[:t], *tail[t:]))
+    if h == H.r + 1:
+        last = len(head[0]) - 1
+        vs[last] = (vs[last][0], b + H.r)
     return Edge.of(vs)
 
 
@@ -121,7 +113,8 @@ def shifted_matching(
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
     b, h, n = block_start_row, block_height, H.n
-    return tuple(_shifted_edge(H, b, h, j, p, b, (j + 1) % n) for j in range(n))
+    parts = _diagonal_parts(H, b)
+    return tuple(_shifted_edge(H, b, h, parts[j], parts[(j + 1) % n], p) for j in range(n))
 
 
 def _blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:
@@ -157,16 +150,21 @@ def _chain_blocks(
     H: SigmaHypergraph, blocks: list[tuple[int, int]], thresholds: Sequence[int]
 ) -> tuple[Edge, ...]:
     """The block-chain cycle: per block and class j, diagonal edge j followed
-    by one shifted edge per threshold.  The tails of class j come from
-    diagonal edge j+1; those of the last class come from the next block's
-    diagonal edge 0, and the last block wraps to the first."""
+    by one shifted edge per threshold, each cut from the block's diagonal
+    parts.  The tails of class j come from diagonal edge j+1; the next
+    block's diagonal edge 0 follows the last class, and the last block wraps
+    to the first."""
     edges: list[Edge] = []
+    # each block's parts are built once, one block ahead: only the first,
+    # the current and the next block's parts are alive at a time
+    first = nxt = _diagonal_parts(H, blocks[0][0])
     for m, (b, h) in enumerate(blocks):
-        next_b, _ = blocks[(m + 1) % len(blocks)]
+        parts = nxt
+        nxt = _diagonal_parts(H, blocks[m + 1][0]) if m + 1 < len(blocks) else first
+        chained = parts + [nxt[0]]
         for j in range(H.n):
-            tail_b, tail_j = (b, j + 1) if j < H.n - 1 else (next_b, 0)
-            edges.append(_diagonal_edge(H, b, j))
-            edges += [_shifted_edge(H, b, h, j, t, tail_b, tail_j) for t in thresholds]
+            edges.append(Edge.of(chain(*chained[j])))
+            edges += [_shifted_edge(H, b, h, chained[j], chained[j + 1], t) for t in thresholds]
     return tuple(edges)
 
 

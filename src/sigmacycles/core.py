@@ -141,9 +141,6 @@ class Edge:
     def vertex_set(self) -> frozenset[GridVertex]:
         return frozenset(self.vertices)
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def __contains__(self, v: GridVertex) -> bool:
         return v in self.vertices
 

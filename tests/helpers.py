@@ -10,7 +10,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
 from sigmacycles.certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP, KINDS
-from sigmacycles.construct import _blocks, _check_block, _part_vertices, frobenius_decompose
+from sigmacycles.construct import _blocks, _check_block, frobenius_decompose
 from sigmacycles.core import (
     GridVertex,
     Partition,
@@ -533,6 +533,17 @@ def reference_brute_force_sharp_hamiltonian_exists(
 # separately, each with its own (r+1)-block row swap, next-block tail and
 # degeneracy rule.  The single block-chain recipe in sigmacycles.construct
 # must give byte-identical certificates and the same exceptions.
+
+
+def _part_vertices(
+    H: SigmaHypergraph, block_start_row: int, j: int, i: int
+) -> list[GridVertex]:
+    """Vertices of part i of the j-th diagonal edge of a block: part sizes
+    occupy consecutive row segments of the block's top r rows, class shifted
+    i columns right of j."""
+    off = [0, *itertools.accumulate(H.sigma.parts)]
+    cls = (j + i) % H.n
+    return [(cls, block_start_row + row) for row in range(off[i], off[i + 1])]
 
 
 def reference_diagonal_matching(

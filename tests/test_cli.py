@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sigmacycles
-from sigmacycles import export
+from sigmacycles import export, verify
 from sigmacycles.cli import main
 from sigmacycles.certfile import read_certificate
 from test_certfile_differential import BASES, mutate
@@ -339,6 +339,18 @@ class TestOracle:
         assert out == ""
         assert f"oracle: {fragment}" in err
 
+    def test_inexact_max_matching(self, capsys, monkeypatch):
+        # 84,700 edges: the default budget admits them, a budget of 10 is
+        # refused up front unless that refusal is lifted, as here; the
+        # class-load search is then cut after 10 states, in its first
+        # greedy descent
+        monkeypatch.setattr(verify, "edge_count", lambda H: 0)
+        code, out, err = run(
+            capsys, "oracle", "max-matching", "--sigma", "2,2", "--n", "8", "--q", "11",
+            "--budget", "10",
+        )
+        assert (code, out, err) == (0, ">= 10 (inexact, budget exhausted)\n", "")
+
     def test_budget_exit(self, capsys):
         code, _, err = run(
             capsys, "oracle", "max-matching", "--sigma", "3,3,3", "--n", "5", "--q", "5",
@@ -384,6 +396,14 @@ class TestExport:
         assert code == 0
         assert out.startswith("<svg")
         assert out.count(">e") == 9  # one labeled panel per edge
+
+    def test_svg_to_file(self, capsys, tmp_path):
+        path = self.make_cert(capsys, tmp_path)
+        printed = run(capsys, "export", str(path), "--format", "svg")[1]
+        out_path = tmp_path / "out.svg"
+        code, out, _ = run(capsys, "export", str(path), "--format", "svg", "-o", str(out_path))
+        assert (code, out) == (0, "")
+        assert out_path.read_bytes() == printed.encode()
 
     def test_dot_shape(self, capsys, tmp_path):
         path = self.make_cert(capsys, tmp_path)

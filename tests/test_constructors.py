@@ -57,6 +57,15 @@ class TestDiagonalMatching:
         with pytest.raises(ValueError):
             diagonal_matching(H, 1, 3)
 
+    @pytest.mark.parametrize(
+        "matching", [diagonal_matching, lambda H, b, h: shifted_matching(H, b, h, 1)],
+        ids=["diagonal", "shifted"],
+    )
+    def test_block_height_checked_first(self, matching):
+        H = make_hypergraph(4, 6, parse_partition("2,1"))
+        with pytest.raises(ValueError, match=r"^block height must be 3 or 4$"):
+            matching(H, 0, H.r - 1)
+
 
 class TestShiftedMatching:
     def test_edge_layout_and_intersections(self):

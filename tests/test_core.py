@@ -1,11 +1,13 @@
 """Partitions, hypergraph construction, edge tests and enumeration."""
 
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigmacycles
 from sigmacycles import (
     Edge,
     NoEdgesError,
@@ -18,6 +20,15 @@ from sigmacycles import (
 )
 
 from helpers import exhaustive_edge_count, exhaustive_edges, partitions_of
+
+
+def test_star_import_binds_no_module():
+    # the package's own imports bind its submodules as attributes; a star
+    # import must not hand them to the importer
+    modules = [n for n in sigmacycles.__all__ if isinstance(getattr(sigmacycles, n), types.ModuleType)]
+    assert modules == []
+    assert "construct_sharp_hamiltonian" in sigmacycles.__all__
+    assert sigmacycles.__all__ == sorted(sigmacycles.__all__)
 
 
 class TestPartition:

@@ -48,6 +48,48 @@ class TestBergeVerifier:
         assert report.violated_condition == "membership-violated"
         assert report.detail
 
+    # A certificate file cannot carry these: the reader requires
+    # vertex_sequence and rejects an out-of-range row before any check runs.
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            (lambda seq: None, "vertex sequence missing or length differs from edge count"),
+            (lambda seq: seq[:-1], "vertex sequence missing or length differs from edge count"),
+            (lambda seq: seq[:-1] + ((4, 0),), "vertex (4, 0) out of bounds"),
+        ],
+        ids=["missing", "one-short", "out-of-bounds"],
+    )
+    def test_in_process_sequence_faults(self, change, detail):
+        h = H(4, 6, "2,1")
+        cert = construct_berge_hamiltonian(h)
+        bad = dataclasses.replace(cert, vertex_sequence=change(cert.vertex_sequence))
+        report = verify_berge_hamiltonian(h, bad)
+        assert (report.ok, report.violated_condition, report.detail) == (
+            False, "coverage-gap", detail
+        )
+
+
+class TestKindChecks:
+    @pytest.mark.parametrize(
+        "verifier, kind, message",
+        [
+            (verify_berge_hamiltonian, "sharp", "expected a berge certificate, got 'sharp'"),
+            (verify_sharp_cycle, "berge", "expected a sharp certificate, got 'berge'"),
+            (
+                lambda h, cert: verify_k_intersecting(h, cert, 3),
+                "berge",
+                "expected a k-intersecting certificate, got 'berge'",
+            ),
+        ],
+        ids=["berge", "sharp", "k-intersecting"],
+    )
+    def test_wrong_kind_raises(self, verifier, kind, message):
+        h = H(4, 6, "2,1")
+        certs = {"sharp": construct_sharp_hamiltonian(h), "berge": construct_berge_hamiltonian(h)}
+        with pytest.raises(ValueError) as exc:
+            verifier(h, certs[kind])
+        assert str(exc.value) == message
+
 
 class TestSharpVerifier:
     def test_constructed_passes_with_profile(self):
