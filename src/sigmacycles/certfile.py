@@ -2,7 +2,8 @@
 
 Field order is fixed (schema_version, hypergraph, cycle, claims) and all
 indices are 0-based, so identical certificates serialize byte-identically.
-The writer emits the layout of `json.dumps(doc, indent=2)` directly.
+The writer emits the layout of `json.dumps(doc, indent=2)` directly: each
+edge is one %-format over a template cached per vertex count.
 
 The reader is the validation boundary for untrusted files: every check is
 strict about JSON types (a boolean is not an integer), and any file that is
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import gc
 import json
+from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, NoReturn, Optional
 
@@ -42,6 +45,13 @@ _EDGE_VERTEX = _block(("%d", "%d"), 4)
 _SEQUENCE_VERTEX = _block(("%d", "%d"), 3)
 
 
+@cache
+def _edge_format(size: int) -> str:
+    """The %-template of an edge item with `size` vertices (depth 3): a %d
+    per coordinate."""
+    return _block((_EDGE_VERTEX,) * size, 3)
+
+
 def dumps(cert: CycleCertificate) -> str:
     """The file text: json.dumps(doc, indent=2) + "\n" of the schema document.
     Vertex coordinates are written with %d, so they must be ints, as the
@@ -57,7 +67,10 @@ def dumps(cert: CycleCertificate) -> str:
         cycle.append(_member("k", cert.k))
     if cert.split_index is not None:
         cycle.append(_member("split_index", cert.split_index))
-    edges = (_block(map(_EDGE_VERTEX.__mod__, e.vertices), 3) for e in cert.edges)
+    edges = (
+        _edge_format(len(e.vertices)) % tuple(chain.from_iterable(e.vertices))
+        for e in cert.edges
+    )
     cycle.append('"edges": ' + _block(edges, 2))
     if cert.vertex_sequence is not None:
         sequence = map(_SEQUENCE_VERTEX.__mod__, cert.vertex_sequence)

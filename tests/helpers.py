@@ -27,7 +27,7 @@ from sigmacycles.errors import (
     NoEdgesError,
     NTooSmall,
 )
-from sigmacycles.export import _check_size
+from sigmacycles.export import _CELL, _PAD, _PANELS_PER_ROW, _RADIUS, _check_size
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
     TAG_DEGENERATE_LENGTH,
@@ -735,3 +735,55 @@ def reference_render_dot(cert: CycleCertificate) -> str:
                 lines.append(f'  e{i} -- e{j} [label="{size}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference SVG renderer: one f-string per grid cell.  sigmacycles.export
+# joins precomputed row and column strings and must write the same bytes.
+
+
+def reference_render_svg(cert: CycleCertificate) -> str:
+    """One q x n grid panel per cycle edge, rows drawn top-down.
+
+    The panel's edge has its vertices outlined; vertices shared with the
+    previous or next edge of the cycle are shaded.  Raises ValueError when
+    the panels hold more grid cells than the rendering limit.
+    """
+    H = cert.hypergraph
+    p = len(cert.edges)
+    _check_size(p * H.n * H.q, "svg grid cells")
+    sets = [e.vertex_set() for e in cert.edges]
+    panel_w = H.n * _CELL + _PAD
+    panel_h = H.q * _CELL + _PAD + 12
+    cols = min(p, _PANELS_PER_ROW)
+    rows = (p + cols - 1) // cols
+    width = cols * panel_w + _PAD
+    height = rows * panel_h + _PAD
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i in range(p):
+        shared = sets[i] & (sets[(i - 1) % p] | sets[(i + 1) % p])
+        ox = _PAD + (i % cols) * panel_w
+        oy = _PAD + (i // cols) * panel_h
+        out.append(f'<text x="{ox}" y="{oy + 2}" font-size="10" font-family="monospace">e{i}</text>')
+        for c in range(H.n):
+            for row in range(H.q):
+                cx = ox + c * _CELL + _CELL // 2
+                cy = oy + 8 + row * _CELL + _CELL // 2
+                v = (c, row)
+                if v in sets[i]:
+                    fill = "#999999" if v in shared else "white"
+                    out.append(
+                        f'<circle cx="{cx}" cy="{cy}" r="{_RADIUS}" fill="{fill}" '
+                        f'stroke="black" stroke-width="1.5"/>'
+                    )
+                else:
+                    out.append(
+                        f'<circle cx="{cx}" cy="{cy}" r="{_RADIUS}" fill="#eeeeee" '
+                        f'stroke="#cccccc" stroke-width="0.5"/>'
+                    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -21,6 +21,7 @@ from helpers import partitions_of, reference_dumps, reference_from_json_dict
 from sigmacycles import (
     CertificateParseError,
     ConstructionError,
+    Edge,
     Partition,
     construct_berge_hamiltonian,
     construct_k_intersecting,
@@ -76,6 +77,23 @@ def test_dumps_matches_reference(sigma, n, q, recipe):
 )
 def test_dumps_matches_reference_on_parsed_shapes(changes):
     """Shapes no constructor returns but the reader accepts."""
+    cert = construct_berge_hamiltonian(make_hypergraph(3, 3, parse_partition("2,1")))
+    cert = dataclasses.replace(cert, **changes)
+    assert dumps(cert) == reference_dumps(cert)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"edges": ()},
+        {"edges": (), "vertex_sequence": ()},
+        {"edges": (Edge(((0, 0), (1, 2))), Edge(()), Edge(((0, 1), (0, 2), (1, 0), (2, 2))))},
+    ],
+    ids=["no-edges", "no-edges-empty-vertex-sequence", "mixed-vertex-counts"],
+)
+def test_dumps_matches_reference_on_unparsed_shapes(changes):
+    """Shapes no constructor returns and the reader refuses, but dumps
+    writes: an empty cycle.edges, and edges of different vertex counts."""
     cert = construct_berge_hamiltonian(make_hypergraph(3, 3, parse_partition("2,1")))
     cert = dataclasses.replace(cert, **changes)
     assert dumps(cert) == reference_dumps(cert)
