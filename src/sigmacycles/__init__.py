@@ -1,62 +1,85 @@
-"""Hamiltonian cycle certificates for grid-structured uniform hypergraphs."""
+"""Hamiltonian cycle certificates for grid-structured uniform hypergraphs.
 
-from .certificates import (
-    KIND_BERGE,
-    KIND_K_INTERSECTING,
-    KIND_SHARP,
-    CycleCertificate,
-    SharpnessProfile,
-)
-from .construct import (
-    construct_berge_hamiltonian,
-    construct_k_intersecting,
-    construct_sharp_hamiltonian,
-    diagonal_matching,
-    frobenius_decompose,
-    shifted_matching,
-)
-from .core import (
-    Edge,
-    GridVertex,
-    Partition,
-    SigmaHypergraph,
-    edge_count,
-    enumerate_edges,
-    is_edge,
-    make_hypergraph,
-    parse_partition,
-)
-from .errors import (
-    BudgetExceeded,
-    CertificateParseError,
-    ConstructionError,
-    ConstructionUnsupported,
-    DegenerateIntersection,
-    KOutOfRange,
-    NoEdgesError,
-    NTooSmall,
-    OnlyOneEdge,
-    QNotRepresentable,
-)
-from .verify import (
-    MaxMatchingResult,
-    SharpSearchResult,
-    VerificationReport,
-    brute_force_max_matching,
-    brute_force_sharp_hamiltonian_exists,
-    matching_upper_bound,
-    sharp_cycle_bounds,
-    sharp_nonexistence_test,
-    verify_berge_hamiltonian,
-    verify_k_intersecting,
-    verify_matching,
-    verify_sharp_cycle,
-)
+The public names load lazily (PEP 562): `import sigmacycles` imports no
+submodule, and the first use of a name imports its home module and caches
+the value here.
+"""
 
-# The imports above also bind the submodules (core, verify, ...) here; they
-# are not part of the star-import surface.
-__all__ = [
-    name
-    for name, value in sorted(globals().items())
-    if not name.startswith("_") and not isinstance(value, type(certificates))
-]
+import importlib
+
+# home module -> the public names it exports
+_EXPORTS = {
+    "certificates": (
+        "KIND_BERGE",
+        "KIND_K_INTERSECTING",
+        "KIND_SHARP",
+        "CycleCertificate",
+        "SharpnessProfile",
+    ),
+    "construct": (
+        "construct_berge_hamiltonian",
+        "construct_k_intersecting",
+        "construct_sharp_hamiltonian",
+        "diagonal_matching",
+        "frobenius_decompose",
+        "shifted_matching",
+    ),
+    "core": (
+        "Edge",
+        "GridVertex",
+        "Partition",
+        "SigmaHypergraph",
+        "edge_count",
+        "enumerate_edges",
+        "is_edge",
+        "make_hypergraph",
+        "parse_partition",
+    ),
+    "errors": (
+        "BudgetExceeded",
+        "CertificateParseError",
+        "ConstructionError",
+        "ConstructionUnsupported",
+        "DegenerateIntersection",
+        "KOutOfRange",
+        "NoEdgesError",
+        "NTooSmall",
+        "OnlyOneEdge",
+        "QNotRepresentable",
+    ),
+    "verify": (
+        "MaxMatchingResult",
+        "SharpSearchResult",
+        "VerificationReport",
+        "brute_force_max_matching",
+        "brute_force_sharp_hamiltonian_exists",
+        "matching_upper_bound",
+        "sharp_cycle_bounds",
+        "sharp_nonexistence_test",
+        "verify_berge_hamiltonian",
+        "verify_k_intersecting",
+        "verify_matching",
+        "verify_sharp_cycle",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"certfile", "cli", "export"}
+
+# the submodules resolve as attributes too; they are not part of the
+# star-import surface
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule binds it here, so this runs once per name
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | _SUBMODULES)

@@ -6,10 +6,15 @@ an error into a message on stderr, `<command>: <message>`, and an exit code:
     0  success, or the certificate passes verification
     1  verification refuted the certificate
     2  CertificateParseError ("parse error: ..."), any other ValueError
-       (bad parameters, NoEdgesError, an export over the size limit), or an
-       OSError writing an -o path ("cannot write <path>: <reason>")
+       (bad parameters, NoEdgesError, an export over the size limit), an
+       OSError writing an -o path ("cannot write <path>: <reason>"), or a
+       closed stdout ("cannot write stdout: <reason>")
     3  ConstructionError ("<Name>: ...") or BudgetExceeded
        ("budget exceeded: ...")
+
+Each subcommand imports the modules it runs when it runs, so a call loads
+(and, without cached bytecode, compiles) only those: `oracle max-matching`
+never loads the constructors or the certificate file format.
 """
 
 from __future__ import annotations
@@ -17,28 +22,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
-from . import certfile, export
 from .certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP
-from .construct import (
-    construct_berge_hamiltonian,
-    construct_k_intersecting,
-    construct_sharp_hamiltonian,
-)
 from .core import SigmaHypergraph, edge_count, enumerate_edges, make_hypergraph, parse_partition
 from .errors import BudgetExceeded, CertificateParseError, ConstructionError
-from .verify import (
-    brute_force_max_matching,
-    brute_force_sharp_hamiltonian_exists,
-    matching_upper_bound,
-    sharp_cycle_bounds,
-    sharp_nonexistence_test,
-    verify_berge_hamiltonian,
-    verify_k_intersecting,
-    verify_sharp_cycle,
-)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -57,6 +47,13 @@ def _hypergraph(args: argparse.Namespace) -> SigmaHypergraph:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from . import certfile
+    from .construct import (
+        construct_berge_hamiltonian,
+        construct_k_intersecting,
+        construct_sharp_hamiltonian,
+    )
+
     H = _hypergraph(args)
     if args.kind == KIND_BERGE:
         cert = construct_berge_hamiltonian(H)
@@ -80,6 +77,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import certfile
+    from .verify import verify_berge_hamiltonian, verify_k_intersecting, verify_sharp_cycle
+
     cert = certfile.read_certificate(args.path)
     H = cert.hypergraph
     if cert.kind == KIND_BERGE:
@@ -104,6 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .verify import matching_upper_bound, sharp_cycle_bounds, sharp_nonexistence_test
+
     H = _hypergraph(args)
     # both raise ValueError (r < 2 first, then nu < 0) before anything prints
     lower, upper = sharp_cycle_bounds(H)
@@ -122,6 +124,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .verify import (
+        brute_force_max_matching,
+        brute_force_sharp_hamiltonian_exists,
+        sharp_cycle_bounds,
+    )
+
     H = _hypergraph(args)
     if args.oracle == "max-matching":
         result = brute_force_max_matching(H, budget=args.budget)
@@ -134,6 +142,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if result.status == "found":
         print(f"found ({len(result.certificate.edges)} edges)")
         if args.output:
+            from . import certfile
+
             certfile.write_certificate(result.certificate, args.output)
     else:
         print("exhausted")
@@ -160,6 +170,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from . import certfile, export
+
     cert = certfile.read_certificate(args.path)
     text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
     if args.output:
@@ -226,14 +238,24 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe fails this flush, not the one at
+        # exit; stdout is None when fd 1 was closed before start-up
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except CertificateParseError as exc:
         message, code = f"parse error: {exc}", EXIT_USAGE
     except ValueError as exc:
         message, code = str(exc), EXIT_USAGE
+    except BrokenPipeError as exc:
+        message, code = f"cannot write stdout: {exc.strerror or exc}", EXIT_USAGE
+        # what is left in stdout's buffer goes to devnull at exit, so the
+        # interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
         # reads fail as CertificateParseError, so an error naming a file
-        # comes from the -o write; one without (a closed stdout) propagates
+        # comes from the -o write; one without propagates
         if exc.filename is None:
             raise
         message, code = f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE

@@ -23,7 +23,7 @@ from .certificates import (
     KIND_SHARP,
     CycleCertificate,
 )
-from .core import Edge, GridVertex, SigmaHypergraph, edge_count
+from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph, edge_count
 from .errors import (
     ConstructionUnsupported,
     DegenerateIntersection,
@@ -32,7 +32,6 @@ from .errors import (
     OnlyOneEdge,
     QNotRepresentable,
 )
-from .export import _MAX_ITEMS
 from .verify import (
     VerificationReport,
     verify_berge_hamiltonian,
@@ -136,8 +135,8 @@ def _check_size(H: SigmaHypergraph, edges: int) -> None:
     (edges x r) exceed the export item limit.  A block chain counts its
     blocks as sum(frobenius_decompose(q, r)), without listing them."""
     slots = edges * H.r
-    if slots > _MAX_ITEMS:
-        raise ValueError(f"{H}: {slots} certificate vertex slots exceed the limit of {_MAX_ITEMS}")
+    if slots > MAX_ITEMS:
+        raise ValueError(f"{H}: {slots} certificate vertex slots exceed the limit of {MAX_ITEMS}")
 
 
 def _zero_head(H: SigmaHypergraph, blocks: list[tuple[int, int]], threshold: int) -> bool:

@@ -18,6 +18,11 @@ from .errors import NoEdgesError
 # (class_index, row_index), both 0-based; row 0 is the top of the grid.
 GridVertex = tuple[int, int]
 
+# the size limit of the layers above: the constructors refuse a certificate
+# with more vertex slots (edges x r), and export a rendering that would
+# examine more DOT edge pairs or SVG grid cells
+MAX_ITEMS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Partition:

@@ -7,7 +7,7 @@ import math
 from collections import Counter
 
 from .certificates import CycleCertificate
-from .core import incidence
+from .core import MAX_ITEMS, incidence
 
 _CELL = 22
 _PAD = 14
@@ -17,14 +17,11 @@ _PANELS_PER_ROW = 6
 _GREY = 'fill="#eeeeee" stroke="#cccccc" stroke-width="0.5"'
 _WHITE = 'fill="white" stroke="black" stroke-width="1.5"'
 _SHADED = 'fill="#999999" stroke="black" stroke-width="1.5"'
-# most DOT edge pairs or SVG grid cells a rendering may examine; the
-# constructors cap a certificate's vertex slots (edges x r) at it too
-_MAX_ITEMS = 1_000_000
 
 
 def _check_size(items: int, what: str) -> None:
-    if items > _MAX_ITEMS:
-        raise ValueError(f"{what}: {items} exceeds the rendering limit of {_MAX_ITEMS}")
+    if items > MAX_ITEMS:
+        raise ValueError(f"{what}: {items} exceeds the rendering limit of {MAX_ITEMS}")
 
 
 def render_dot(cert: CycleCertificate) -> str:

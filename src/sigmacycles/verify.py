@@ -40,8 +40,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     KIND_BERGE,
@@ -59,6 +58,11 @@ from .core import (
     incidence,
 )
 from .errors import BudgetExceeded
+
+if TYPE_CHECKING:
+    # the two bound functions import it when they run: the verifiers and
+    # oracles never load fractions (and the decimal module it imports)
+    from fractions import Fraction
 
 TAG_DUPLICATE_EDGE = "duplicate-edge"
 TAG_NON_EDGE = "non-edge-member"
@@ -309,6 +313,8 @@ def matching_upper_bound(H: SigmaHypergraph) -> Optional[tuple[int, Fraction]]:
     """When d = gcd(sigma) >= 2 and t = q mod d >= 1, at least t*n vertices
     stay unmatched, so the maximum matching is at most n(q-t)/r.
     Returns (unmatched_lower, nu_upper), or None when not applicable."""
+    from fractions import Fraction
+
     d = H.sigma.gcd_parts
     if d < 2:
         return None
@@ -324,6 +330,8 @@ def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
     consecutive edges cannot share a vertex without being equal."""
     if H.r < 2:
         raise ValueError(f"sharp cycle bounds need r >= 2, got r={H.r}")
+    from fractions import Fraction
+
     nq = H.vertex_count
     return Fraction(nq, H.r - 1), Fraction(2 * nq, H.r)
 

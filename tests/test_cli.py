@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sigmacycles
-from sigmacycles import export, verify
+from sigmacycles import core, verify
 from sigmacycles.cli import main
 from sigmacycles.certfile import read_certificate
 from test_certfile_differential import BASES, mutate
@@ -304,24 +304,6 @@ class TestOracle:
         assert "found" in out
         assert len(read_certificate(path).edges) == 4
 
-    def test_startup_does_not_import_numpy(self):
-        # No code path needs numpy, not even the max-matching oracle.
-        script = (
-            "import sys, sigmacycles, sigmacycles.cli\n"
-            "print('numpy' in sys.modules)\n"
-            "code = sigmacycles.cli.main("
-            "['oracle', 'max-matching', '--sigma', '2,2', '--n', '3', '--q', '5'])\n"
-            "print('numpy' in sys.modules)\n"
-            "sys.exit(code)\n"
-        )
-        src = str(Path(sigmacycles.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "3", "False"]
-
     @pytest.mark.parametrize(
         "argv, fragment",
         [
@@ -477,7 +459,7 @@ class TestExport:
     def test_limit_clears_benchmark_size(self):
         # a 200-edge sharp cycle on a 10 x 30 grid draws 60,000 cells; keep a
         # tenfold margin above it
-        assert export._MAX_ITEMS >= 10 * 200 * 10 * 30
+        assert core.MAX_ITEMS >= 10 * 200 * 10 * 30
 
 
 class TestParserReuse:
@@ -504,6 +486,76 @@ class TestParserReuse:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert out.endswith("PASS\n")
+
+
+def python(*argv, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter that imports this package from source."""
+    src = str(Path(sigmacycles.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, *argv], text=True, env=dict(os.environ, PYTHONPATH=src), **kwargs
+    )
+
+
+class TestStartup:
+    """A call imports only the modules its subcommand runs (each module
+    is compiled from source when no bytecode is cached), and no code path
+    needs numpy."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import sigmacycles\n"
+        "if sys.argv[1:]:\n"
+        "    from sigmacycles.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
+    )
+
+    def modules(self, *argv) -> set[str]:
+        proc = python("-c", self.SCRIPT, *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        return set(err.split())
+
+    def test_bare_import_loads_no_submodule(self):
+        loaded = self.modules()
+        assert "sigmacycles" in loaded
+        assert [m for m in loaded if m.startswith("sigmacycles.") or m == "numpy"] == []
+
+    @pytest.mark.parametrize(
+        "argv, runs, skips",
+        [
+            (["oracle", "max-matching", "--sigma", "2,2", "--n", "3", "--q", "5"], "verify",
+             ["sigmacycles.construct", "sigmacycles.certfile", "sigmacycles.export",
+              "json", "fractions"]),
+            (["verify", "{cert}"], "verify", ["sigmacycles.construct", "sigmacycles.export"]),
+            (["export", "{cert}", "--format", "dot"], "export",
+             ["sigmacycles.verify", "sigmacycles.construct"]),
+            (["construct", "--kind", "sharp", "--sigma", "2,1", "--n", "3", "--q", "6"],
+             "construct", ["sigmacycles.export"]),
+        ],
+        ids=["oracle", "verify", "export", "construct"],
+    )
+    def test_command_loads_only_what_it_runs(self, capsys, tmp_path, argv, runs, skips):
+        cert = tmp_path / "c.json"
+        run(capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp",
+            "-o", str(cert))
+        loaded = self.modules(*(a.replace("{cert}", str(cert)) for a in argv))
+        assert f"sigmacycles.{runs}" in loaded
+        assert [m for m in skips + ["numpy"] if m in loaded] == []
+
+    def test_closed_stdout_is_a_usage_error(self):
+        # 90,000 lines overflow the pipe: writes after the reader has gone
+        # fail, and the message replaces a BrokenPipeError traceback
+        proc = python(
+            "-m", "sigmacycles.cli", "enumerate", "--sigma", "1", "--n", "300", "--q", "300",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == "0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert err == "enumerate: cannot write stdout: Broken pipe\n"
 
 
 def exit_code(argv) -> int:

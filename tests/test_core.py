@@ -1,7 +1,12 @@
 """Partitions, hypergraph construction, edge tests and enumeration."""
 
+import importlib
 import itertools
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,67 @@ def test_star_import_binds_no_module():
     assert modules == []
     assert "construct_sharp_hamiltonian" in sigmacycles.__all__
     assert sigmacycles.__all__ == sorted(sigmacycles.__all__)
+
+
+PUBLIC = [
+    "BudgetExceeded", "CertificateParseError", "ConstructionError", "ConstructionUnsupported",
+    "CycleCertificate", "DegenerateIntersection", "Edge", "GridVertex", "KIND_BERGE",
+    "KIND_K_INTERSECTING", "KIND_SHARP", "KOutOfRange", "MaxMatchingResult", "NTooSmall",
+    "NoEdgesError", "OnlyOneEdge", "Partition", "QNotRepresentable", "SharpSearchResult",
+    "SharpnessProfile", "SigmaHypergraph", "VerificationReport", "brute_force_max_matching",
+    "brute_force_sharp_hamiltonian_exists", "construct_berge_hamiltonian",
+    "construct_k_intersecting", "construct_sharp_hamiltonian", "diagonal_matching",
+    "edge_count", "enumerate_edges", "frobenius_decompose", "is_edge", "make_hypergraph",
+    "matching_upper_bound", "parse_partition", "sharp_cycle_bounds", "sharp_nonexistence_test",
+    "shifted_matching", "verify_berge_hamiltonian", "verify_k_intersecting", "verify_matching",
+    "verify_sharp_cycle",
+]
+
+
+class TestPackageSurface:
+    """The package loads its names lazily; what it offers stays fixed."""
+
+    def test_all_is_pinned(self):
+        assert sigmacycles.__all__ == PUBLIC
+        assert set(PUBLIC) <= set(dir(sigmacycles))
+
+    def test_names_are_their_home_objects(self):
+        # a class or function is the one its defining module holds; the
+        # GridVertex alias and the KIND_* strings have no module of their own
+        for name in PUBLIC:
+            value = getattr(sigmacycles, name)
+            home = getattr(value, "__module__", "")
+            if not home.startswith("sigmacycles."):
+                home = "sigmacycles.core" if name == "GridVertex" else "sigmacycles.certificates"
+            assert getattr(importlib.import_module(home), name) is value, name
+
+    def test_star_import_binds_every_name(self):
+        scope = {}
+        exec("from sigmacycles import *", scope)
+        assert sorted(set(scope) - {"__builtins__"}) == PUBLIC
+        assert scope["verify_sharp_cycle"] is sigmacycles.verify.verify_sharp_cycle
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        # in a fresh interpreter: here the test modules have imported them all
+        script = (
+            "import sigmacycles\n"
+            "print(sigmacycles.core.__name__, sigmacycles.verify.__name__)\n"
+            "from sigmacycles import certfile\n"
+            "print(certfile.__name__)\n"
+        )
+        src = str(Path(sigmacycles.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "sigmacycles.core", "sigmacycles.verify", "sigmacycles.certfile"
+        ]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sigmacycles.no_such_name
 
 
 class TestPartition:
