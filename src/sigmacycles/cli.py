@@ -8,7 +8,8 @@ an error into a message on stderr, `<command>: <message>`, and an exit code:
     2  CertificateParseError ("parse error: ..."), any other ValueError
        (bad parameters, NoEdgesError, an export over the size limit), an
        OSError writing an -o path ("cannot write <path>: <reason>"), or a
-       closed stdout ("cannot write stdout: <reason>")
+       failed write to stdout, such as a closed pipe or a full device
+       ("cannot write stdout: <reason>")
     3  ConstructionError ("<Name>: ...") or BudgetExceeded
        ("budget exceeded: ...")
 
@@ -46,6 +47,17 @@ def _hypergraph(args: argparse.Namespace) -> SigmaHypergraph:
     return make_hypergraph(args.n, args.q, parse_partition(args.sigma))
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write text to an -o path.  An OSError from the open, the write or the
+    close (a full device fails only there) names the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     from . import certfile
     from .construct import (
@@ -64,7 +76,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         cert = construct_k_intersecting(H, args.k)
     if args.output:
-        certfile.write_certificate(cert, args.output)
+        _write_output(args.output, certfile.dumps(cert))
     else:
         sys.stdout.write(certfile.dumps(cert))
     summary = f"{cert.kind}: {len(cert.edges)} edges"
@@ -109,17 +121,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     H = _hypergraph(args)
     # both raise ValueError (r < 2 first, then nu < 0) before anything prints
     lower, upper = sharp_cycle_bounds(H)
-    refutes = None if args.nu is None else sharp_nonexistence_test(H, args.nu)
+    nu = matching_upper_bound(H)
+    refutes = sharp_nonexistence_test(H, nu if args.nu is None else min(nu, args.nu))
     print(f"vertices: {H.vertex_count}")
     print(f"sharp cycle edge-count window: [{lower}, {upper}]")
-    matching = matching_upper_bound(H)
-    if matching is not None:
-        print(f"unmatched vertices >= {matching[0]}")
-        print(f"max matching <= {matching[1]}")
-    else:
-        print("max matching bound: not applicable (gcd < 2 or q divisible by gcd)")
-    if refutes is not None:
-        print("REFUTES-SHARP-HC" if refutes else "INCONCLUSIVE")
+    print(f"max matching <= {nu}")
+    print("REFUTES-SHARP-HC" if refutes else "INCONCLUSIVE")
     return EXIT_OK
 
 
@@ -144,7 +151,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.output:
             from . import certfile
 
-            certfile.write_certificate(result.certificate, args.output)
+            _write_output(args.output, certfile.dumps(result.certificate))
     else:
         print("exhausted")
         # sharp_cycle_bounds refuses r < 2, where no sharp cycle exists
@@ -175,8 +182,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     cert = certfile.read_certificate(args.path)
     text = export.render_dot(cert) if args.format == "dot" else export.render_svg(cert)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -248,17 +254,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message, code = f"parse error: {exc}", EXIT_USAGE
     except ValueError as exc:
         message, code = str(exc), EXIT_USAGE
-    except BrokenPipeError as exc:
-        message, code = f"cannot write stdout: {exc.strerror or exc}", EXIT_USAGE
-        # what is left in stdout's buffer goes to devnull at exit, so the
-        # interpreter's last flush cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
-        # reads fail as CertificateParseError, so an error naming a file
-        # comes from the -o write; one without propagates
+        # reads fail as CertificateParseError and _write_output names its
+        # path, so an error without a file name is a failed write to stdout:
+        # a closed pipe or a full device
+        message, code = f"cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", EXIT_USAGE
         if exc.filename is None:
-            raise
-        message, code = f"cannot write {args.output}: {exc.strerror or exc}", EXIT_USAGE
+            # what is left in stdout's buffer goes to devnull at exit, so
+            # the interpreter's last flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ConstructionError as exc:
         message, code = f"{exc.name}: {exc}", EXIT_UNSUPPORTED
     except BudgetExceeded as exc:

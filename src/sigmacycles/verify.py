@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     KIND_BERGE,
@@ -52,6 +52,7 @@ from .certificates import (
 from .core import (
     Edge,
     GridVertex,
+    Partition,
     SigmaHypergraph,
     edge_count,
     enumerate_edges,
@@ -60,8 +61,8 @@ from .core import (
 from .errors import BudgetExceeded
 
 if TYPE_CHECKING:
-    # the two bound functions import it when they run: the verifiers and
-    # oracles never load fractions (and the decimal module it imports)
+    # sharp_cycle_bounds imports it when it runs: the verifiers and oracles
+    # never load fractions (and the decimal module it imports)
     from fractions import Fraction
 
 TAG_DUPLICATE_EDGE = "duplicate-edge"
@@ -309,19 +310,36 @@ def verify_matching(H: SigmaHypergraph, edges: Iterable[Edge]) -> bool:
 # Bounds
 
 
-def matching_upper_bound(H: SigmaHypergraph) -> Optional[tuple[int, Fraction]]:
-    """When d = gcd(sigma) >= 2 and t = q mod d >= 1, at least t*n vertices
-    stay unmatched, so the maximum matching is at most n(q-t)/r.
-    Returns (unmatched_lower, nu_upper), or None when not applicable."""
-    from fractions import Fraction
+def _load_ceiling(sigma: Partition) -> Callable[..., int]:
+    """The ceiling on the copies of sigma that pack into classes of
+    capacities c, each copy's parts in distinct classes: the least
+    floor(sum of floor(c/a) / m) over the terms (a, m).  The gcd term
+    (d, r/d): every class load is a sum of parts, so a multiple of
+    d = gcd(sigma).  A slot term (a, m_a) for each part size a: a class
+    holds at most floor(c/a) of the m_a parts of size a or more.  The
+    returned function takes the capacities, each counted `classes` times.
+    """
+    parts, r, d = sigma.parts, sigma.r, sigma.gcd_parts
+    # parts are non-increasing, so the parts >= a end at the last a.  A slot
+    # term with a = d is never below the gcd term (m_d <= s <= r/d), so a
+    # rectangular sigma has the gcd term alone
+    slots = {a: i + 1 for i, a in enumerate(parts) if a != d}.items()
+    units = r // d
 
-    d = H.sigma.gcd_parts
-    if d < 2:
-        return None
-    t = H.q % d
-    if t == 0:
-        return None
-    return t * H.n, Fraction(H.n * (H.q - t), H.r)
+    def ceiling(capacities: Sequence[int], classes: int = 1) -> int:
+        best = sum([c // d for c in capacities]) * classes // units
+        for a, m in slots:
+            best = min(best, sum([c // a for c in capacities]) * classes // m)
+        return best
+
+    return ceiling
+
+
+def matching_upper_bound(H: SigmaHypergraph) -> int:
+    """An upper bound on the maximum matching size of H: the class-load
+    ceiling (see _load_ceiling) of n classes of capacity q, with which
+    brute_force_max_matching prunes its root.  O(s) time."""
+    return _load_ceiling(H.sigma)((H.q,), H.n)
 
 
 def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
@@ -429,14 +447,15 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     distinct classes.  A state is the tuple of non-zero residual class
     capacities, sorted in descending order; its children are the distinct
     states one more copy can leave (see _placements), and
-    f(state) = max(0, 1 + max over children of f(child)), memoised.  Every
-    class load is a sum of parts, so a multiple of d = gcd(sigma), and a
-    state stops branching once it reaches floor(sum of (c - c mod d) / r)
-    over its capacities c.  The search is depth first over an explicit
+    f(state) = max(0, 1 + max over children of f(child)), memoised.  A
+    state stops branching once it reaches the ceiling of its capacities
+    (see _load_ceiling: the gcd and part-slot terms); at the root that is
+    matching_upper_bound(H).  The search is depth first over an explicit
     stack, so its depth (nu) is not bounded by the recursion limit, and the
-    first descent is a greedy packing.  nodes counts the states expanded: the memo misses with room
-    for r more vertices (a state with fewer is worth 0).  When nodes exceeds
-    the budget the largest packing found so far is returned flagged inexact.
+    first descent is a greedy packing.  nodes counts the states expanded:
+    the memo misses with room for r more vertices (a state with fewer is
+    worth 0).  When nodes exceeds the budget the largest packing found so
+    far is returned flagged inexact.
     Builds no edge index.  Raises BudgetExceeded when H has more edges than
     the budget, which so bounds the size of H as well as the search, and
     ValueError when budget < 0.
@@ -446,7 +465,8 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    parts, r, d = H.sigma.parts, H.r, H.sigma.gcd_parts
+    parts, r = H.sigma.parts, H.r
+    ceiling_of = _load_ceiling(H.sigma)
     memo: dict[tuple[int, ...], int] = {}
     best = nodes = 0
     # the current path, one frame per state: [state, children left (next
@@ -464,7 +484,7 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
             out: dict[tuple[int, ...], None] = {}
             _placements(state, parts, [0] * len(state), out)
             frame[1] = left = list(out)[::-1]
-            frame[3] = ceiling = sum(c - c % d for c in state) // r
+            frame[3] = ceiling = ceiling_of(state)
         if left and value < ceiling:
             child = left.pop()
             # fewer than r vertices left: no copy fits, so no expansion

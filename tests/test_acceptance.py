@@ -123,16 +123,17 @@ def test_criterion_04_square_nonexistence():
 def test_criterion_05_matching_bound_tightness():
     with criterion(5, "matching bound vs oracle"):
         H = make_hypergraph(2, 3, parse_partition("2,2"))
-        _, bound = matching_upper_bound(H)
-        assert bound == 1
+        assert matching_upper_bound(H) == 1
         assert brute_force_max_matching(H).nu == 1
 
         H = make_hypergraph(3, 5, parse_partition("2,2"))
-        _, bound = matching_upper_bound(H)
-        assert bound == 3
-        nu = brute_force_max_matching(H).nu
-        assert nu == 3
-        assert nu <= bound
+        assert matching_upper_bound(H) == 3
+        assert brute_force_max_matching(H).nu == 3
+
+        # the square partition: the bound alone refutes a sharp cycle
+        H = make_hypergraph(5, 5, parse_partition("3,3,3"))
+        assert matching_upper_bound(H) == 1
+        assert sharp_nonexistence_test(H, matching_upper_bound(H))
 
 
 def test_criterion_06_k_intersecting_sweep():

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -247,14 +248,39 @@ class TestBounds:
 
     def test_matching_bound(self, capsys):
         code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "2", "--q", "3")
-        assert code == 0
-        assert "unmatched vertices >= 2" in out
-        assert "max matching <= 1" in out
+        assert (code, out) == (0, (
+            "vertices: 6\n"
+            "sharp cycle edge-count window: [2, 3]\n"
+            "max matching <= 1\n"
+            "INCONCLUSIVE\n"
+        ))
 
-    def test_not_applicable(self, capsys):
+    def test_bound_without_gcd(self, capsys):
+        # gcd 1: the bound is nq/r, and the test always runs on it
         code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6")
         assert code == 0
-        assert "not applicable" in out
+        assert out.endswith("max matching <= 6\nINCONCLUSIVE\n")
+
+    @pytest.mark.parametrize("nu, verdict", [("3", "REFUTES-SHARP-HC"), ("100", "INCONCLUSIVE")])
+    def test_nu_tightens_the_bound(self, capsys, nu, verdict):
+        # --nu refutes below the bound and changes nothing above it
+        code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", nu)
+        assert code == 0
+        assert out.endswith(f"max matching <= 6\n{verdict}\n")
+
+    @pytest.mark.parametrize(
+        "sigma, n, q",
+        [("3,3,3", 5, 5), ("2", 2, 3), ("2", 4, 5), ("3", 3, 5), ("4", 4, 7)],
+    )
+    def test_refutes_without_nu(self, capsys, sigma, n, q):
+        # the bound alone refutes, and the sharp oracle at max-len
+        # floor(2nq/r) finds no cycle either
+        code, out, _ = run(capsys, "bounds", "--sigma", sigma, "--n", str(n), "--q", str(q))
+        assert code == 0
+        assert out.endswith("REFUTES-SHARP-HC\n")
+        H = core.make_hypergraph(n, q, core.parse_partition(sigma))
+        max_len = 2 * n * q // H.r
+        assert verify.brute_force_sharp_hamiltonian_exists(H, max_len).status == "exhausted"
 
 
 class TestOracle:
@@ -472,12 +498,12 @@ class TestParserReuse:
         )
         assert code == 0
         assert out.startswith("sharp: 12 edges, profile")
-        code, out, _ = run(capsys, "bounds", "--sigma", "3,3,3", "--n", "5", "--q", "5", "--nu", "1")
+        code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", "3")
         assert code == 0
         assert "REFUTES-SHARP-HC" in out
-        code, out, _ = run(capsys, "bounds", "--sigma", "3,3,3", "--n", "5", "--q", "5")
+        code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6")
         assert code == 0
-        assert "REFUTES-SHARP-HC" not in out and "INCONCLUSIVE" not in out
+        assert out.endswith("max matching <= 6\nINCONCLUSIVE\n")
         code, out, _ = run(
             capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "3", "--kind", "berge"
         )
@@ -556,6 +582,38 @@ class TestStartup:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 2
         assert err == "enumerate: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullDevice:
+    """A write that fails after its file opened (every write to /dev/full
+    does) exits 2 with a message naming the path or stdout, never with a
+    traceback and the "refuted" code 1."""
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["construct", "--kind", "sharp", "--sigma", "2,1", "--n", "3", "--q", "6",
+              "-o", "/dev/full"], "/dev/full"),
+            (["oracle", "sharp-exists", "--sigma", "1,1", "--n", "2", "--q", "2",
+              "--max-len", "6", "-o", "/dev/full"], "/dev/full"),
+            (["export", "{cert}", "--format", "svg", "-o", "/dev/full"], "/dev/full"),
+            (["export", "{cert}", "--format", "svg"], "stdout"),
+            (["enumerate", "--sigma", "1,1", "--n", "10", "--q", "10"], "stdout"),
+        ],
+        ids=["construct", "oracle", "export", "export-stdout", "enumerate-stdout"],
+    )
+    def test_full_device(self, capsys, tmp_path, argv, target):
+        cert = tmp_path / "c.json"
+        run(capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp",
+            "-o", str(cert))
+        argv = [a.replace("{cert}", str(cert)) for a in argv]
+        with open("/dev/full", "w") as full:
+            stdout = full if target == "stdout" else subprocess.DEVNULL
+            proc = python("-m", "sigmacycles.cli", *argv, stdout=stdout, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == f"{argv[0]}: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def exit_code(argv) -> int:

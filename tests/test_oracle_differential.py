@@ -13,7 +13,6 @@ import inspect
 import itertools
 import math
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,7 +198,7 @@ def test_max_matching_cut_by_its_budget(monkeypatch, budget):
 @pytest.mark.parametrize(
     "sigma, n, q, budget, nu",
     [
-        # gcd 2 and q odd: n(q-1)/r is matching_upper_bound's ceiling
+        # gcd 2 and q odd: the gcd term, n(q-1)/r
         ((2, 2), 8, 11, 2_000_000, 20),
         # perfect matchings, nq/r
         ((2, 1), 10, 15, 2_000_000, 50),
@@ -209,11 +208,44 @@ def test_max_matching_cut_by_its_budget(monkeypatch, budget):
     ],
 )
 def test_max_matching_beyond_brute_force(sigma, n, q, budget, nu):
+    # each answer is the root's ceiling, matching_upper_bound
     H = make_hypergraph(n, q, Partition(sigma))
-    frag = matching_upper_bound(H)
-    assert nu == (frag[1] if frag else Fraction(n * q, H.r))
+    assert matching_upper_bound(H) == nu
     result = brute_force_max_matching(H, budget=budget)
     assert (result.nu, result.exact) == (nu, True)
+
+
+@pytest.mark.parametrize(
+    "sigma, n, q, budget, result",
+    [
+        # 1,379,400 edges: the gcd term allows 44 copies, but a class of 11
+        # rows holds two parts of 4, so 20 classes hold 40 copies' 4-parts
+        ((4, 1), 20, 11, 2_000_000, (40, True, 84)),
+        # the root's ceiling is 45 by either term; the slot term at inner
+        # states keeps the search far under a budget of 1,000 (the gcd term
+        # alone needs 15,055 states)
+        ((3, 1), 20, 9, 1000, (45, True, 140)),
+        ((3, 1), 40, 9, 2_000_000, (90, True, 524)),
+    ],
+)
+def test_max_matching_part_slot_ceiling(monkeypatch, sigma, n, q, budget, result):
+    # the edge-count refusal is lifted, so only the state budget cuts
+    monkeypatch.setattr(verify, "edge_count", lambda H: 0)
+    H = make_hypergraph(n, q, Partition(sigma))
+    assert brute_force_max_matching(H, budget=budget) == MaxMatchingResult(*result)
+
+
+@SETTINGS
+@given(sigma=st.sampled_from(SIGMAS), n=st.integers(1, 4), q=st.integers(1, 5))
+def test_matching_upper_bound_brackets_nu(sigma, n, q):
+    # the reference's exact nu <= the class-load ceiling <= the gcd term
+    H = hypergraph(sigma, n, q)
+    if H is None or edge_count(H) > 3000:
+        return
+    d = math.gcd(*sigma)
+    ref = reference_brute_force_max_matching(H)
+    assert ref.exact
+    assert ref.nu <= matching_upper_bound(H) <= n * (q - q % d) // H.r
 
 
 def test_max_matching_builds_no_index(monkeypatch):

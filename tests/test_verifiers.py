@@ -167,15 +167,22 @@ class TestVerifyMatching:
 
 class TestBounds:
     def test_matching_upper_bound_examples(self):
-        unmatched, nu_upper = matching_upper_bound(H(2, 3, "2,2"))
-        assert unmatched == 2
-        assert nu_upper == 1
-        unmatched, nu_upper = matching_upper_bound(H(4, 7, "3,3"))
-        assert unmatched == 4
-        assert nu_upper == 4
+        # the gcd term: q mod d rows of each class stay unmatched
+        assert matching_upper_bound(H(2, 3, "2,2")) == 1
+        assert matching_upper_bound(H(4, 7, "3,3")) == 4
+        # square partition: 3 of each class's 5 rows are usable, and
+        # 15 // 9 = 1, where nq/r = 25/9
+        assert matching_upper_bound(H(5, 5, "3,3,3")) == 1
 
-    def test_matching_upper_bound_not_applicable(self):
-        assert matching_upper_bound(H(3, 4, "2,1")) is None
+    def test_matching_upper_bound_without_gcd(self):
+        # gcd 1: nq/r = 4, the slot terms allow 6
+        assert matching_upper_bound(H(3, 4, "2,1")) == 4
+        # a class of 11 rows holds two parts of 4: 40 copies, not 220 // 5
+        assert matching_upper_bound(H(20, 11, "4,1")) == 40
+
+    def test_matching_upper_bound_takes_no_time_in_n(self):
+        # one capacity counted n times: no tuple of n classes is built
+        assert matching_upper_bound(H(10**9, 5, "2,1")) == 5 * 10**9 // 3
 
     def test_sharp_cycle_bounds(self):
         assert sharp_cycle_bounds(H(3, 6, "2,1")) == (Fraction(9), Fraction(12))
@@ -231,8 +238,7 @@ class TestMaxMatchingOracle:
 
     def test_oracle_meets_divisibility_bound(self):
         h = H(2, 3, "2,2")
-        _, nu_upper = matching_upper_bound(h)
-        assert brute_force_max_matching(h).nu == nu_upper
+        assert brute_force_max_matching(h).nu == matching_upper_bound(h) == 1
 
 
 class TestSharpExistsOracle:
