@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import Edge, GridVertex, SigmaHypergraph
+from .core import Edge, GridVertex, Record, SigmaHypergraph
 
 KIND_BERGE = "berge"
 KIND_SHARP = "sharp"
@@ -13,17 +12,22 @@ KIND_K_INTERSECTING = "k-intersecting"
 KINDS = (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING)
 
 
-@dataclass(frozen=True)
-class SharpnessProfile:
+class SharpnessProfile(Record):
     """Measured consecutive-intersection sizes around a cycle.
 
     uniform_t / uniform_z are set when the sizes alternate (t, z, t, z, ...)
     over an even-length cycle.
     """
 
+    __slots__ = ("pair_sizes", "uniform_t", "uniform_z")
     pair_sizes: tuple[int, ...]
-    uniform_t: Optional[int] = None
-    uniform_z: Optional[int] = None
+    uniform_t: Optional[int]
+    uniform_z: Optional[int]
+
+    def __init__(
+        self, pair_sizes: tuple[int, ...], uniform_t: Optional[int] = None, uniform_z: Optional[int] = None
+    ) -> None:
+        self._set(pair_sizes, uniform_t, uniform_z)
 
     @property
     def t_sharp(self) -> bool:
@@ -39,8 +43,7 @@ class SharpnessProfile:
         return cls(pair_sizes)
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(Record):
     """An ordered edge sequence with a claimed cycle kind.
 
     Berge certificates additionally carry the vertex sequence; sharp ones
@@ -48,16 +51,34 @@ class CycleCertificate:
     Claims are untrusted until checked by the matching verifier.
     """
 
+    __slots__ = (
+        "hypergraph", "kind", "edges", "k", "split_index", "vertex_sequence",
+        "claimed_hamiltonian", "claimed_t", "claimed_z",
+    )
     hypergraph: SigmaHypergraph
     kind: str
     edges: tuple[Edge, ...]
-    k: Optional[int] = None
-    split_index: Optional[int] = None
-    vertex_sequence: Optional[tuple[GridVertex, ...]] = None
-    claimed_hamiltonian: bool = False
-    claimed_t: Optional[int] = None
-    claimed_z: Optional[int] = None
+    k: Optional[int]
+    split_index: Optional[int]
+    vertex_sequence: Optional[tuple[GridVertex, ...]]
+    claimed_hamiltonian: bool
+    claimed_t: Optional[int]
+    claimed_z: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown cycle kind {self.kind!r}")
+    def __init__(
+        self,
+        hypergraph: SigmaHypergraph,
+        kind: str,
+        edges: tuple[Edge, ...],
+        k: Optional[int] = None,
+        split_index: Optional[int] = None,
+        vertex_sequence: Optional[tuple[GridVertex, ...]] = None,
+        claimed_hamiltonian: bool = False,
+        claimed_t: Optional[int] = None,
+        claimed_z: Optional[int] = None,
+    ) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown cycle kind {kind!r}")
+        self._set(
+            hypergraph, kind, edges, k, split_index, vertex_sequence, claimed_hamiltonian, claimed_t, claimed_z
+        )

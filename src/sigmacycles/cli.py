@@ -15,7 +15,8 @@ an error into a message on stderr, `<command>: <message>`, and an exit code:
 
 Each subcommand imports the modules it runs when it runs, so a call loads
 (and, without cached bytecode, compiles) only those: `oracle max-matching`
-never loads the constructors or the certificate file format.
+never loads the constructors or the certificate file format.  The value
+types need no dataclasses, so no call loads it or inspect, ast and dis.
 """
 
 from __future__ import annotations

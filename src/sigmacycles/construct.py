@@ -13,7 +13,6 @@ like every edge of the public matchings, is cut from them.
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import accumulate, chain
 from typing import Sequence
 
@@ -209,7 +208,7 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
     report = verify_sharp_cycle(H, cert)
     _require_verified(report, str(H))
     t, z = report.profile.uniform_t, report.profile.uniform_z
-    return dataclasses.replace(cert, claimed_t=t, claimed_z=z)
+    return cert.replace(claimed_t=t, claimed_z=z)
 
 
 def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:

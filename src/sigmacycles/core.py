@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NoEdgesError
@@ -24,20 +23,69 @@ GridVertex = tuple[int, int]
 MAX_ITEMS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """Base of the immutable value types.
+
+    A subclass names its fields in __slots__.  Its __init__ takes them in
+    that order, validates them and sets each once through object.__setattr__
+    (_set).  Equality, hash, repr, pickling and replace() read the fields
+    in __slots__ order, as a frozen dataclass's methods would; the hash is
+    that of the field tuple.  Defined here rather than with dataclasses,
+    whose import (inspect, ast, dis, ...) would dominate a short CLI call.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with some fields changed, validated by __init__ again."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    __replace__ = replace  # copy.replace, Python 3.13+
+
+
+class Partition(Record):
     """A partition of r: positive parts stored in non-increasing order."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if not parts:
             raise ValueError("partition must have at least one part")
-        for a in self.parts:
+        for a in parts:
             if not isinstance(a, int) or a < 1:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be non-increasing; use Partition.of to sort")
+        self._set(parts)
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> "Partition":
@@ -85,21 +133,22 @@ def parse_partition(text: str) -> Partition:
     return Partition.of(parts)
 
 
-@dataclass(frozen=True)
-class SigmaHypergraph:
+class SigmaHypergraph(Record):
     """Hypergraph H(n, r, q | sigma) on an n-column, q-row vertex grid."""
 
+    __slots__ = ("n", "q", "sigma")
     n: int
     q: int
     sigma: Partition
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 1:
+    def __init__(self, n: int, q: int, sigma: Partition) -> None:
+        if n < 1 or q < 1:
             raise ValueError("n and q must be >= 1")
-        if self.q < self.sigma.delta_max:
-            raise NoEdgesError(f"q={self.q} < largest part {self.sigma.delta_max}: no edges")
-        if self.n < self.sigma.s:
-            raise NoEdgesError(f"n={self.n} < number of parts {self.sigma.s}: no edges")
+        if q < sigma.delta_max:
+            raise NoEdgesError(f"q={q} < largest part {sigma.delta_max}: no edges")
+        if n < sigma.s:
+            raise NoEdgesError(f"n={n} < number of parts {sigma.s}: no edges")
+        self._set(n, q, sigma)
 
     @property
     def r(self) -> int:
@@ -130,11 +179,15 @@ def make_hypergraph(n: int, q: int, sigma: Partition) -> SigmaHypergraph:
     return SigmaHypergraph(n, q, sigma)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(Record):
     """An edge stored as its canonical vertex tuple, sorted by (class, row)."""
 
+    __slots__ = ("vertices",)
     vertices: tuple[GridVertex, ...]
+
+    def __init__(self, vertices: tuple[GridVertex, ...]) -> None:
+        # not through _set: enumerate_edges builds one Edge per edge of H
+        object.__setattr__(self, "vertices", vertices)
 
     @classmethod
     def of(cls, vertices: Iterable[GridVertex]) -> "Edge":

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
@@ -53,6 +52,7 @@ from .core import (
     Edge,
     GridVertex,
     Partition,
+    Record,
     SigmaHypergraph,
     edge_count,
     enumerate_edges,
@@ -75,14 +75,25 @@ TAG_FORBIDDEN_NONEMPTY = "forbidden-intersection-nonempty"
 TAG_DEGENERATE_LENGTH = "degenerate-length"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("ok", "violated_condition", "detail", "profile", "window_sizes", "hamiltonian")
     ok: bool
-    violated_condition: Optional[str] = None
-    detail: Optional[str] = None
-    profile: Optional[SharpnessProfile] = None
-    window_sizes: Optional[tuple[int, ...]] = None
-    hamiltonian: bool = False
+    violated_condition: Optional[str]
+    detail: Optional[str]
+    profile: Optional[SharpnessProfile]
+    window_sizes: Optional[tuple[int, ...]]
+    hamiltonian: bool
+
+    def __init__(
+        self,
+        ok: bool,
+        violated_condition: Optional[str] = None,
+        detail: Optional[str] = None,
+        profile: Optional[SharpnessProfile] = None,
+        window_sizes: Optional[tuple[int, ...]] = None,
+        hamiltonian: bool = False,
+    ) -> None:
+        self._set(ok, violated_condition, detail, profile, window_sizes, hamiltonian)
 
     @classmethod
     def failure(cls, tag: str, detail: str) -> "VerificationReport":
@@ -406,11 +417,14 @@ def _edges_meeting(vertex_mask: int, inc: list[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MaxMatchingResult:
+class MaxMatchingResult(Record):
+    __slots__ = ("nu", "exact", "nodes")
     nu: int
     exact: bool
     nodes: int
+
+    def __init__(self, nu: int, exact: bool, nodes: int) -> None:
+        self._set(nu, exact, nodes)
 
 
 def _placements(
@@ -503,11 +517,14 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     return MaxMatchingResult(best, True, nodes)
 
 
-@dataclass(frozen=True)
-class SharpSearchResult:
+class SharpSearchResult(Record):
+    __slots__ = ("status", "certificate", "nodes")
     status: str  # "found" | "exhausted"
-    certificate: Optional[CycleCertificate] = None
-    nodes: int = 0
+    certificate: Optional[CycleCertificate]
+    nodes: int
+
+    def __init__(self, status: str, certificate: Optional[CycleCertificate] = None, nodes: int = 0) -> None:
+        self._set(status, certificate, nodes)
 
 
 def brute_force_sharp_hamiltonian_exists(

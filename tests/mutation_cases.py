@@ -8,8 +8,6 @@ so every failure below is introduced by the mutation itself.
 
 from __future__ import annotations
 
-import dataclasses
-
 from sigmacycles import (
     CycleCertificate,
     Edge,
@@ -35,27 +33,27 @@ from sigmacycles.verify import (
 def _swap_vertices(cert: CycleCertificate, i: int, j: int) -> CycleCertificate:
     seq = list(cert.vertex_sequence)
     seq[i], seq[j] = seq[j], seq[i]
-    return dataclasses.replace(cert, vertex_sequence=tuple(seq))
+    return cert.replace(vertex_sequence=tuple(seq))
 
 
 def _copy_vertex(cert: CycleCertificate, dst: int, src: int) -> CycleCertificate:
     seq = list(cert.vertex_sequence)
     seq[dst] = seq[src]
-    return dataclasses.replace(cert, vertex_sequence=tuple(seq))
+    return cert.replace(vertex_sequence=tuple(seq))
 
 
 def _set_edge(cert: CycleCertificate, i: int, edge: Edge) -> CycleCertificate:
     edges = list(cert.edges)
     edges[i] = edge
-    return dataclasses.replace(cert, edges=tuple(edges))
+    return cert.replace(edges=tuple(edges))
 
 
 def _drop_edge(cert: CycleCertificate, i: int) -> CycleCertificate:
-    return dataclasses.replace(cert, edges=cert.edges[:i] + cert.edges[i + 1 :])
+    return cert.replace(edges=cert.edges[:i] + cert.edges[i + 1 :])
 
 
 def _truncate(cert: CycleCertificate, count: int) -> CycleCertificate:
-    return dataclasses.replace(cert, edges=cert.edges[:count])
+    return cert.replace(edges=cert.edges[:count])
 
 
 def berge_mutations():
@@ -72,7 +70,7 @@ def berge_mutations():
         cases.append((f"non-edge-at-{i}", H, _set_edge(base, i, bad_edge), TAG_NON_EDGE))
     for i, j in [(5, 2), (7, 0), (3, 8), (6, 1)]:
         cases.append((f"duplicate-{i}<-{j}", H, _set_edge(base, i, base.edges[j]), TAG_DUPLICATE_EDGE))
-    short = dataclasses.replace(base, edges=base.edges[:8], vertex_sequence=base.vertex_sequence[:8])
+    short = base.replace(edges=base.edges[:8], vertex_sequence=base.vertex_sequence[:8])
     cases.append(("drop-last-vertex-and-edge", H, short, TAG_COVERAGE_GAP))
     assert len(cases) == 20
     return cases

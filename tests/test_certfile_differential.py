@@ -10,7 +10,6 @@ uses a JSON type that only the strict reader rejects (see strict_type_case).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 
 import pytest
@@ -78,7 +77,7 @@ def test_dumps_matches_reference(sigma, n, q, recipe):
 def test_dumps_matches_reference_on_parsed_shapes(changes):
     """Shapes no constructor returns but the reader accepts."""
     cert = construct_berge_hamiltonian(make_hypergraph(3, 3, parse_partition("2,1")))
-    cert = dataclasses.replace(cert, **changes)
+    cert = cert.replace(**changes)
     assert dumps(cert) == reference_dumps(cert)
 
 
@@ -95,7 +94,7 @@ def test_dumps_matches_reference_on_unparsed_shapes(changes):
     """Shapes no constructor returns and the reader refuses, but dumps
     writes: an empty cycle.edges, and edges of different vertex counts."""
     cert = construct_berge_hamiltonian(make_hypergraph(3, 3, parse_partition("2,1")))
-    cert = dataclasses.replace(cert, **changes)
+    cert = cert.replace(**changes)
     assert dumps(cert) == reference_dumps(cert)
 
 

@@ -525,7 +525,8 @@ def python(*argv, **kwargs) -> subprocess.Popen:
 class TestStartup:
     """A call imports only the modules its subcommand runs (each module
     is compiled from source when no bytecode is cached), and no code path
-    needs numpy."""
+    needs numpy.  The value types are defined without dataclasses, so no
+    call loads it or the inspect module it imports."""
 
     SCRIPT = (
         "import sys\n"
@@ -536,8 +537,8 @@ class TestStartup:
         "print(*sorted(sys.modules), file=sys.stderr)\n"
     )
 
-    def modules(self, *argv) -> set[str]:
-        proc = python("-c", self.SCRIPT, *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    def modules(self, *argv, script=SCRIPT) -> set[str]:
+        proc = python("-c", script, *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         return set(err.split())
@@ -546,6 +547,15 @@ class TestStartup:
         loaded = self.modules()
         assert "sigmacycles" in loaded
         assert [m for m in loaded if m.startswith("sigmacycles.") or m == "numpy"] == []
+
+    def test_value_type_modules_load_no_dataclasses(self):
+        loaded = self.modules(script=(
+            "import sys\n"
+            "import sigmacycles.core, sigmacycles.certificates, sigmacycles.verify\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n"
+        ))
+        assert "sigmacycles.verify" in loaded
+        assert [m for m in ("dataclasses", "inspect") if m in loaded] == []
 
     @pytest.mark.parametrize(
         "argv, runs, skips",
@@ -567,7 +577,7 @@ class TestStartup:
             "-o", str(cert))
         loaded = self.modules(*(a.replace("{cert}", str(cert)) for a in argv))
         assert f"sigmacycles.{runs}" in loaded
-        assert [m for m in skips + ["numpy"] if m in loaded] == []
+        assert [m for m in skips + ["numpy", "dataclasses", "inspect"] if m in loaded] == []
 
     def test_closed_stdout_is_a_usage_error(self):
         # 90,000 lines overflow the pipe: writes after the reader has gone

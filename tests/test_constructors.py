@@ -1,7 +1,5 @@
 """Matchings, block decomposition and the three cycle constructors."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,7 +242,7 @@ class TestKIntersectingConstructor:
         H = make_hypergraph(4, 5, parse_partition("2,2,1"))
         cert = construct_k_intersecting(H, 2)
         assert len(cert.edges) == 8
-        as_sharp = dataclasses.replace(cert, kind="sharp", k=None)
+        as_sharp = cert.replace(kind="sharp", k=None)
         assert verify_sharp_cycle(H, as_sharp).ok
         # k=2 is the block chain with the single threshold 1, as is split 1
         assert cert.edges == construct_sharp_hamiltonian(H, 1).edges

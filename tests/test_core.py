@@ -1,11 +1,14 @@
 """Partitions, hypergraph construction, edge tests and enumeration."""
 
+import copy
 import importlib
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import types
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,11 +20,15 @@ from sigmacycles import (
     Edge,
     NoEdgesError,
     Partition,
+    brute_force_max_matching,
+    brute_force_sharp_hamiltonian_exists,
+    construct_sharp_hamiltonian,
     edge_count,
     enumerate_edges,
     is_edge,
     make_hypergraph,
     parse_partition,
+    verify_sharp_cycle,
 )
 
 from helpers import exhaustive_edge_count, exhaustive_edges, partitions_of
@@ -191,6 +198,88 @@ class TestEdge:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError):
             Edge.of([(0, 0), (0, 0), (1, 0)])
+
+
+@lru_cache(maxsize=None)
+def value_examples() -> dict:
+    """type name -> (a value, its field names in order, changes that give an
+    unequal value, changes that __init__ rejects with ValueError or None)"""
+    H = make_hypergraph(3, 6, Partition((2, 1)))
+    cert = construct_sharp_hamiltonian(H)
+    report = verify_sharp_cycle(H, cert)
+    return {
+        "Partition": (Partition((2, 1)), ("parts",), {"parts": (3, 1)}, {"parts": (1, 2)}),
+        "SigmaHypergraph": (H, ("n", "q", "sigma"), {"q": 7}, {"n": 0}),
+        "Edge": (cert.edges[0], ("vertices",), {"vertices": cert.edges[1].vertices}, None),
+        "SharpnessProfile": (
+            report.profile, ("pair_sizes", "uniform_t", "uniform_z"), {"uniform_z": None}, None
+        ),
+        "CycleCertificate": (
+            cert,
+            ("hypergraph", "kind", "edges", "k", "split_index", "vertex_sequence",
+             "claimed_hamiltonian", "claimed_t", "claimed_z"),
+            {"claimed_t": None},
+            {"kind": "bogus"},
+        ),
+        "VerificationReport": (
+            report,
+            ("ok", "violated_condition", "detail", "profile", "window_sizes", "hamiltonian"),
+            {"hamiltonian": False},
+            None,
+        ),
+        "MaxMatchingResult": (brute_force_max_matching(H), ("nu", "exact", "nodes"), {"nodes": 0}, None),
+        "SharpSearchResult": (
+            brute_force_sharp_hamiltonian_exists(H, 12),
+            ("status", "certificate", "nodes"),
+            {"certificate": None},
+            None,
+        ),
+    }
+
+
+VALUE_TYPES = [
+    "Partition", "SigmaHypergraph", "Edge", "SharpnessProfile", "CycleCertificate",
+    "VerificationReport", "MaxMatchingResult", "SharpSearchResult",
+]
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_type_contract(name):
+    """The immutable value types behave as frozen dataclasses: equality and
+    hash by class and fields, no assignment, a Name(field=value, ...) repr,
+    copy and pickle round trips, and replace() that validates again."""
+    value, fields, changes, invalid = value_examples()[name]
+    cls = getattr(sigmacycles, name)
+    assert type(value) is cls
+    values = tuple(getattr(value, f) for f in fields)
+    other = cls(*(changes.get(f, v) for f, v in zip(fields, values)))
+
+    same = cls(*values)
+    assert same is not value and same == value and not same != value
+    assert hash(same) == hash(value) == hash(values)
+    assert other != value
+    assert value.__eq__(values) is NotImplemented and value != values
+
+    for f in fields + ("no_such_field",):
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    assert tuple(getattr(value, f) for f in fields) == values
+
+    assert repr(value) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+
+    assert value.replace() == value
+    assert value.replace(**changes) == other
+    if hasattr(copy, "replace"):  # Python 3.13+
+        assert copy.replace(value, **changes) == other
+    if invalid is not None:
+        with pytest.raises(ValueError):
+            value.replace(**invalid)
 
 
 class TestEnumerationAndCount:

@@ -1,6 +1,5 @@
 """Verifiers, bound calculators and brute-force oracles."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -43,7 +42,7 @@ class TestBergeVerifier:
         cert = construct_berge_hamiltonian(h)
         seq = list(cert.vertex_sequence)
         seq[1], seq[2] = seq[2], seq[1]
-        report = verify_berge_hamiltonian(h, dataclasses.replace(cert, vertex_sequence=tuple(seq)))
+        report = verify_berge_hamiltonian(h, cert.replace(vertex_sequence=tuple(seq)))
         assert not report.ok
         assert report.violated_condition == "membership-violated"
         assert report.detail
@@ -62,7 +61,7 @@ class TestBergeVerifier:
     def test_in_process_sequence_faults(self, change, detail):
         h = H(4, 6, "2,1")
         cert = construct_berge_hamiltonian(h)
-        bad = dataclasses.replace(cert, vertex_sequence=change(cert.vertex_sequence))
+        bad = cert.replace(vertex_sequence=change(cert.vertex_sequence))
         report = verify_berge_hamiltonian(h, bad)
         assert (report.ok, report.violated_condition, report.detail) == (
             False, "coverage-gap", detail
@@ -112,7 +111,7 @@ class TestSharpVerifier:
     def test_missing_edge_detected(self):
         h = H(3, 6, "2,1")
         cert = construct_sharp_hamiltonian(h)
-        short = dataclasses.replace(cert, edges=cert.edges[:-1])
+        short = cert.replace(edges=cert.edges[:-1])
         report = verify_sharp_cycle(h, short)
         assert not report.ok
         assert report.violated_condition == "consecutive-intersection-empty"
@@ -128,7 +127,7 @@ class TestKIntersectingVerifier:
     def test_k2_delegates_to_sharp_verdict(self):
         h = H(4, 5, "2,2,1")
         cert = construct_k_intersecting(h, 2)
-        as_sharp = dataclasses.replace(cert, kind="sharp", k=None)
+        as_sharp = cert.replace(kind="sharp", k=None)
         assert verify_k_intersecting(h, cert, 2).ok == verify_sharp_cycle(h, as_sharp).ok
 
     def test_large_certificate_fully_verified(self):

@@ -1,7 +1,6 @@
 """Differential tests: the incidence-index verifiers against the pairwise and
 C(p, k) reference verifiers in helpers.py.  Reports must agree exactly."""
 
-import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -55,7 +54,7 @@ def assert_same(H, edges, k):
     got = verify_k_intersecting(H, cert, k)
     assert fields(got) == fields(reference_verify_k_intersecting(H, cert, k))
     if k == 2:
-        sharp = dataclasses.replace(cert, kind=KIND_SHARP, k=None)
+        sharp = cert.replace(kind=KIND_SHARP, k=None)
         assert fields(verify_sharp_cycle(H, sharp)) == fields(got)
     return got
 
