@@ -237,13 +237,12 @@ def _runs_from(
     the vertices acc, as runs (prefix, cc, a) in lexicographic order of the
     canonical vertex sequences.  A run stands for the edges that extend the
     vertex tuple prefix by every a-row choice in class cc, rows ascending, in
-    itertools.combinations order.  The parts go class by class; once one
-    part is left, each remaining class in order gives one run.  choices_for
-    memoises the sorted row choices per tuple of parts still to place.  A
-    module-level recursion, not a closure that refers to itself, so a call
-    leaves no reference cycle for the garbage collector."""
-    if n - c < len(remaining):
-        return
+    itertools.combinations order.  A loop picks the class cc that takes the
+    next part, so the recursion is one level per part, not per class; once
+    one part is left, each remaining class in order gives one run.
+    choices_for memoises the sorted row choices per tuple of parts still to
+    place.  A module-level recursion, not a closure that refers to itself,
+    so a call leaves no reference cycle for the garbage collector."""
     if len(remaining) == 1:
         # the last part goes into one class; classes in order, rows
         # ascending, is the lexicographic order of the edges
@@ -252,23 +251,22 @@ def _runs_from(
         return
     choices = choices_for.get(remaining)
     if choices is None:
-        choices = [()]
+        choices = []
         for a in set(remaining):
             choices.extend(itertools.combinations(range(q), a))
         # lexicographic on the induced vertex sequence: a choice that is a
         # strict prefix of another continues with a later class, so it
-        # sorts after it, and the empty choice (skip this class) sorts
-        # last; the sentinel q, above every row, gives both
+        # sorts after it; the sentinel q, above every row, gives that
         choices.sort(key=lambda rows: rows + (q,))
         choices_for[remaining] = choices
-    for rows in choices:
-        if rows:
+    # skipping class cc sorts after every choice in it, so the classes go
+    # in order; each leaves room for the other parts in the classes after it
+    for cc in range(c, n - len(remaining) + 1):
+        for rows in choices:
             rest = list(remaining)
             rest.remove(len(rows))
-            placed = acc + tuple((c, rr) for rr in rows)
-            yield from _runs_from(n, q, choices_for, c + 1, tuple(rest), placed)
-        else:
-            yield from _runs_from(n, q, choices_for, c + 1, remaining, acc)
+            placed = acc + tuple((cc, rr) for rr in rows)
+            yield from _runs_from(n, q, choices_for, cc + 1, tuple(rest), placed)
 
 
 def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
@@ -285,7 +283,7 @@ def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
 def edge_count(H: SigmaHypergraph) -> int:
     """Closed-form edge count, exact integer arithmetic."""
     sigma = H.sigma
-    class_ways = math.factorial(H.n) // math.factorial(H.n - sigma.s)
+    class_ways = math.perm(H.n, sigma.s)
     for m in Counter(sigma.parts).values():
         class_ways //= math.factorial(m)
     row_ways = math.prod(math.comb(H.q, a) for a in sigma.parts)

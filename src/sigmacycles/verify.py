@@ -13,16 +13,23 @@ vertex's incidence list.  Each list yields its own first violating candidate
 and the verifier reports the minimum over the candidates, which keeps the
 first-violation contract above.  A check costs O(k * sum of incidence sizes)
 plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
-There is one such index, core.incidence: the verifiers, export.render_dot
-and the sharp brute-force oracle all read it.  The oracle builds it over
-core.enumerate_edges, all edges of H, and holds it as int bitsets
-(_edge_bitsets), unless max_len is too short to cover the grid from edge 0.  The sharp search starts from edge 0 only: permuting the
-classes and the rows within each class maps H onto itself and any edge onto
-any other, so a sharp Hamiltonian cycle exists if and only if one passes
-through edge 0.  It carries the edges through blocked vertices down its
-tree as one bitset, on an explicit stack.  The max-matching oracle builds
-no index: an edge is fixed by its per-class part sizes, so it searches the
-class loads of packings of sigma, not the edges.
+There is one such index, core.incidence: the verifiers and
+export.render_dot read it.
+
+The brute-force oracles build no edge index.  An edge of H is fixed by its
+per-class part sizes alone, so permuting the classes and the rows within
+each class maps H onto itself, and both oracles search per-class counts up
+to that symmetry, not edges.  A state is run-length encoded, as (type,
+number of classes of that type) pairs, and one placement enumerator
+(_placements) gives the moves of both: every way to put the parts of sigma
+in distinct classes, once per multiset of (type, take) pairs.  The
+max-matching oracle's type is a class's residual capacity and a move packs
+one more copy of sigma.  The sharp oracle's type counts a class's rows that
+are uncovered, in the first path edge but not the second, and in the last
+but not the one before, and a move adds one edge to a sharp path that
+starts at edge 0; some permutation maps edge 0 onto any edge, so a sharp
+Hamiltonian cycle exists if and only if one passes through edge 0.  Both
+memoise states and keep their path on an explicit stack.
 
 Edge validity, the first stage of every verifier, is one exact pass over the
 edge list that applies core.is_edge's rule inline: in-range vertex pairs, r
@@ -38,8 +45,10 @@ which the report carries (profile, window sizes, coverage).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     KIND_BERGE,
@@ -55,7 +64,6 @@ from .core import (
     Record,
     SigmaHypergraph,
     edge_count,
-    enumerate_edges,
     incidence,
 )
 from .errors import BudgetExceeded
@@ -328,7 +336,8 @@ def _load_ceiling(sigma: Partition) -> Callable[..., int]:
     (d, r/d): every class load is a sum of parts, so a multiple of
     d = gcd(sigma).  A slot term (a, m_a) for each part size a: a class
     holds at most floor(c/a) of the m_a parts of size a or more.  The
-    returned function takes the capacities, each counted `classes` times.
+    returned function takes the capacities run-length encoded, as
+    (capacity, classes) pairs.
     """
     parts, r, d = sigma.parts, sigma.r, sigma.gcd_parts
     # parts are non-increasing, so the parts >= a end at the last a.  A slot
@@ -337,10 +346,10 @@ def _load_ceiling(sigma: Partition) -> Callable[..., int]:
     slots = {a: i + 1 for i, a in enumerate(parts) if a != d}.items()
     units = r // d
 
-    def ceiling(capacities: Sequence[int], classes: int = 1) -> int:
-        best = sum([c // d for c in capacities]) * classes // units
+    def ceiling(groups: Sequence[tuple[int, int]]) -> int:
+        best = sum([c // d * k for c, k in groups]) // units
         for a, m in slots:
-            best = min(best, sum([c // a for c in capacities]) * classes // m)
+            best = min(best, sum([c // a * k for c, k in groups]) // m)
         return best
 
     return ceiling
@@ -350,7 +359,7 @@ def matching_upper_bound(H: SigmaHypergraph) -> int:
     """An upper bound on the maximum matching size of H: the class-load
     ceiling (see _load_ceiling) of n classes of capacity q, with which
     brute_force_max_matching prunes its root.  O(s) time."""
-    return _load_ceiling(H.sigma)((H.q,), H.n)
+    return _load_ceiling(H.sigma)(((H.q, H.n),))
 
 
 def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
@@ -378,43 +387,46 @@ def sharp_nonexistence_test(H: SigmaHypergraph, nu: int) -> bool:
 # Brute-force oracles
 
 
-def _bits(x: int) -> Iterator[int]:
-    """Indices of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _placements(groups: Sequence[tuple], parts: Iterable[tuple], takes: Callable) -> Iterator[tuple]:
+    """Yield every way to place the parts of sigma in distinct classes, up
+    to swapping classes of one type: one (type, take) pair per part.
+    groups is a run-length state, (type, number of classes of that type)
+    pairs; parts holds (part size, number of parts of that size) pairs,
+    sizes in descending order; takes(type, a) lists what a part of size a
+    may take from a class of that type.  Equal parts take their options in
+    non-decreasing order, so each multiset of (type, take) pairs comes
+    once, in lexicographic order of the option indices, and no group gets
+    more parts than it has classes.  No recursion over the parts."""
+    pools = []
+    for a, k in parts:
+        options = [(kind, t) for kind, _ in groups for t in takes(kind, a)]
+        pools.append(itertools.combinations_with_replacement(options, k))
+    classes = dict(groups)
+    for combo in itertools.product(*pools):
+        placement = combo[0] if len(combo) == 1 else sum(combo, ())
+        used = [kind for kind, _ in placement]
+        if len(set(used)) == len(used) or all(classes[kind] >= used.count(kind) for kind in used):
+            yield placement
 
 
-def _edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]:
-    """The incidence index of all edges of H as int bitsets.
-
-    Returns the edges in enumerate_edges order, each edge's vertex bitmask,
-    and for each vertex the bitmask of the edges through it, read off
-    core.incidence.  Vertex (c, row) is bit c*q + row, its position in
-    H.vertices(); edge bit j is edges[j].
-    """
-    edges = list(enumerate_edges(H))
-    index = incidence(edges)
-    masks = [0] * len(edges)
-    inc = []
-    for u, v in enumerate(H.vertices()):
-        buf = bytearray((len(edges) + 7) // 8)
-        for i in index.get(v, ()):
-            buf[i >> 3] |= 1 << (i & 7)
-            masks[i] |= 1 << u
-        inc.append(int.from_bytes(buf, "little"))
-    return edges, masks, inc
-
-
-def _edges_meeting(vertex_mask: int, inc: list[int]) -> int:
-    """Bitmask of the edges through any vertex of vertex_mask."""
-    out = 0
-    while vertex_mask:
-        low = vertex_mask & -vertex_mask
-        out |= inc[low.bit_length() - 1]
-        vertex_mask ^= low
-    return out
+def _child(groups: Sequence[tuple], placement: tuple, step: Callable, none: Any) -> tuple:
+    """The run-length state, types in descending order, that placement
+    leaves: a class of type t that takes a part's take becomes
+    step(t, take), and one that takes no part step(t, none).  none is also
+    the type of a class that can take nothing, and such classes are
+    dropped."""
+    counts: dict[Any, int] = {}
+    idle = dict(groups)
+    for kind, take in placement:
+        idle[kind] -= 1
+        after = step(kind, take)
+        counts[after] = counts.get(after, 0) + 1
+    for kind, k in idle.items():
+        if k:
+            after = step(kind, none)
+            counts[after] = counts.get(after, 0) + k
+    counts.pop(none, None)
+    return tuple(sorted(counts.items(), reverse=True))
 
 
 class MaxMatchingResult(Record):
@@ -427,40 +439,16 @@ class MaxMatchingResult(Record):
         self._set(nu, exact, nodes)
 
 
-def _placements(
-    state: tuple[int, ...], parts: tuple[int, ...], taken: list[int], out: dict[tuple[int, ...], None]
-) -> None:
-    """Add to out, in depth-first order, every state left by placing parts
-    (non-increasing) into distinct classes of state that have room for them;
-    taken[j] is the part already placed in class j, or 0.
-
-    Classes of equal capacity are interchangeable, and state is sorted, so
-    a part skips a class whose capacity equals the last class it tried.
-    """
-    if not parts:
-        child = tuple(sorted((c - t for c, t in zip(state, taken) if c > t), reverse=True))
-        out.setdefault(child)
-        return
-    need, tried = parts[0], None
-    for j, c in enumerate(state):
-        if c < need:
-            break
-        if taken[j] or c == tried:
-            continue
-        taken[j], tried = need, c
-        _placements(state, parts[1:], taken, out)
-        taken[j] = 0
-
-
 def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> MaxMatchingResult:
     """Exact maximum matching size by a memoised search over class loads.
 
     An edge is fixed by its per-class part sizes alone, and rows within a
     class are interchangeable, so nu(H) is the largest number of copies of
     sigma that pack into n classes of capacity q with each copy's parts in
-    distinct classes.  A state is the tuple of non-zero residual class
-    capacities, sorted in descending order; its children are the distinct
-    states one more copy can leave (see _placements), and
+    distinct classes.  A state is the run-length tuple of non-zero residual
+    class capacities, (capacity, classes) pairs in descending order; its
+    children are the states one more copy can leave (_placements with one
+    type per class, its capacity), made one at a time, and
     f(state) = max(0, 1 + max over children of f(child)), memoised.  A
     state stops branching once it reaches the ceiling of its capacities
     (see _load_ceiling: the gcd and part-slot terms); at the root that is
@@ -479,13 +467,15 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     m = edge_count(H)
     if m > budget:
         raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
-    parts, r = H.sigma.parts, H.r
+    parts, r = Counter(H.sigma.parts).items(), H.r
     ceiling_of = _load_ceiling(H.sigma)
-    memo: dict[tuple[int, ...], int] = {}
+    memo: dict[tuple, int] = {}
     best = nodes = 0
-    # the current path, one frame per state: [state, children left (next
-    # last), value so far, ceiling]; the frame at depth d has d copies placed
-    path: list[list] = [[(H.q,) * H.n, None, 0, 0]]
+    # the current path, one frame per state: [state, placements left (a
+    # generator), value so far, ceiling]; the frame at depth d has d copies
+    # placed.  A child is made when its turn comes, and one that an earlier
+    # placement already made is a memo hit
+    path: list[list] = [[((H.q, H.n),), None, 0, 0]]
     while path:
         frame = path[-1]
         state, left, value, ceiling = frame
@@ -495,14 +485,14 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
             nodes += 1
             if nodes > budget:
                 return MaxMatchingResult(best, False, nodes)
-            out: dict[tuple[int, ...], None] = {}
-            _placements(state, parts, [0] * len(state), out)
-            frame[1] = left = list(out)[::-1]
+            # a part of size a takes a rows from a class with room for them
+            frame[1] = left = _placements(state, parts, lambda c, a: (a,) if c >= a else ())
             frame[3] = ceiling = ceiling_of(state)
-        if left and value < ceiling:
-            child = left.pop()
+        placement = next(left, None) if value < ceiling else None
+        if placement is not None:
+            child = _child(state, placement, operator.sub, 0)
             # fewer than r vertices left: no copy fits, so no expansion
-            got = memo.get(child) if sum(child) >= r else 0
+            got = memo.get(child) if sum([c * k for c, k in child]) >= r else 0
             if got is None:
                 path.append([child, None, 0, 0])
             else:
@@ -527,6 +517,59 @@ class SharpSearchResult(Record):
         self._set(status, certificate, nodes)
 
 
+# The sharp search.  A vertex of a sharp path e_1..e_m is uncovered (U), in
+# e_1 but not e_2 (F), in e_m but not e_(m-1) (L), or blocked.  A class's
+# type is its (U, F, L) row counts, the rest of its rows being blocked, and
+# a take is the (U, F, L) rows that one part of an edge takes from a class.
+
+
+def _extend_takes(kind: tuple[int, int, int], a: int) -> list[tuple[int, int, int]]:
+    # a non-closing edge takes U and L rows only
+    u, _, l = kind
+    return [(a - x, 0, x) for x in range(max(0, a - u), min(a, l) + 1)]
+
+
+def _close_takes(kind: tuple[int, int, int], a: int) -> list[tuple[int, int, int]]:
+    # a closing edge takes every U row of each class it meets, and F and L
+    # rows besides
+    u, f, l = kind
+    return [(u, a - u - x, x) for x in range(max(0, a - u - f), min(a - u, l) + 1)]
+
+
+def _step(second: bool, kind: tuple[int, int, int], take: tuple[int, int, int]) -> tuple[int, int, int]:
+    # a class after a non-closing edge takes take from it: the U rows taken
+    # become L, and the old L rows are blocked, except that those the second
+    # edge leaves become F
+    (u, f, l), (xu, _, xl) = kind, take
+    return (u - xu, f + l - xl, xu) if second else (u - xu, f, xu)
+
+
+def _sharp_cycle(H: SigmaHypergraph, moves: Sequence[tuple]) -> tuple[Edge, ...]:
+    """The edges that moves, each a (type, take) pair per part, make from
+    the empty path: each part goes to the first class of its type and takes
+    that class's first rows of each type, lowest U rows first.  Rows of one
+    type are interchangeable, so any such rule gives a cycle of the shape
+    the search found.  Each edge scans the n classes, which the budget
+    bounds: n x len(moves) <= n x min(max_len, nq) (see
+    brute_force_sharp_hamiltonian_exists)."""
+    rows = [([*range(H.q)], [], []) for _ in range(H.n)]  # each class's U, F and L rows
+    edges = []
+    for i, move in enumerate(moves):
+        vertices, new_l = [], {}
+        for kind, (xu, xf, xl) in move:
+            c = next(c for c in range(H.n) if c not in new_l and tuple(map(len, rows[c])) == kind)
+            u, f, l = rows[c]
+            new_l[c] = u[:xu]
+            vertices += [(c, y) for y in u[:xu] + f[:xf] + l[:xl]]
+            del u[:xu], f[:xf], l[:xl]
+        edges.append(Edge(tuple(sorted(vertices))))
+        for c, (u, f, l) in enumerate(rows):
+            if i == 1:
+                f += l
+            l[:] = new_l.get(c, ())
+    return tuple(edges)
+
+
 def brute_force_sharp_hamiltonian_exists(
     H: SigmaHypergraph, max_len: int, budget: int = 2_000_000
 ) -> SharpSearchResult:
@@ -536,114 +579,85 @@ def brute_force_sharp_hamiltonian_exists(
     group S_q wr S_n, which permutes the classes and the rows within each
     class, acts on H by automorphisms and is transitive on the edges.  A
     sharp Hamiltonian cycle of up to max_len edges therefore exists if and
-    only if one passes through edge 0, and the search is one depth-first
-    pass over edge sequences that start at edge 0.  Prefixes must be sharp
-    paths and the coverage bound (remaining edges x (r-1) >= uncovered
-    vertices) prunes dead branches.  With max_len >= floor(2nq/r) (see
-    sharp_cycle_bounds), "exhausted" proves that no sharp Hamiltonian cycle
-    exists.  Any cycle found is re-checked by verify_sharp_cycle before it is
-    returned.
-    When the coverage bound already prunes edge 0 alone (max_len too short
-    to cover the grid from it), the answer is "exhausted" and no edge index
-    is built.  Otherwise the extensions of a path are read off int bitsets
-    over the edges (see _edge_bitsets), in ascending edge order.  The search
-    runs on an explicit stack, one frame per path edge that has candidates,
-    so max_len is not bounded by the recursion limit.
+    only if one passes through edge 0, and the search grows sharp paths
+    e_1..e_m from e_1 = edge 0.  Which completions a path has depends only
+    on the edges left and on its vertex sets U (uncovered), F (in e_1 but
+    not e_2) and L (in e_m but not e_(m-1)), and the group acts on those
+    too.  So a state is the run-length tuple of class types, ((U, F, L) row
+    counts, classes) pairs, and the search makes one move per multiset of
+    (type, take) pairs (_placements):
+    - a non-closing edge takes U and L rows only, at least one of each.
+      Its U rows become L and every old L row is blocked, except that the
+      L rows the second edge leaves become F;
+    - a closing edge, from m = 3 on, takes every U row, at least one F and
+      one L row, and nothing else.
+    Closing moves come first, then the others, fewest U rows first.  A state
+    that fails with k edges left is dead with at most k edges left; the
+    memo key is (m >= 3, state), since an edge closes only from m = 3.  The
+    coverage bound (edges left x (r-1) >= uncovered vertices) prunes paths.
+    With max_len >= floor(2nq/r) (see sharp_cycle_bounds), "exhausted"
+    proves that no sharp Hamiltonian cycle exists.  A found cycle is made of
+    concrete rows by rule (_sharp_cycle) and re-checked by
+    verify_sharp_cycle before it is returned.  The path is kept on an
+    explicit stack, so max_len is not bounded by the recursion limit.
     The result carries the number of search nodes: the empty path and every
-    path entered.  Raises BudgetExceeded when the node budget runs out, and
+    path entered.  Builds no edge index.  When the coverage bound prunes
+    edge 0 itself the answer is "exhausted" after 2 nodes.  Otherwise the
+    search raises BudgetExceeded up front when n x min(max_len, nq) exceeds
+    the budget (each of up to min(max_len, nq) path frames holds a state of
+    up to n class types), and when the node budget runs out.  Raises
     ValueError when max_len or budget is negative.
     """
     if max_len < 0 or budget < 0:
         raise ValueError(f"max_len and budget must be >= 0, got {max_len} and {budget}")
-    m = edge_count(H)
-    if m > budget:
-        raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
     # the root, edge 0, is the second node; it leaves nq - r vertices
-    # uncovered, and when the coverage bound prunes it the answer needs no
-    # edge index
+    # uncovered, and when the coverage bound prunes it no search is needed
     if budget < 2:
         raise BudgetExceeded(f"search budget {budget} exhausted")
-    nq, r = H.vertex_count, H.r
+    n, q, r, parts = H.n, H.q, H.r, Counter(H.sigma.parts).items()
+    nq = n * q
     if max_len <= 1 or nq - r > (max_len - 1) * (r - 1):
         return SharpSearchResult("exhausted", nodes=2)
-    edges, masks, inc = _edge_bitsets(H)
-    target = (1 << nq) - 1
-    # every path starts at edge 0 (see the docstring)
-    first_mask = masks[0]
-    first_meets = _edges_meeting(first_mask, inc)
-    all_edges = (1 << len(masks)) - 1
-    # the edges of the path
-    path: list[int] = []
-    # one frame per path edge that has candidates: (union, the candidates
-    # left (an iterator), the children's blocked edges).  The blocked edges
-    # go through a vertex outside the first edge that a path edge other
-    # than the last one holds.  A new edge must avoid those vertices,
-    # intersect the last edge, and (unless it closes the cycle) avoid the
-    # first edge as well.
-    frames: list[tuple[int, Iterator[int], int]] = []
-    nodes = 1  # the empty path, whose one child is edge 0
-    j, union, blocked = 0, first_mask, 0
-    while j is not None:
-        # enter the path path + [j], which covers union
+    if n * min(max_len, nq) > budget:
+        raise BudgetExceeded(f"{n} classes x {min(max_len, nq)} path edges exceeds budget {budget}")
+    memo: dict[tuple, int] = {}
+    # one frame per path, from the empty one: (state, uncovered rows, moves
+    # left (next last), the move that made it)
+    frames = [((((q, 0, 0), n),), nq, [(r, tuple(((q, 0, 0), (a, 0, 0)) for a in H.sigma.parts))], ())]
+    nodes = 1  # the empty path, whose one move makes edge 0
+    while frames:
+        state, uncovered, left, _ = frames[-1]
+        m = len(frames) - 1
+        if not left:
+            memo[m >= 3, state] = max_len - m
+            frames.pop()
+            continue
+        xu, move = left.pop()
+        child = _child(state, move, partial(_step, m == 1), (0, 0, 0))
+        if memo.get((m >= 2, child), -1) >= max_len - m - 1:
+            continue
+        # enter the path extended by the move
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"search budget {budget} exhausted")
-        path.append(j)
-        depth = len(path)
-        uncovered = nq - bin(union).count("1")
-        cand = 0
-        if depth < max_len and uncovered <= (max_len - depth) * (r - 1):
-            # edges other than the first that meet the last edge and avoid
-            # the blocked vertices outside the first edge.  No path edge is
-            # left: each edge between the first and the last has a blocked
-            # vertex outside the first edge, and so has the last edge from
-            # depth 3 on (it meets the edge before it, not the first one);
-            # the second edge at depth 2 meets the first and goes with the
-            # filter below.
-            cand = _edges_meeting(masks[j], inc) & ~1 & ~blocked
-            if depth >= 2:
-                # past the second edge, an edge that meets the first one is
-                # only tried as a closing edge, and a closing edge holds every
-                # uncovered vertex; the loop below skips every other such edge
-                closers = 0
-                if depth >= 3 and uncovered <= r:
-                    closers = all_edges
-                    for u in _bits(target & ~union):
-                        closers &= inc[u]
-                cand &= ~first_meets | closers
-        if cand:
-            child_blocked = blocked | _edges_meeting(masks[j] & ~first_mask, inc)
-            frames.append((union, _bits(cand), child_blocked))
-        else:
-            path.pop()
-        # the next path to enter: the next candidate of the deepest frame
-        # that has one
-        j = None
-        while frames and j is None:
-            union, cands, child_blocked = frames[-1]
-            depth = len(path)
-            for j in cands:
-                mj = masks[j]
-                # the second edge is consecutive to the first; later
-                # extensions must stay disjoint from it until the cycle closes
-                if depth == 1 or not (mj & first_mask):
-                    union, blocked = union | mj, child_blocked
-                    break
-                # a closing edge: the filter above admits an edge that meets
-                # the first one only from depth 3 on, and only when it holds
-                # every uncovered vertex.  cand spares the blocked vertices
-                # inside the first edge, so a closing edge may meet the second
-                # edge; such an edge cannot pass verify_sharp_cycle, so it is
-                # not handed to it
-                if not (mj & masks[path[1]]):
-                    cert = CycleCertificate(
-                        hypergraph=H, kind=KIND_SHARP, edges=tuple(edges[i] for i in path + [j])
-                    )
-                    report = verify_sharp_cycle(H, cert)
-                    if report.ok and report.hamiltonian:
-                        return SharpSearchResult("found", cert, nodes)
-            else:
-                j = None
-                frames.pop()
-                path.pop()
+        state, uncovered, left, m = child, uncovered - xu, [], m + 1
+        if uncovered <= (max_len - m) * (r - 1):
+            if 3 <= m < max_len and uncovered <= r - 2:
+                for p in _placements(state, parts, _close_takes):
+                    xu, xf, xl = map(sum, zip(*[take for _, take in p]))
+                    if xu == uncovered and xf and xl:
+                        path = [frame[3] for frame in frames[1:]] + [move, p]
+                        cert = CycleCertificate(hypergraph=H, kind=KIND_SHARP, edges=_sharp_cycle(H, path))
+                        report = verify_sharp_cycle(H, cert)
+                        if report.ok and report.hamiltonian:
+                            return SharpSearchResult("found", cert, nodes)
+                        raise AssertionError(f"the sharp search made a bad cycle: {report.detail}")
+            if m + 1 < max_len:
+                for p in _placements(state, parts, _extend_takes):
+                    xu, _, xl = map(sum, zip(*[take for _, take in p]))
+                    if xu and xl:
+                        left.append((xu, p))
+                # popped from the end, so the fewest U rows come first
+                left.sort(key=operator.itemgetter(0), reverse=True)
+        frames.append((state, uncovered, left, move))
     return SharpSearchResult("exhausted", nodes=nodes)

@@ -16,7 +16,6 @@ from sigmacycles.core import (
     Partition,
     edge_count,
     enumerate_edges,
-    incidence,
 )
 from sigmacycles.errors import (
     BudgetExceeded,
@@ -304,11 +303,10 @@ def reference_from_json_dict(doc: Any) -> CycleCertificate:
 
 # ---------------------------------------------------------------------------
 # Reference oracles: the numpy branch and bound, the DFS that scans every edge
-# at each node, the edge enumeration that re-sorts the row choices at every
-# node, and the oracles' bitset index built one (edge, vertex) pair at a time.
-# The bitset oracles in sigmacycles.verify must walk the same search trees:
-# same answers, node counts, certificates and BudgetExceeded messages.  The
-# DFS reference also returns its node count.
+# at each node from every start edge, and the edge enumeration that re-sorts
+# the row choices at every node.  The oracles in sigmacycles.verify search
+# per-class counts instead, so they must give the same answers, not walk the
+# same trees.  The DFS reference also returns its node count.
 
 
 def _row_choice_cmp(r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
@@ -349,32 +347,6 @@ def reference_enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
                 yield from rec(c + 1, remaining, acc)
 
     return rec(0, sigma_parts, [])
-
-
-def _bitset(ids: Iterable[int], size: int) -> int:
-    """The int with exactly the bits ids set, each below size."""
-    buf = bytearray((size + 7) // 8)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
-def reference_edge_bitsets(H: SigmaHypergraph) -> tuple[list[Edge], list[int], list[int]]:
-    """The incidence index of all edges of H as int bitsets, built with a
-    bytearray per edge and per vertex over core.incidence.  Enumerates with
-    reference_enumerate_edges, so the edge list is checked too.
-
-    Returns the edges in enumeration order, each edge's vertex bitmask, and
-    for each vertex the bitmask of the edges through it.  Vertex bit i is the
-    i-th vertex of H.vertices() (grid order); edge bit j is edges[j].
-    """
-    edges = list(reference_enumerate_edges(H))
-    vertices = list(H.vertices())
-    vindex = {v: i for i, v in enumerate(vertices)}
-    masks = [_bitset((vindex[v] for v in e.vertices), len(vertices)) for e in edges]
-    index = incidence(edges)
-    inc = [_bitset(index.get(v, ()), len(edges)) for v in vertices]
-    return edges, masks, inc
 
 
 def reference_brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> MaxMatchingResult:

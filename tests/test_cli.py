@@ -367,6 +367,20 @@ class TestOracle:
         assert code == 3
         assert "budget" in err
 
+    def test_sharp_exists_huge_grid(self, capsys):
+        # edge 0 could still be extended to cover this grid within max-len,
+        # so the search is refused before it starts: n x min(max-len, nq)
+        # exceeds the budget.  Within the default max-len the coverage bound
+        # answers first
+        argv = ["oracle", "sharp-exists", "--sigma", "2,1", "--n", "1000000", "--q", "1000000"]
+        code, out, err = run(capsys, *argv, "--max-len", str(10**12))
+        assert (code, out) == (3, "")
+        assert err == (
+            "oracle: budget exceeded: 1000000 classes x 1000000000000 path edges exceeds budget 2000000\n"
+        )
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "exhausted\n")
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):

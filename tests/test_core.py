@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import inspect
 import itertools
 import os
 import pickle
@@ -287,6 +288,26 @@ class TestEnumerationAndCount:
         assert edge_count(make_hypergraph(3, 3, parse_partition("2,1"))) == 54
         assert edge_count(make_hypergraph(2, 2, parse_partition("2,2"))) == 1
         assert edge_count(make_hypergraph(2, 3, parse_partition("2,2"))) == 9
+
+    def test_count_of_a_huge_grid(self):
+        # the count needs no factorial of n: n(n-1) x C(3,2) x C(3,1) edges
+        # here, and n(n-1)(n-2)/3! x 3^3 for three parts of size 1
+        n = 10**9
+        assert edge_count(make_hypergraph(n, 3, parse_partition("2,1"))) == n * (n - 1) * 9
+        assert edge_count(make_hypergraph(n, 3, parse_partition("1,1,1"))) == n * (n - 1) * (n - 2) // 6 * 27
+
+    def test_enumeration_deeper_than_the_recursion_limit(self):
+        # the run recursion goes one level per part, not one per skipped
+        # class, so 300 classes need no Python frame per class
+        H = make_hypergraph(300, 1, parse_partition("1,1"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            edges = list(enumerate_edges(H))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(edges) == edge_count(H) == 300 * 299 // 2
+        assert edges[-1].vertices == ((298, 0), (299, 0))
 
     def test_single_edge_is_whole_grid(self):
         H = make_hypergraph(2, 2, parse_partition("2,2"))

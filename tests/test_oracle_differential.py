@@ -1,18 +1,19 @@
 """Differential tests: the oracles against the numpy branch and bound and
-the list-scan DFS in helpers.py, the edge enumeration against the one that
-re-sorts at every node, and the sharp search's bitset index against the one
-built with a bytearray per edge and per vertex.  The max-matching oracle
-searches class loads, the reference every edge, so their trees differ: they
-agree on refusals and exact answers, and a reference cut by the budget finds
-no larger matching.  The sharp search starts from edge 0 only, the reference
-from every edge in turn; the symmetry that makes the two agree is tested on
-its own."""
+the list-scan DFS in helpers.py, and the edge enumeration against the one
+that re-sorts at every node.  Both oracles search per-class counts, the
+references every edge, so their trees differ.  The max-matching oracle
+agrees with its reference on refusals and exact answers, and a reference cut
+by the budget finds no larger matching.  The sharp oracle starts from edge 0
+only and searches vertex-type counts, the reference every edge sequence from
+every edge in turn: they agree on the status, and the symmetry that makes
+them agree is tested on its own."""
 
 import gc
 import inspect
 import itertools
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +23,11 @@ from helpers import (
     partitions_of,
     reference_brute_force_max_matching,
     reference_brute_force_sharp_hamiltonian_exists,
-    reference_edge_bitsets,
     reference_enumerate_edges,
 )
 from sigmacycles import (
+    KIND_SHARP,
+    CycleCertificate,
     Edge,
     Partition,
     brute_force_max_matching,
@@ -35,10 +37,12 @@ from sigmacycles import (
     make_hypergraph,
     matching_upper_bound,
     sharp_cycle_bounds,
+    verify_sharp_cycle,
 )
 from sigmacycles import core, verify
+from sigmacycles.core import incidence
 from sigmacycles.errors import BudgetExceeded, NoEdgesError
-from sigmacycles.verify import MaxMatchingResult, _edge_bitsets
+from sigmacycles.verify import MaxMatchingResult
 
 SETTINGS = settings(deadline=None, max_examples=300)
 
@@ -85,20 +89,28 @@ def assert_same_matching(H, budget=2_000_000):
     return got
 
 
+def refused_up_front(H, max_len, budget):
+    # the sharp oracle's refusal before its search: n x min(max_len, nq)
+    # over the budget, when the coverage bound leaves edge 0 a way on
+    nq, r = H.vertex_count, H.r
+    pruned = max_len <= 1 or nq - r > (max_len - 1) * (r - 1)
+    return budget < 2 or (not pruned and H.n * min(max_len, nq) > budget)
+
+
 def assert_same_sharp(H, max_len, budget=2_000_000):
-    # the reference's search from edge 0 is the oracle's whole search.  By
-    # edge-transitivity a cycle exists only if one passes through edge 0, so
-    # the reference finds one there, with the same nodes, or not at all: an
-    # exhausted search ends no later, and a budget cut after edge 0's tree
-    # becomes "exhausted"
+    # the class-count search and the reference's edge search walk different
+    # trees, so their statuses are compared, not their nodes or cycles.  The
+    # oracle decides whatever the reference decides within the same budget,
+    # unless it refuses up front; it may decide more.  A found cycle is a
+    # sharp Hamiltonian cycle of H with at most max_len edges
     got = sharp_outcome(brute_force_sharp_hamiltonian_exists, H, max_len, budget)
     ref = sharp_outcome(reference_brute_force_sharp_hamiltonian_exists, H, max_len, budget)
-    if ref[0] == "found":
-        assert got == ref
-    elif ref[0] == "exhausted":
-        assert got[0] == "exhausted" and got[2] <= ref[2]
-    else:
-        assert got == ref or got[0] == "exhausted"
+    if ref[0] != "budget" and not refused_up_front(H, max_len, budget):
+        assert got[0] == ref[0]
+    if got[0] == "found":
+        assert len(got[1]) <= max_len
+        report = verify_sharp_cycle(H, CycleCertificate(hypergraph=H, kind=KIND_SHARP, edges=got[1]))
+        assert report.ok and report.hamiltonian
     return got
 
 
@@ -248,57 +260,80 @@ def test_matching_upper_bound_brackets_nu(sigma, n, q):
     assert ref.nu <= matching_upper_bound(H) <= n * (q - q % d) // H.r
 
 
-def test_max_matching_builds_no_index(monkeypatch):
-    # the class-load search reads only n, q and sigma: no enumerated edge, no
-    # Edge, no vertex -> edge bitsets
+def test_oracles_build_no_index(monkeypatch):
+    # both searches read only n, q and sigma: no enumerated edge and no
+    # vertex -> edge index.  The sharp oracle's one incidence call is
+    # verify_sharp_cycle's re-check of the cycle it found
     def refuse(arg):
-        raise AssertionError("the max-matching oracle built an edge index")
+        raise AssertionError("an oracle enumerated the edges of H")
 
-    monkeypatch.setattr(verify, "enumerate_edges", refuse)
-    monkeypatch.setattr(verify, "_edge_bitsets", refuse)
-    monkeypatch.setattr(core, "Edge", refuse)
-    monkeypatch.setattr(verify, "Edge", refuse)
+    indexed = []
+
+    def cycle_index(edges):
+        indexed.append(len(edges))
+        return incidence(edges)
+
+    for module in (core, verify):
+        monkeypatch.setattr(module, "enumerate_edges", refuse, raising=False)
+    monkeypatch.setattr(core, "incidence", refuse)
+    monkeypatch.setattr(verify, "incidence", cycle_index)
     assert brute_force_max_matching(make_hypergraph(4, 6, Partition((2, 2, 2)))).nu == 4
+    H = make_hypergraph(3, 4, Partition((3, 3)))
+    assert brute_force_sharp_hamiltonian_exists(H, 6).status == "exhausted"
+    assert indexed == []
+    H = make_hypergraph(20, 20, Partition((2, 1)))  # 1,444,000 edges
+    result = brute_force_sharp_hamiltonian_exists(H, 266)
+    assert result.status == "found" and indexed == [len(result.certificate.edges)]
 
 
 @pytest.mark.parametrize(
-    "sigma, n, q, max_len, budget",
+    "sigma, n, q, max_len, budget, outcome",
     [
-        ((2, 1), 3, 6, 12, 5),  # more edges than the budget
-        ((2, 2), 3, 6, 10, 1000),  # 675 edges, 2946 nodes: stops mid-tree
-        ((3, 3), 3, 4, 6, 600),  # 48 edges: exhausted after 49 nodes, the reference needs 1224
+        # 3 classes x 12 path edges over the budget: refused before the search
+        ((2, 1), 3, 6, 12, 5, "3 classes x 12 path edges exceeds budget 5"),
+        ((3, 3), 3, 4, 6, 17, "3 classes x 6 path edges exceeds budget 17"),
+        ((3, 3), 3, 4, 6, 18, "exhausted"),
+        # 675 edges: the reference stops mid-tree (it needs 2,946 nodes), the
+        # oracle finds a cycle after 25
+        ((2, 2), 3, 6, 10, 1000, "found"),
     ],
 )
-def test_sharp_exists_budget_cut(sigma, n, q, max_len, budget):
-    assert_same_sharp(make_hypergraph(n, q, Partition(sigma)), max_len, budget)
-
-
-def test_sharp_exists_reports_nodes():
-    # a budget of exactly the node count passes, one less raises
-    H = make_hypergraph(3, 4, Partition((3, 3)))
-    nodes = brute_force_sharp_hamiltonian_exists(H, 6).nodes
-    assert nodes == 49
-    assert brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes).status == "exhausted"
-    with pytest.raises(BudgetExceeded, match="search budget 48 exhausted"):
-        brute_force_sharp_hamiltonian_exists(H, 6, budget=nodes - 1)
+def test_sharp_exists_budget_cut(sigma, n, q, max_len, budget, outcome):
+    got = assert_same_sharp(make_hypergraph(n, q, Partition(sigma)), max_len, budget)
+    assert got[0] == outcome or got == ("budget", outcome)
 
 
 @pytest.mark.parametrize(
     "sigma, n, q, max_len, status, nodes",
     [
-        ((2, 2), 3, 6, 10, "found", 2946),
-        ((2, 2), 3, 4, 6, "found", 309),
-        ((3, 3), 3, 4, 6, "exhausted", 49),
+        ((2, 1), 3, 6, 12, "found", 14),
+        ((2, 2), 3, 6, 10, "found", 25),
+        ((2, 2), 3, 4, 6, "found", 19),
+        ((3, 3), 3, 4, 6, "exhausted", 6),
+        ((3, 3, 3), 5, 5, 16, "exhausted", 20),
+        ((1, 1, 1), 4, 4, 8, "found", 267),
+    ],
+)
+def test_sharp_exists_reports_nodes(sigma, n, q, max_len, status, nodes):
+    result = brute_force_sharp_hamiltonian_exists(make_hypergraph(n, q, Partition(sigma)), max_len)
+    assert (result.status, result.nodes) == (status, nodes)
+
+
+@pytest.mark.parametrize(
+    "sigma, n, q, max_len, status, nodes",
+    [
+        ((2, 1), 3, 4, 6, "found", 128),
+        ((2, 1), 3, 5, 7, "exhausted", 382),
+        ((1, 1), 3, 3, 8, "exhausted", 36),
     ],
 )
 @pytest.mark.parametrize("short", [0, 1])
 def test_sharp_exists_budget_at_its_node_count(sigma, n, q, max_len, status, nodes, short):
-    # the stack of frames counts nodes as the recursion did: a budget of
-    # exactly the node count gives the same answer, one less raises, and the
-    # reference agrees at both.  Each tree has at least as many nodes as H
-    # has edges, so no budget here is refused before the search
+    # a budget of exactly the node count gives the same answer, one less
+    # raises, and the reference agrees at both.  Each tree has more nodes
+    # than n x min(max_len, nq), so neither budget is refused up front
     H = make_hypergraph(n, q, Partition(sigma))
-    assert edge_count(H) <= nodes - 1
+    assert n * min(max_len, H.vertex_count) < nodes
     got = assert_same_sharp(H, max_len, nodes - short)
     if short:
         assert got == ("budget", f"search budget {nodes - 1} exhausted")
@@ -307,26 +342,15 @@ def test_sharp_exists_budget_at_its_node_count(sigma, n, q, max_len, status, nod
 
 
 def test_sharp_exists_searches_from_edge_zero_only():
-    # 120,000 edges and no cycle within 12 edges: the coverage bound prunes
-    # edge 0's tree at its root, so 2 nodes decide what a search from every
-    # edge needs 240,000 nodes for
+    # 120,000 edges and no cycle within 12 edges: edge 0 leaves 97 vertices
+    # uncovered and 11 more edges cover at most 22, so the coverage bound
+    # prunes edge 0's tree at its root, and 2 nodes decide what a search from
+    # every edge needs 240,000 nodes for.  A budget below those 2 raises
     H = make_hypergraph(10, 10, Partition((1, 1, 1)))
     assert edge_count(H) == 120_000
     result = brute_force_sharp_hamiltonian_exists(H, 12)
     assert (result.status, result.nodes) == ("exhausted", 2)
-    assert brute_force_sharp_hamiltonian_exists(H, 12, budget=120_000).status == "exhausted"
-
-
-def test_sharp_exists_prunes_the_root_without_an_index(monkeypatch):
-    # edge 0 leaves 97 vertices uncovered and 11 more edges cover at most 22,
-    # so the answer comes before any vertex -> edge bitset is built; a budget
-    # below the root's 2 nodes still raises
-    def refuse(H):
-        raise AssertionError("the sharp oracle built an edge index")
-
-    monkeypatch.setattr(verify, "_edge_bitsets", refuse)
-    result = brute_force_sharp_hamiltonian_exists(make_hypergraph(10, 10, Partition((1, 1, 1))), 12)
-    assert (result.status, result.nodes) == ("exhausted", 2)
+    assert brute_force_sharp_hamiltonian_exists(H, 12, budget=2).status == "exhausted"
     with pytest.raises(BudgetExceeded, match="search budget 1 exhausted"):
         brute_force_sharp_hamiltonian_exists(make_hypergraph(1, 1, Partition((1,))), 12, budget=1)
 
@@ -342,6 +366,21 @@ def test_sharp_exists_deeper_than_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert result.status == "found" and len(result.certificate.edges) == 200
+
+
+def test_sharp_exists_deep_search_memory():
+    # 360,000 edges and a 1,200-edge cycle: memory is bounded by the 1,200
+    # path frames, each a run-length state of at most two class types, not
+    # by the edges of H
+    H = make_hypergraph(2, 600, Partition((1, 1)))
+    tracemalloc.start()
+    try:
+        result = brute_force_sharp_hamiltonian_exists(H, 1300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, len(result.certificate.edges), result.nodes) == ("found", 1200, 1200)
+    assert peak < 8_000_000
 
 
 # Sharp-existence answers just outside the theorem's hypotheses (n >= s+1 and
@@ -459,24 +498,9 @@ def test_enumeration_order_matches_reference():
                     assert list(enumerate_edges(H)) == list(reference_enumerate_edges(H))
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    sigma=st.sampled_from(SIGMAS),  # sigma=(1) included
-    n=st.integers(1, 5),
-    q=st.integers(1, 6),
-    q_is_largest_part=st.booleans(),
-)
-def test_edge_bitsets_match_reference(sigma, n, q, q_is_largest_part):
-    H = hypergraph(sigma, n, sigma[0] if q_is_largest_part else q)
-    if H is None:
-        return
-    # the edges too, so their order is checked against the reference's
-    assert _edge_bitsets(H) == reference_edge_bitsets(H)
-
-
-def test_oracles_build_edges_only_by_enumeration(monkeypatch):
-    # max-matching builds no Edge at all; the sharp search builds one per
-    # enumerated edge, and its certificate reuses those, decoding nothing
+def test_oracles_build_edges_only_for_a_found_cycle(monkeypatch):
+    # max-matching builds no Edge at all, and the sharp search one per edge
+    # of the cycle it found, of H's 540
     built = []
     real_edge = core.Edge
 
@@ -493,9 +517,7 @@ def test_oracles_build_edges_only_by_enumeration(monkeypatch):
     H = make_hypergraph(3, 6, Partition((2, 1)))
     result = brute_force_sharp_hamiltonian_exists(H, 12)
     assert result.status == "found"
-    assert len(built) == edge_count(H) == 540
-    ids = set(map(id, built))
-    assert all(id(e) in ids for e in result.certificate.edges)
+    assert built == list(result.certificate.edges) and len(built) == 11
 
 
 def test_enumeration_is_lazy(monkeypatch):
@@ -518,23 +540,19 @@ def test_enumeration_is_lazy(monkeypatch):
     assert next(enumerate_edges(H)) == first[0]
 
 
-def test_oracles_free_their_index_on_return():
-    # an index caught in a reference cycle (one mask per edge) would wait for
-    # the cyclic garbage collector, and peak memory would creep up over calls
+def test_oracles_leave_no_reference_cycle():
+    # a search state caught in a reference cycle would wait for the cyclic
+    # garbage collector, and peak memory would creep up over calls
     H = make_hypergraph(3, 6, Partition((2, 1)))
-    m = edge_count(H)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         brute_force_max_matching(H)
         brute_force_sharp_hamiltonian_exists(H, 12)
-        gc.collect()
-        assert not [x for x in gc.garbage if isinstance(x, list) and len(x) == m]
+        brute_force_sharp_hamiltonian_exists(make_hypergraph(3, 4, Partition((3, 3))), 6)
+        assert gc.collect() == 0
     finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
         if enabled:
             gc.enable()
 
