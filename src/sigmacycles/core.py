@@ -225,58 +225,63 @@ def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:
     return tuple(sorted(counts.values(), reverse=True)) == H.sigma.parts
 
 
-def _runs_from(
-    n: int,
-    q: int,
-    choices_for: dict[tuple[int, ...], list[tuple[int, ...]]],
-    c: int,
-    remaining: tuple[int, ...],
-    acc: tuple[GridVertex, ...],
-) -> Iterator[tuple[tuple[GridVertex, ...], int, int]]:
-    """Yield the edges that place the parts remaining from class c on, after
-    the vertices acc, as runs (prefix, cc, a) in lexicographic order of the
-    canonical vertex sequences.  A run stands for the edges that extend the
-    vertex tuple prefix by every a-row choice in class cc, rows ascending, in
-    itertools.combinations order.  A loop picks the class cc that takes the
-    next part, so the recursion is one level per part, not per class; once
-    one part is left, each remaining class in order gives one run.
-    choices_for memoises the sorted row choices per tuple of parts still to
-    place.  A module-level recursion, not a closure that refers to itself,
-    so a call leaves no reference cycle for the garbage collector."""
-    if len(remaining) == 1:
-        # the last part goes into one class; classes in order, rows
-        # ascending, is the lexicographic order of the edges
-        for cc in range(c, n):
-            yield acc, cc, remaining[0]
-        return
-    choices = choices_for.get(remaining)
-    if choices is None:
-        choices = []
-        for a in set(remaining):
-            choices.extend(itertools.combinations(range(q), a))
-        # lexicographic on the induced vertex sequence: a choice that is a
-        # strict prefix of another continues with a later class, so it
-        # sorts after it; the sentinel q, above every row, gives that
-        choices.sort(key=lambda rows: rows + (q,))
-        choices_for[remaining] = choices
+def _runs(n: int, q: int, parts: tuple[int, ...]) -> Iterator[tuple[tuple[GridVertex, ...], int, int]]:
+    """Yield the edges with n classes of q rows and the given parts as runs
+    (prefix, cc, a), in lexicographic order of the canonical vertex
+    sequences: a run stands for the edges that extend the vertex tuple
+    prefix by every a-row choice in class cc, rows ascending, in
+    itertools.combinations order.  A depth-first walk over an explicit stack
+    of _moves, one per part placed, so the number of parts is not bounded by
+    the recursion limit; once one part is left, each remaining class in
+    order gives one run.  choices_for memoises the sorted row choices per
+    tuple of parts still to place."""
+    choices_for: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    stack = [iter([(0, parts, ())])]
+    while stack:
+        for c, remaining, acc in stack[-1]:
+            if len(remaining) == 1:
+                # the last part goes into one class; classes in order, rows
+                # ascending, is the lexicographic order of the edges
+                for cc in range(c, n):
+                    yield acc, cc, remaining[0]
+                continue
+            choices = choices_for.get(remaining)
+            if choices is None:
+                choices = []
+                for a in set(remaining):
+                    choices.extend(itertools.combinations(range(q), a))
+                # lexicographic on the induced vertex sequence: a strict prefix
+                # of another choice continues with a later class, so it sorts
+                # after it; the sentinel q, above every row, gives that
+                choices.sort(key=lambda rows: rows + (q,))
+                choices_for[remaining] = choices
+            stack.append(_moves(n, c, remaining, acc, choices))
+            break
+        else:
+            stack.pop()
+
+
+def _moves(n: int, c: int, remaining: tuple, acc: tuple, choices: list) -> Iterator[tuple]:
+    """Yield (first free class, parts left, prefix) for each way to place one
+    of the parts remaining, after the vertices acc, in a class cc >= c with
+    the row choices given."""
     # skipping class cc sorts after every choice in it, so the classes go
     # in order; each leaves room for the other parts in the classes after it
     for cc in range(c, n - len(remaining) + 1):
         for rows in choices:
             rest = list(remaining)
             rest.remove(len(rows))
-            placed = acc + tuple((cc, rr) for rr in rows)
-            yield from _runs_from(n, q, choices_for, cc + 1, tuple(rest), placed)
+            yield cc + 1, tuple(rest), acc + tuple((cc, rr) for rr in rows)
 
 
 def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
     """Yield every edge exactly once, in lexicographic order of the
     canonical vertex sequences.  Restartable; nothing is materialized.
 
-    Each run of _runs_from maps itertools.combinations over its class's
+    Each run of _runs maps itertools.combinations over its class's
     vertices to edges without a generator frame per edge."""
     columns = [tuple((c, row) for row in range(H.q)) for c in range(H.n)]
-    for acc, c, a in _runs_from(H.n, H.q, {}, 0, H.sigma.parts, ()):
+    for acc, c, a in _runs(H.n, H.q, H.sigma.parts):
         yield from map(Edge, map(acc.__add__, itertools.combinations(columns[c], a)))
 
 

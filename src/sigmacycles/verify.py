@@ -63,7 +63,6 @@ from .core import (
     Partition,
     Record,
     SigmaHypergraph,
-    edge_count,
     incidence,
 )
 from .errors import BudgetExceeded
@@ -429,6 +428,11 @@ def _child(groups: Sequence[tuple], placement: tuple, step: Callable, none: Any)
     return tuple(sorted(counts.items(), reverse=True))
 
 
+def _fits(c: int, a: int) -> tuple[int, ...]:
+    """A part of size a takes a rows from a class with room for them."""
+    return (a,) if c >= a else ()
+
+
 class MaxMatchingResult(Record):
     __slots__ = ("nu", "exact", "nodes")
     nu: int
@@ -457,44 +461,45 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     first descent is a greedy packing.  nodes counts the states expanded:
     the memo misses with room for r more vertices (a state with fewer is
     worth 0).  When nodes exceeds the budget the largest packing found so
-    far is returned flagged inexact.
-    Builds no edge index.  Raises BudgetExceeded when H has more edges than
-    the budget, which so bounds the size of H as well as the search, and
-    ValueError when budget < 0.
+    far is returned flagged inexact.  Builds no edge index, so any H is
+    answered, whatever its edge count: the budget alone bounds time and
+    memory, as the memo and the path hold one entry per state expanded.
+    Never raises BudgetExceeded; raises ValueError when budget < 0.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    m = edge_count(H)
-    if m > budget:
-        raise BudgetExceeded(f"{m} edges exceeds budget {budget}")
     parts, r = Counter(H.sigma.parts).items(), H.r
     ceiling_of = _load_ceiling(H.sigma)
     memo: dict[tuple, int] = {}
     best = nodes = 0
-    # the current path, one frame per state: [state, placements left (a
-    # generator), value so far, ceiling]; the frame at depth d has d copies
-    # placed.  A child is made when its turn comes, and one that an earlier
+    # the current path, one frame per state: [state, placements left,
+    # value so far, ceiling]; the frame at depth d has d copies placed, and
+    # ceiling None marks a frame not yet expanded.  A frame makes its first
+    # child with an enumerator it does not keep, and keeps one for the rest
+    # only if it resumes below its ceiling, so a greedy descent holds none.
+    # A child is made when its turn comes, and one that an earlier
     # placement already made is a memo hit
-    path: list[list] = [[((H.q, H.n),), None, 0, 0]]
+    path: list[list] = [[((H.q, H.n),), None, 0, None]]
     while path:
         frame = path[-1]
-        state, left, value, ceiling = frame
+        state, moves, value, ceiling = frame
         depth = len(path) - 1
-        if left is None:
+        if ceiling is None:
             best = max(best, depth)
             nodes += 1
             if nodes > budget:
                 return MaxMatchingResult(best, False, nodes)
-            # a part of size a takes a rows from a class with room for them
-            frame[1] = left = _placements(state, parts, lambda c, a: (a,) if c >= a else ())
             frame[3] = ceiling = ceiling_of(state)
-        placement = next(left, None) if value < ceiling else None
+            moves = _placements(state, parts, _fits)
+        elif moves is None and value < ceiling:
+            frame[1] = moves = itertools.islice(_placements(state, parts, _fits), 1, None)
+        placement = next(moves, None) if value < ceiling else None
         if placement is not None:
             child = _child(state, placement, operator.sub, 0)
             # fewer than r vertices left: no copy fits, so no expansion
             got = memo.get(child) if sum([c * k for c, k in child]) >= r else 0
             if got is None:
-                path.append([child, None, 0, 0])
+                path.append([child, None, 0, None])
             else:
                 frame[2] = max(value, 1 + got)
                 best = max(best, depth + frame[2])
@@ -503,7 +508,6 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
         memo[state] = value
         if path:
             path[-1][2] = max(path[-1][2], 1 + value)
-            best = max(best, depth + value)
     return MaxMatchingResult(best, True, nodes)
 
 

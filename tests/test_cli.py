@@ -347,12 +347,9 @@ class TestOracle:
         assert out == ""
         assert f"oracle: {fragment}" in err
 
-    def test_inexact_max_matching(self, capsys, monkeypatch):
-        # 84,700 edges: the default budget admits them, a budget of 10 is
-        # refused up front unless that refusal is lifted, as here; the
-        # class-load search is then cut after 10 states, in its first
-        # greedy descent
-        monkeypatch.setattr(verify, "edge_count", lambda H: 0)
+    def test_inexact_max_matching(self, capsys):
+        # 84,700 edges: the class-load search is cut after 10 states, in its
+        # first greedy descent
         code, out, err = run(
             capsys, "oracle", "max-matching", "--sigma", "2,2", "--n", "8", "--q", "11",
             "--budget", "10",
@@ -360,12 +357,13 @@ class TestOracle:
         assert (code, out, err) == (0, ">= 10 (inexact, budget exhausted)\n", "")
 
     def test_budget_exit(self, capsys):
-        code, _, err = run(
+        # 10,000 edges, more than the budget, which counts class-load states:
+        # the search answers in 2
+        code, out, err = run(
             capsys, "oracle", "max-matching", "--sigma", "3,3,3", "--n", "5", "--q", "5",
             "--budget", "10",
         )
-        assert code == 3
-        assert "budget" in err
+        assert (code, out, err) == (0, "1\n", "")
 
     def test_sharp_exists_huge_grid(self, capsys):
         # edge 0 could still be extended to cover this grid within max-len,
@@ -400,6 +398,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--sigma", "2,1", "--n", "3", "--q", "3")
         assert code == 0
         assert len(out.splitlines()) == 54
+
+    def test_thousand_parts(self, capsys):
+        # one edge, all 1,000 classes: the runs come from an explicit stack,
+        # so the number of parts is not bounded by the recursion limit
+        code, out, err = run(
+            capsys, "enumerate", "--sigma", ",".join(["1"] * 1000), "--n", "1000", "--q", "1"
+        )
+        assert (code, len(out.splitlines()), err) == (0, 1, "")
 
 
 class TestExport:

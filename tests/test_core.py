@@ -297,17 +297,23 @@ class TestEnumerationAndCount:
         assert edge_count(make_hypergraph(n, 3, parse_partition("1,1,1"))) == n * (n - 1) * (n - 2) // 6 * 27
 
     def test_enumeration_deeper_than_the_recursion_limit(self):
-        # the run recursion goes one level per part, not one per skipped
-        # class, so 300 classes need no Python frame per class
+        # the runs come from an explicit stack with one frame per part, not
+        # one per skipped class, and no Python frame per frame: 300 classes
+        # and 300 parts need neither
         H = make_hypergraph(300, 1, parse_partition("1,1"))
+        tall = make_hypergraph(301, 1, parse_partition(",".join(["1"] * 300)))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 60)
         try:
             edges = list(enumerate_edges(H))
+            tall_edges = list(enumerate_edges(tall))
         finally:
             sys.setrecursionlimit(limit)
         assert len(edges) == edge_count(H) == 300 * 299 // 2
         assert edges[-1].vertices == ((298, 0), (299, 0))
+        assert len(tall_edges) == edge_count(tall) == 301
+        assert tall_edges[0].vertices == tuple((c, 0) for c in range(300))
+        assert tall_edges[-1].vertices == tuple((c, 0) for c in range(1, 301))
 
     def test_single_edge_is_whole_grid(self):
         H = make_hypergraph(2, 2, parse_partition("2,2"))

@@ -75,13 +75,19 @@ def sharp_outcome(oracle, H, max_len, budget):
 
 def assert_same_matching(H, budget=2_000_000):
     # the class-load search and the reference's edge branch and bound walk
-    # different trees: a refusal keeps its message, an exact reference answer
-    # is the oracle's exact answer, and a reference cut by the budget found a
-    # matching no larger than the oracle's
-    got = matching_outcome(brute_force_max_matching, H, budget)
+    # different trees.  The oracle answers every H, never above the root's
+    # ceiling; where the reference refuses H for its edge count, an exact
+    # oracle answer is the reference's answer at an unlimited budget.  An
+    # exact reference answer is the oracle's exact answer, and a reference
+    # cut by the budget found a matching no larger than the oracle's
+    result = brute_force_max_matching(H, budget=budget)
+    got = result.nu, result.exact, result.nodes
     ref = matching_outcome(reference_brute_force_max_matching, H, budget)
+    assert got[0] <= matching_upper_bound(H)
     if ref[0] == "budget":
-        assert got == ref
+        if got[1]:
+            unlimited = reference_brute_force_max_matching(H, budget=math.inf)
+            assert unlimited.exact and unlimited.nu == got[0]
     elif ref[1]:
         assert got[:2] == ref[:2]
     else:
@@ -175,7 +181,8 @@ def test_benchmark_matching_trees(sigma, n, q, nu, nodes):
 @pytest.mark.parametrize(
     "sigma, n, q, budget, expected",
     [
-        # more edges than the budget: both refuse before the search
+        # 10,000 edges, more than the budget: the reference refuses before
+        # its search, and the oracle answers in 2 states
         ((3, 3, 3), 5, 5, 10, "budget"),
         # 600 edges, 5803 reference nodes: the reference stops mid-tree,
         # inexact, below that budget; the oracle's 5 states fit every one
@@ -189,42 +196,57 @@ def test_max_matching_budget_cut(sigma, n, q, budget, expected):
     got = assert_same_matching(H, budget)
     ref = matching_outcome(reference_brute_force_max_matching, H, budget)
     assert (ref[0] if expected == "budget" else ref[1]) == expected
-    if expected != "budget":
-        assert got == (4, True, 5)
+    assert got == ((1, True, 2) if expected == "budget" else (4, True, 5))
 
 
 @pytest.mark.parametrize("budget", [1, 5, 10, 20])
-def test_max_matching_cut_by_its_budget(monkeypatch, budget):
-    # 84,700 edges, so every budget below that is refused before the search;
-    # lifting that refusal reaches the class-load search's own cut.  It needs
-    # 21 states: the first greedy descent finds 20 copies, which is the root's
-    # ceiling, since every class load is even: 8 * 10 // 4 = 20.
+def test_max_matching_cut_by_its_budget(budget):
+    # 84,700 edges, far more than these budgets, which count class-load
+    # states only.  The search needs 21: the first greedy descent finds 20
+    # copies, which is the root's ceiling, since every class load is even:
+    # 8 * 10 // 4 = 20.
     H = make_hypergraph(8, 11, Partition((2, 2)))
-    assert brute_force_max_matching(H, budget=edge_count(H)) == MaxMatchingResult(20, True, 21)
-    monkeypatch.setattr(verify, "edge_count", lambda H: 0)
+    assert brute_force_max_matching(H, budget=21) == MaxMatchingResult(20, True, 21)
     result = brute_force_max_matching(H, budget=budget)
     assert not result.exact and result.nodes == budget + 1
     assert result.nu <= 20
 
 
 @pytest.mark.parametrize(
-    "sigma, n, q, budget, nu",
+    "sigma, n, q, result",
     [
         # gcd 2 and q odd: the gcd term, n(q-1)/r
-        ((2, 2), 8, 11, 2_000_000, 20),
+        ((2, 2), 8, 11, (20, True, 21)),
         # perfect matchings, nq/r
-        ((2, 1), 10, 15, 2_000_000, 50),
-        ((3, 2, 1), 12, 20, 10**10, 40),  # 5,718,240,000 edges
+        ((2, 1), 10, 15, (50, True, 56)),
+        ((3, 2, 1), 12, 20, (40, True, 58)),  # 5,718,240,000 edges
+        # far more edges than the default budget of 2,000,000 states
+        ((2, 1), 40, 120, (1600, True, 1681)),
+        ((3, 2, 1), 60, 120, (1200, True, 2049)),  # about 4.9e16 edges
         # 5,000 copies deep, past the default recursion limit
-        ((1,), 1, 5000, 2_000_000, 5000),
+        ((1,), 1, 5000, (5000, True, 5000)),
     ],
 )
-def test_max_matching_beyond_brute_force(sigma, n, q, budget, nu):
+def test_max_matching_beyond_brute_force(sigma, n, q, result):
     # each answer is the root's ceiling, matching_upper_bound
     H = make_hypergraph(n, q, Partition(sigma))
-    assert matching_upper_bound(H) == nu
-    result = brute_force_max_matching(H, budget=budget)
-    assert (result.nu, result.exact) == (nu, True)
+    assert matching_upper_bound(H) == result[0]
+    assert brute_force_max_matching(H) == MaxMatchingResult(*result)
+
+
+def test_max_matching_deep_descent_memory():
+    # a 5,000-copy greedy descent: no frame keeps a placement enumerator
+    # while it waits on its first child, so each holds little more than its
+    # one-pair state
+    H = make_hypergraph(1, 5000, Partition((1,)))
+    tracemalloc.start()
+    try:
+        result = brute_force_max_matching(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == MaxMatchingResult(5000, True, 5000)
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize(
@@ -240,9 +262,7 @@ def test_max_matching_beyond_brute_force(sigma, n, q, budget, nu):
         ((3, 1), 40, 9, 2_000_000, (90, True, 524)),
     ],
 )
-def test_max_matching_part_slot_ceiling(monkeypatch, sigma, n, q, budget, result):
-    # the edge-count refusal is lifted, so only the state budget cuts
-    monkeypatch.setattr(verify, "edge_count", lambda H: 0)
+def test_max_matching_part_slot_ceiling(sigma, n, q, budget, result):
     H = make_hypergraph(n, q, Partition(sigma))
     assert brute_force_max_matching(H, budget=budget) == MaxMatchingResult(*result)
 
@@ -261,11 +281,11 @@ def test_matching_upper_bound_brackets_nu(sigma, n, q):
 
 
 def test_oracles_build_no_index(monkeypatch):
-    # both searches read only n, q and sigma: no enumerated edge and no
-    # vertex -> edge index.  The sharp oracle's one incidence call is
-    # verify_sharp_cycle's re-check of the cycle it found
+    # both searches read only n, q and sigma: no enumerated edge, no edge
+    # count and no vertex -> edge index.  The sharp oracle's one incidence
+    # call is verify_sharp_cycle's re-check of the cycle it found
     def refuse(arg):
-        raise AssertionError("an oracle enumerated the edges of H")
+        raise AssertionError("an oracle enumerated or counted the edges of H")
 
     indexed = []
 
@@ -275,6 +295,7 @@ def test_oracles_build_no_index(monkeypatch):
 
     for module in (core, verify):
         monkeypatch.setattr(module, "enumerate_edges", refuse, raising=False)
+        monkeypatch.setattr(module, "edge_count", refuse, raising=False)
     monkeypatch.setattr(core, "incidence", refuse)
     monkeypatch.setattr(verify, "incidence", cycle_index)
     assert brute_force_max_matching(make_hypergraph(4, 6, Partition((2, 2, 2)))).nu == 4
