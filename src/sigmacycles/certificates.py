@@ -43,12 +43,24 @@ class SharpnessProfile(Record):
         return cls(pair_sizes)
 
 
+def check_split_index(split: int, s: int) -> None:
+    """The rule for a split index: an int (not a bool) in 1..s-1."""
+    if type(split) is not int or not 1 <= split < s:
+        raise ValueError(f"split_index must be an integer in 1..{s - 1}")
+
+
 class CycleCertificate(Record):
     """An ordered edge sequence with a claimed cycle kind.
 
     Berge certificates additionally carry the vertex sequence; sharp ones
     the split index used by the constructor; k-intersecting ones carry k.
     Claims are untrusted until checked by the matching verifier.
+
+    __init__ checks the scalar fields, each type before its value (a bool
+    is not an int): kind one of KINDS, an int k >= 2, an int split_index in
+    1..s-1, a bool claimed_hamiltonian, ints claimed_t and claimed_z >= 0;
+    the optional ones may be None.  The edges are not checked: whether they
+    are edges of the hypergraph is the verifiers' first stage.
     """
 
     __slots__ = (
@@ -79,6 +91,15 @@ class CycleCertificate(Record):
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown cycle kind {kind!r}")
+        if k is not None and (type(k) is not int or k < 2):
+            raise ValueError("k must be an integer >= 2")
+        if split_index is not None:
+            check_split_index(split_index, hypergraph.sigma.s)
+        if type(claimed_hamiltonian) is not bool:
+            raise ValueError("claimed_hamiltonian must be a boolean")
+        for claim in (claimed_t, claimed_z):
+            if claim is not None and (type(claim) is not int or claim < 0):
+                raise ValueError("claimed_t and claimed_z must be integers >= 0")
         self._set(
             hypergraph, kind, edges, k, split_index, vertex_sequence, claimed_hamiltonian, claimed_t, claimed_z
         )

@@ -29,7 +29,7 @@ import sys
 from typing import Optional, Sequence
 
 from .certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP
-from .core import SigmaHypergraph, edge_count, enumerate_edges, make_hypergraph, parse_partition
+from .core import SigmaHypergraph, edge_count, enumerate_edges, parse_partition
 from .errors import BudgetExceeded, CertificateParseError, ConstructionError
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _add_hypergraph_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _hypergraph(args: argparse.Namespace) -> SigmaHypergraph:
-    return make_hypergraph(args.n, args.q, parse_partition(args.sigma))
+    return SigmaHypergraph(args.n, args.q, parse_partition(args.sigma))
 
 
 def _write_output(path: str, text: str) -> None:
@@ -85,7 +85,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         summary += f", profile ({cert.claimed_t},{cert.claimed_z})"
     if cert.k is not None:
         summary += f", k={cert.k}"
-    print(summary)
+    # a certificate on stdout stays one JSON document
+    print(summary, file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
 
@@ -202,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True, choices=[KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING])
     sp.add_argument("--k", type=int, help="window size for k-intersecting cycles")
     sp.add_argument("--split", type=int, default=1, help="split index for sharp cycles")
-    sp.add_argument("-o", "--output", help="certificate output path (default: stdout)")
+    sp.add_argument(
+        "-o", "--output", help="certificate output path (default: stdout, the summary to stderr)"
+    )
     sp.set_defaults(func=_cmd_construct)
 
     sp = sub.add_parser("verify", help="verify a certificate file")

@@ -1,10 +1,10 @@
 """Explicit cycle constructions on the vertex grid.
 
-All constructors are deterministic, search-free, and verifier-gated: a
-certificate is only returned after the corresponding definition-level
-verifier has accepted it.  Before building an edge they raise ValueError
-when the certificate would hold more vertex slots (edges x r) than the
-export item limit.
+All constructors are deterministic, search-free, and verifier-gated: each
+ends in _certify, which returns a certificate only after the corresponding
+definition-level verifier has accepted it.  Before building an edge they
+raise ValueError when the certificate would hold more vertex slots
+(edges x r) than the export item limit.
 
 The sharp and k-intersecting cycles are block chains.  Each block's
 diagonal parts are computed once (_diagonal_parts), and every chain edge,
@@ -21,6 +21,7 @@ from .certificates import (
     KIND_K_INTERSECTING,
     KIND_SHARP,
     CycleCertificate,
+    check_split_index,
 )
 from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph, edge_count
 from .errors import (
@@ -32,7 +33,6 @@ from .errors import (
     QNotRepresentable,
 )
 from .verify import (
-    VerificationReport,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_sharp_cycle,
@@ -106,8 +106,7 @@ def shifted_matching(
     tuple of n edges."""
     _check_block(H, block_start_row, block_height)
     s = H.sigma.s
-    if not 1 <= p < s:
-        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
+    check_split_index(p, s)
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
     b, h, n = block_start_row, block_height, H.n
@@ -166,12 +165,28 @@ def _chain_blocks(
     return tuple(edges)
 
 
-def _require_verified(report: VerificationReport, what: str) -> None:
+def _certify(
+    H: SigmaHypergraph, kind: str, edges: tuple[Edge, ...], verifier, **fields
+) -> CycleCertificate:
+    """The gate every recipe ends in: the certificate of the edges, claimed
+    Hamiltonian, returned only once verifier(H, cert) accepts it as a
+    Hamiltonian cycle; a sharp one then claims the measured (t, z), which
+    is None where the sizes do not alternate uniformly.  Otherwise raises
+    ConstructionUnsupported.  Each constructor passes the verifier by its
+    name in this module, so a wrapper put there is called."""
+    cert = CycleCertificate(H, kind, edges, claimed_hamiltonian=True, **fields)
+    report = verifier(H, cert)
     if not report.ok or not report.hamiltonian:
+        what = H if cert.k is None else f"{H}, k={cert.k}"
         raise ConstructionUnsupported(
             f"recipe failed verification for {what}: "
             f"{report.violated_condition or 'not hamiltonian'}"
         )
+    if kind == KIND_SHARP:
+        # t and z are sharp claims: a k = 2 report has a profile too, but
+        # a k-intersecting certificate claims none
+        return cert.replace(claimed_t=report.profile.uniform_t, claimed_z=report.profile.uniform_z)
+    return cert
 
 
 def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertificate:
@@ -186,29 +201,18 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
     s = H.sigma.s
     if s < 2:
         raise ConstructionUnsupported("sharp construction needs at least two parts")
+    check_split_index(p, s)
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
     _check_size(H, sum(frobenius_decompose(H.q, H.r)) * 2 * H.n)
     blocks = _blocks(H)
-    if not 1 <= p < s:
-        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
     if _zero_head(H, blocks, p):
         p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), None)
     if p is None:
         raise DegenerateIntersection(
             f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
         )
-    cert = CycleCertificate(
-        hypergraph=H,
-        kind=KIND_SHARP,
-        edges=_chain_blocks(H, blocks, [p]),
-        split_index=p,
-        claimed_hamiltonian=True,
-    )
-    report = verify_sharp_cycle(H, cert)
-    _require_verified(report, str(H))
-    t, z = report.profile.uniform_t, report.profile.uniform_z
-    return cert.replace(claimed_t=t, claimed_z=z)
+    return _certify(H, KIND_SHARP, _chain_blocks(H, blocks, [p]), verify_sharp_cycle, split_index=p)
 
 
 def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
@@ -248,15 +252,7 @@ def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
             anchor = q - 1 - (rho + cls_raw // n)
             vs += [((cls_raw % n), (anchor - d) % q) for d in range(a)]
         edges.append(Edge.of(vs))
-    cert = CycleCertificate(
-        hypergraph=H,
-        kind=KIND_BERGE,
-        edges=tuple(edges),
-        vertex_sequence=verts,
-        claimed_hamiltonian=True,
-    )
-    _require_verified(verify_berge_hamiltonian(H, cert), str(H))
-    return cert
+    return _certify(H, KIND_BERGE, tuple(edges), verify_berge_hamiltonian, vertex_sequence=verts)
 
 
 def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
@@ -283,8 +279,4 @@ def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
             f"sigma=({H.sigma}) with an (r+1)-block: threshold 1 gives a zero intersection"
         )
     edges = _chain_blocks(H, blocks, range(k - 1, 0, -1))
-    cert = CycleCertificate(
-        hypergraph=H, kind=KIND_K_INTERSECTING, edges=edges, k=k, claimed_hamiltonian=True
-    )
-    _require_verified(verify_k_intersecting(H, cert, k), f"{H}, k={k}")
-    return cert
+    return _certify(H, KIND_K_INTERSECTING, edges, verify_k_intersecting, k=k)

@@ -72,7 +72,8 @@ class Record:
 
 
 class Partition(Record):
-    """A partition of r: positive parts stored in non-increasing order."""
+    """A partition of r: positive int parts stored in non-increasing order.
+    A bool is not a part."""
 
     __slots__ = ("parts",)
     parts: tuple[int, ...]
@@ -81,10 +82,10 @@ class Partition(Record):
         if not parts:
             raise ValueError("partition must have at least one part")
         for a in parts:
-            if not isinstance(a, int) or a < 1:
+            if type(a) is not int or a < 1:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be non-increasing; use Partition.of to sort")
+            raise ValueError(f"partition parts must be non-increasing, got {parts}")
         self._set(parts)
 
     @classmethod
@@ -117,24 +118,22 @@ class Partition(Record):
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse comma-separated positive integers; order is not significant."""
-    if not text or not text.strip():
-        raise ValueError("empty partition")
+    """Parse comma-separated integer parts in any order; Partition checks
+    their values."""
     parts = []
     for tok in text.split(","):
-        tok = tok.strip()
         try:
-            a = int(tok)
+            parts.append(int(tok))
         except ValueError:
-            raise ValueError(f"non-integer partition part: {tok!r}") from None
-        if a < 1:
-            raise ValueError(f"partition parts must be >= 1, got {a}")
-        parts.append(a)
+            raise ValueError(f"non-integer partition part: {tok.strip()!r}") from None
     return Partition.of(parts)
 
 
 class SigmaHypergraph(Record):
-    """Hypergraph H(n, r, q | sigma) on an n-column, q-row vertex grid."""
+    """Hypergraph H(n, r, q | sigma) on an n-column, q-row vertex grid.
+
+    n and q are ints >= 1 (not bools); NoEdgesError when q < largest part
+    or n < number of parts."""
 
     __slots__ = ("n", "q", "sigma")
     n: int
@@ -142,8 +141,8 @@ class SigmaHypergraph(Record):
     sigma: Partition
 
     def __init__(self, n: int, q: int, sigma: Partition) -> None:
-        if n < 1 or q < 1:
-            raise ValueError("n and q must be >= 1")
+        if type(n) is not int or type(q) is not int or n < 1 or q < 1:
+            raise ValueError("n and q must be integers >= 1")
         if q < sigma.delta_max:
             raise NoEdgesError(f"q={q} < largest part {sigma.delta_max}: no edges")
         if n < sigma.s:
@@ -171,12 +170,7 @@ class SigmaHypergraph(Record):
         return f"H(n={self.n}, q={self.q}, sigma=({self.sigma}))"
 
 
-def make_hypergraph(n: int, q: int, sigma: Partition) -> SigmaHypergraph:
-    """Validate parameters and build the hypergraph.
-
-    Raises NoEdgesError when q < largest part or n < number of parts.
-    """
-    return SigmaHypergraph(n, q, sigma)
+make_hypergraph = SigmaHypergraph
 
 
 class Edge(Record):

@@ -229,21 +229,29 @@ def _vertex_pair(item: Any, where: str) -> tuple[int, int]:
 
 
 def reference_from_json_dict(doc: Any) -> CycleCertificate:
+    """The reader spelled out check by check, with isinstance where the
+    reader is strict about JSON types; the value types it builds would still
+    refuse a boolean or an out-of-range value that these checks let through."""
     _expect(isinstance(doc, dict), "certificate must be a JSON object")
     _expect(doc.get("schema_version") == SCHEMA_VERSION, "unknown or missing schema_version")
     hg = doc.get("hypergraph")
     _expect(isinstance(hg, dict), "missing hypergraph object")
-    _expect(isinstance(hg.get("n"), int) and isinstance(hg.get("q"), int), "n and q must be integers")
     sigma_raw = hg.get("sigma")
+    _expect(isinstance(sigma_raw, list), "sigma must be an array")
+    bad_hypergraph = "invalid hypergraph parameters: "
+    _expect(sigma_raw != [], bad_hypergraph + "partition must have at least one part")
+    for a in sigma_raw:
+        _expect(
+            isinstance(a, int) and a >= 1,
+            bad_hypergraph + f"partition parts must be positive integers, got {a!r}",
+        )
     _expect(
-        isinstance(sigma_raw, list)
-        and sigma_raw
-        and all(isinstance(a, int) and a >= 1 for a in sigma_raw),
-        "sigma must be a nonempty array of positive integers",
+        sigma_raw == sorted(sigma_raw, reverse=True),
+        bad_hypergraph + f"partition parts must be non-increasing, got {tuple(sigma_raw)}",
     )
     _expect(
-        all(sigma_raw[i] >= sigma_raw[i + 1] for i in range(len(sigma_raw) - 1)),
-        "sigma parts not sorted non-increasing",
+        isinstance(hg.get("n"), int) and isinstance(hg.get("q"), int),
+        bad_hypergraph + "n and q must be integers >= 1",
     )
     try:
         H = SigmaHypergraph(hg["n"], hg["q"], Partition(tuple(sigma_raw)))
@@ -252,16 +260,6 @@ def reference_from_json_dict(doc: Any) -> CycleCertificate:
 
     cycle = doc.get("cycle")
     _expect(isinstance(cycle, dict), "missing cycle object")
-    kind = cycle.get("kind")
-    _expect(kind in KINDS, f"unknown cycle kind {kind!r}")
-    k = cycle.get("k")
-    _expect(
-        k is None or (isinstance(k, int) and not isinstance(k, bool) and k >= 2),
-        "k must be an integer >= 2",
-    )
-    split = cycle.get("split_index")
-    _expect(split is None or isinstance(split, int), "split_index must be an integer")
-
     edges_raw = cycle.get("edges")
     _expect(isinstance(edges_raw, list) and edges_raw, "cycle.edges must be a nonempty array")
     edges = []
@@ -276,6 +274,7 @@ def reference_from_json_dict(doc: Any) -> CycleCertificate:
             _expect(H.in_bounds(v), f"edge {idx}: vertex {list(v)} out of range for {H}")
         edges.append(Edge.of(vs))
 
+    kind = cycle.get("kind")
     vseq_raw = cycle.get("vertex_sequence")
     vseq = None
     if kind == KIND_BERGE:
@@ -288,6 +287,17 @@ def reference_from_json_dict(doc: Any) -> CycleCertificate:
 
     claims = doc.get("claims") or {}
     _expect(isinstance(claims, dict), "claims must be an object")
+    _expect(kind in KINDS, f"unknown cycle kind {kind!r}")
+    k = cycle.get("k")
+    _expect(
+        k is None or (isinstance(k, int) and not isinstance(k, bool) and k >= 2),
+        "k must be an integer >= 2",
+    )
+    split = cycle.get("split_index")
+    _expect(
+        split is None or isinstance(split, int),
+        f"split_index must be an integer in 1..{H.sigma.s - 1}",
+    )
     return CycleCertificate(
         hypergraph=H,
         kind=kind,
@@ -566,7 +576,7 @@ def reference_shifted_matching(
     _check_block(H, block_start_row, block_height)
     s = H.sigma.s
     if not 1 <= p < s:
-        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
+        raise ValueError(f"split_index must be an integer in 1..{s - 1}")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
     return tuple(
@@ -577,8 +587,6 @@ def reference_shifted_matching(
 def reference_resolve_split(H: SigmaHypergraph, p: int, y: int) -> int:
     parts = H.sigma.parts
     s = len(parts)
-    if not 1 <= p < s:
-        raise ValueError(f"split index must satisfy 1 <= p < s={s}")
     if y == 0 or sum(parts[:p]) >= 2:
         return p
     for cand in range(1, s):
@@ -593,6 +601,8 @@ def reference_construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> Cyc
     s = H.sigma.s
     if s < 2:
         raise ConstructionUnsupported("sharp construction needs at least two parts")
+    if not 1 <= p < s:
+        raise ValueError(f"split_index must be an integer in 1..{s - 1}")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
     blocks = _blocks(H)

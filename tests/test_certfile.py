@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+from helpers import partitions_of
 from sigmacycles import (
     CertificateParseError,
+    ConstructionError,
+    Partition,
     construct_berge_hamiltonian,
     construct_k_intersecting,
     construct_sharp_hamiltonian,
@@ -31,6 +34,31 @@ def test_round_trip(cert, tmp_path):
     loaded = read_certificate(path)
     assert loaded == cert
     assert dumps(loaded) == dumps(cert)
+
+
+def constructed(sigma, n, q):
+    """Every certificate a constructor returns on H(n, q | sigma): the Berge
+    walk, the sharp chain at every split, the k-window chain at every k."""
+    H = make_hypergraph(n, q, Partition(sigma))
+    builds = [lambda: construct_berge_hamiltonian(H)]
+    builds += [lambda p=p: construct_sharp_hamiltonian(H, p) for p in range(1, H.sigma.s)]
+    builds += [lambda k=k: construct_k_intersecting(H, k) for k in range(2, H.sigma.s + 1)]
+    for build in builds:
+        try:
+            yield build()
+        except ConstructionError:
+            pass
+
+
+@pytest.mark.parametrize("sigma", [sigma for r in range(2, 5) for sigma in partitions_of(r)], ids=str)
+def test_every_constructed_certificate_round_trips(sigma):
+    seen = 0
+    for n in range(len(sigma), 6):
+        for q in range(sigma[0], 9):
+            for cert in constructed(sigma, n, q):
+                assert from_json_dict(json.loads(dumps(cert))) == cert
+                seen += 1
+    assert seen > 0
 
 
 def test_serialization_is_deterministic():
@@ -60,7 +88,7 @@ def test_unknown_schema_version():
 def test_unsorted_sigma():
     doc = base_doc()
     doc["hypergraph"]["sigma"] = [1, 2]
-    expect_error(doc, "not sorted non-increasing")
+    expect_error(doc, "partition parts must be non-increasing, got (1, 2)")
 
 
 def test_invalid_hypergraph():
@@ -119,26 +147,26 @@ def test_invalid_k(k, tmp_path, capsys):
         (("cycle", "edges", 0, 0), [0, False], "integer pair"),
         (("cycle", "vertex_sequence"), [[True, 0]], "vertex_sequence: vertex must be"),
         (("cycle", "vertex_sequence"), 5, "vertex_sequence must be an array"),
-        (("claims", "hamiltonian"), "false", "claims.hamiltonian must be a boolean"),
-        (("claims", "hamiltonian"), 1, "claims.hamiltonian must be a boolean"),
-        (("claims", "t"), "x", "claims.t and claims.z must be integers"),
-        (("claims", "z"), 1.5, "claims.t and claims.z must be integers"),
-        (("claims", "t"), True, "claims.t and claims.z must be integers"),
-        (("cycle", "split_index"), True, "split_index must be an integer"),
-        (("hypergraph", "n"), True, "n and q must be integers"),
-        (("hypergraph", "q"), True, "n and q must be integers"),
-        (("hypergraph", "sigma"), [2, True], "sigma must be a nonempty array of positive integers"),
+        (("claims", "hamiltonian"), "false", "claimed_hamiltonian must be a boolean"),
+        (("claims", "hamiltonian"), 1, "claimed_hamiltonian must be a boolean"),
+        (("claims", "t"), "x", "claimed_t and claimed_z must be integers >= 0"),
+        (("claims", "z"), 1.5, "claimed_t and claimed_z must be integers >= 0"),
+        (("claims", "t"), True, "claimed_t and claimed_z must be integers >= 0"),
+        (("cycle", "split_index"), True, "split_index must be an integer in 1..1"),
+        (("hypergraph", "n"), True, "n and q must be integers >= 1"),
+        (("hypergraph", "q"), True, "n and q must be integers >= 1"),
+        (("hypergraph", "sigma"), [2, True], "partition parts must be positive integers, got True"),
         (("claims",), [], "claims must be an object"),
         (("claims",), 0, "claims must be an object"),
         (("claims",), False, "claims must be an object"),
         (("claims",), "", "claims must be an object"),
         (("claims",), None, "claims must be an object"),
         # out of range: each of these verified PASS before the reader checked ranges
-        (("cycle", "split_index"), -3, "split_index must be in 1..1"),
-        (("cycle", "split_index"), 0, "split_index must be in 1..1"),
-        (("cycle", "split_index"), 99, "split_index must be in 1..1"),
-        (("claims", "t"), -5, "claims.t and claims.z must be >= 0"),
-        (("claims", "z"), -1, "claims.t and claims.z must be >= 0"),
+        (("cycle", "split_index"), -3, "split_index must be an integer in 1..1"),
+        (("cycle", "split_index"), 0, "split_index must be an integer in 1..1"),
+        (("cycle", "split_index"), 99, "split_index must be an integer in 1..1"),
+        (("claims", "t"), -5, "claimed_t and claimed_z must be integers >= 0"),
+        (("claims", "z"), -1, "claimed_t and claimed_z must be integers >= 0"),
     ],
     ids=[
         "true-coordinate", "false-row", "true-in-vertex-sequence", "vertex-sequence-number",

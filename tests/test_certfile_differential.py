@@ -99,13 +99,15 @@ def test_dumps_matches_reference_on_unparsed_shapes(changes):
 
 
 def strict_type_case(doc) -> bool:
-    """True when the document holds a value that the reference reader takes
-    but the strict one rejects: a boolean as n, q, a sigma part, split_index
-    or a vertex coordinate; an integer split_index outside 1..s-1; a
-    claims.hamiltonian that is not a boolean; a claims.t or claims.z that is
-    not an integer, or is negative; a vertex_sequence that is present but
-    not an array; claims that are present and falsy but not an object (the
-    reference reads them as empty claims)."""
+    """True when the document holds a value that the reference reader's own
+    checks let through but the strict reader or a value type rejects: a
+    boolean as n, q, a sigma part, split_index or a vertex coordinate; an
+    integer split_index outside 1..s-1; a claims.hamiltonian that is not a
+    boolean; a claims.t or claims.z that is not an integer, or is negative;
+    a vertex_sequence that is present but not an array; claims that are
+    present and falsy but not an object (the reference reads them as empty
+    claims).  The reference may then return a certificate, or fail in a
+    value type; only the strict reader's refusal is checked."""
     if not isinstance(doc, dict):
         return False
     hg = doc.get("hypergraph")

@@ -97,12 +97,23 @@ class TestConstruct:
         assert "--k" in err
 
     def test_stdout_is_valid_json(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "3", "--kind", "berge"
         )
         assert code == 0
-        doc = json.loads(out[: out.rindex("}") + 1])
+        doc = json.loads(out)
         assert doc["schema_version"] == "1"
+        assert err == "berge: 9 edges\n"
+
+    @pytest.mark.parametrize("n, q", [(2, 6), (4, 5), (4, 6)])
+    def test_bad_split_is_usage_error(self, capsys, n, q):
+        # checked before n, the item limit and the split of q into blocks
+        code, _, err = run(
+            capsys, "construct", "--sigma", "2,1", "--n", str(n), "--q", str(q),
+            "--kind", "sharp", "--split", "0",
+        )
+        assert code == 2
+        assert "split_index must be an integer in 1..1" in err
 
 
 class TestVerify:
@@ -232,11 +243,11 @@ class TestBounds:
         assert "REFUTES-SHARP-HC" not in out
         assert "bounds: matching size nu must be >= 0, got -5" in err
         # the same hypergraph has a sharp Hamiltonian cycle
-        code, out, _ = run(
+        code, _, err = run(
             capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp"
         )
         assert code == 0
-        assert "12 edges" in out
+        assert "12 edges" in err
 
     def test_uniform_r1_is_usage_error(self, capsys):
         # the r message wins over a negative nu, and nothing is printed first

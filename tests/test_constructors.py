@@ -92,10 +92,9 @@ class TestShiftedMatching:
 
     def test_split_range(self):
         H = make_hypergraph(3, 3, parse_partition("2,1"))
-        with pytest.raises(ValueError):
-            shifted_matching(H, 0, 3, p=0)
-        with pytest.raises(ValueError):
-            shifted_matching(H, 0, 3, p=2)
+        for p in (0, 2, True):
+            with pytest.raises(ValueError):
+                shifted_matching(H, 0, 3, p=p)
 
 
 class TestFrobenius:
@@ -210,6 +209,13 @@ class TestSharpConstructor:
     def test_n_too_small(self):
         with pytest.raises(NTooSmall):
             construct_sharp_hamiltonian(make_hypergraph(2, 6, parse_partition("2,1")))
+
+    @pytest.mark.parametrize("p", [0, 2, True, 1.0])
+    @pytest.mark.parametrize("n, q", [(2, 6), (4, 5), (4, 6)])
+    def test_bad_split_refused_first(self, n, q, p):
+        # before NTooSmall (n = 2), QNotRepresentable (q = 5) and building
+        with pytest.raises(ValueError, match=r"split_index must be an integer in 1\.\.1"):
+            construct_sharp_hamiltonian(make_hypergraph(n, q, parse_partition("2,1")), p=p)
 
     def test_degenerate_split(self):
         # q forces an (r+1)-block and every split head has size 1

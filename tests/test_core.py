@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 
 import sigmacycles
 from sigmacycles import (
+    KIND_SHARP,
+    CycleCertificate,
     Edge,
     NoEdgesError,
     Partition,
+    SigmaHypergraph,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
     construct_sharp_hamiltonian,
@@ -129,7 +132,7 @@ class TestPartition:
     def test_rectangular_not_square(self):
         assert parse_partition("2,2,2").rectangular
 
-    @pytest.mark.parametrize("text", ["", "0", "-1,2", "a,b", "2,,1"])
+    @pytest.mark.parametrize("text", ["", "0", "-1,2", "1,0", "a,b", "2,,1"])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_partition(text)
@@ -137,6 +140,23 @@ class TestPartition:
     def test_constructor_rejects_unsorted(self):
         with pytest.raises(ValueError):
             Partition((1, 2))
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((), "at least one part"),
+            ((0,), "positive integers, got 0"),
+            ((True,), "positive integers, got True"),
+            ((2, True), "positive integers, got True"),
+            # the type is checked before any comparison: no TypeError
+            (("2",), "positive integers, got '2'"),
+            ((2, None), "positive integers, got None"),
+            ((2.0,), "positive integers, got 2.0"),
+        ],
+    )
+    def test_constructor_refuses(self, parts, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(parts)
 
     @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6))
     def test_of_is_order_invariant(self, parts):
@@ -160,12 +180,59 @@ class TestHypergraph:
         with pytest.raises(NoEdgesError):
             make_hypergraph(2, 1, parse_partition("2,2"))
 
+    @pytest.mark.parametrize(
+        "n, q", [(2.5, 3), (True, 3), (3, True), (3, False), ("3", 3), (None, 3), (0, 3), (3, -1)]
+    )
+    def test_n_and_q_refused(self, n, q):
+        with pytest.raises(ValueError, match="n and q must be integers >= 1"):
+            SigmaHypergraph(n, q, parse_partition("2,1"))
+
+    def test_make_hypergraph_is_the_type(self):
+        assert make_hypergraph is SigmaHypergraph
+
     def test_in_bounds(self):
         H = make_hypergraph(2, 3, parse_partition("2,1"))
         assert H.in_bounds((1, 2))
         assert not H.in_bounds((2, 0))
         assert not H.in_bounds((0, 3))
         assert not H.in_bounds((-1, 0))
+
+
+class TestCycleCertificate:
+    """CycleCertificate checks its scalar fields; the edges are left to the
+    verifiers."""
+
+    H = SigmaHypergraph(3, 6, Partition((2, 1)))
+    EDGES = (Edge(((0, 0), (0, 1), (1, 0))),)
+
+    def make(self, **fields):
+        return CycleCertificate(self.H, KIND_SHARP, self.EDGES, **fields)
+
+    def test_accepts_valid_fields(self):
+        cert = self.make(k=2, split_index=1, claimed_hamiltonian=True, claimed_t=0, claimed_z=3)
+        assert (cert.k, cert.split_index, cert.claimed_t, cert.claimed_z) == (2, 1, 0, 3)
+        assert self.make().claimed_hamiltonian is False
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 1}, "k must be an integer >= 2"),
+            ({"k": True}, "k must be an integer >= 2"),
+            ({"k": 2.0}, "k must be an integer >= 2"),
+            ({"split_index": 0}, r"split_index must be an integer in 1\.\.1"),
+            ({"split_index": 2}, r"split_index must be an integer in 1\.\.1"),
+            ({"split_index": True}, r"split_index must be an integer in 1\.\.1"),
+            ({"claimed_hamiltonian": 1}, "claimed_hamiltonian must be a boolean"),
+            ({"claimed_hamiltonian": None}, "claimed_hamiltonian must be a boolean"),
+            ({"claimed_t": -1}, "claimed_t and claimed_z must be integers >= 0"),
+            ({"claimed_t": True}, "claimed_t and claimed_z must be integers >= 0"),
+            ({"claimed_t": 1.5}, "claimed_t and claimed_z must be integers >= 0"),
+            ({"claimed_z": "1"}, "claimed_t and claimed_z must be integers >= 0"),
+        ],
+    )
+    def test_refuses(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            self.make(**fields)
 
 
 class TestIsEdge:
