@@ -43,6 +43,12 @@ class SharpnessProfile(Record):
         return cls(pair_sizes)
 
 
+def check_k(k: int) -> None:
+    """The rule for k: an int (not a bool), at least 2."""
+    if type(k) is not int or k < 2:
+        raise ValueError("k must be an integer >= 2")
+
+
 def check_split_index(split: int, s: int) -> None:
     """The rule for a split index: an int (not a bool) in 1..s-1."""
     if type(split) is not int or not 1 <= split < s:
@@ -91,8 +97,8 @@ class CycleCertificate(Record):
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown cycle kind {kind!r}")
-        if k is not None and (type(k) is not int or k < 2):
-            raise ValueError("k must be an integer >= 2")
+        if k is not None:
+            check_k(k)
         if split_index is not None:
             check_split_index(split_index, hypergraph.sigma.s)
         if type(claimed_hamiltonian) is not bool:

@@ -92,9 +92,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import certfile
-    from .verify import verify_berge_hamiltonian, verify_k_intersecting, verify_sharp_cycle
 
     cert = certfile.read_certificate(args.path)
+    # after the read: a file that fails to parse never loads the verifiers
+    from .verify import verify_berge_hamiltonian, verify_k_intersecting, verify_sharp_cycle
+
     H = cert.hypergraph
     if cert.kind == KIND_BERGE:
         report = verify_berge_hamiltonian(H, cert)

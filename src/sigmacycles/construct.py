@@ -264,7 +264,11 @@ def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
     edge i+1, the threshold moving one part left per edge.  In (r+1)-blocks
     the shifted edges share the swapped first part so the k-window
     intersection has size a_1 - 1, hence the largest part must be >= 2 there.
+    Raises ValueError when k is not an int (a bool is not one), and
+    KOutOfRange when it is one outside [2, s].
     """
+    if type(k) is not int:
+        raise ValueError("k must be an integer >= 2")
     s = H.sigma.s
     if s < 2:
         raise ConstructionUnsupported("k-intersecting construction needs at least two parts")

@@ -11,8 +11,11 @@ read the pair and subset conditions off a vertex -> edge incidence index:
 edges that share a vertex are exactly the pairs (or k-sets) inside some
 vertex's incidence list.  Each list yields its own first violating candidate
 and the verifier reports the minimum over the candidates, which keeps the
-first-violation contract above.  A check costs O(k * sum of incidence sizes)
-plus O(p*k) window intersections, not O(p^2) pairs or C(p, k) subsets.
+first-violation contract above.  The sharp verifier reads the consecutive
+pair sizes and its forbidden pairs off the index in one pass over the lists,
+in O(sum of incidence sizes).  For k >= 3 a check costs O(k * sum of
+incidence sizes) plus O(p*k) window intersections.  Neither examines O(p^2)
+pairs or C(p, k) subsets.
 There is one such index, core.incidence: the verifiers and
 export.render_dot read it.
 
@@ -56,6 +59,7 @@ from .certificates import (
     KIND_SHARP,
     CycleCertificate,
     SharpnessProfile,
+    check_k,
 )
 from .core import (
     Edge,
@@ -172,14 +176,16 @@ def verify_berge_hamiltonian(H: SigmaHypergraph, cert: CycleCertificate) -> Veri
         if v in seen:
             return VerificationReport.failure(TAG_VERTEX_REPEATED, f"vertex {v} repeated at {seen[v]} and {i}")
         seen[v] = i
+    n, q = H.n, H.q
     for v in verts:
-        if not H.in_bounds(v):
+        c, row = v
+        if not (0 <= c < n and 0 <= row < q):
             return VerificationReport.failure(TAG_COVERAGE_GAP, f"vertex {v} out of bounds")
     # nq distinct in-bounds vertices necessarily cover the grid
     p = len(edges)
     for i in range(p):
-        v, w = verts[i], verts[(i + 1) % p]
-        if v not in edges[i] or w not in edges[i]:
+        vs = edges[i].vertices
+        if verts[i] not in vs or verts[(i + 1) % p] not in vs:
             return VerificationReport.failure(
                 TAG_MEMBERSHIP, f"edge {i} does not contain both vertex {i} and vertex {(i + 1) % p}"
             )
@@ -217,14 +223,37 @@ def _verify_sharp_edges(H: SigmaHypergraph, edges: Sequence[Edge]) -> Verificati
     bad = _edge_validity_failure(H, edges)
     if bad is not None:
         return bad
-    pair_sizes = tuple(
-        len(set(edges[i].vertices).intersection(edges[(i + 1) % p].vertices)) for i in range(p)
-    )
     index = incidence(edges)
-    candidates = [(i, i + 1, TAG_CONSECUTIVE_EMPTY) for i in range(p - 1) if not pair_sizes[i]]
-    if not pair_sizes[p - 1]:
-        candidates.append((0, p - 1, TAG_CONSECUTIVE_EMPTY))
-    pair = _first_shared_non_window(index, 2, p)
+    # one pass over the incidence lists, whose ids ascend: a vertex of edges
+    # i and i+1 has them side by side, one of edges 0 and p-1 has them first
+    # and last, and the list's first other pair, in the order
+    # _first_shared_non_window takes, is a candidate forbidden pair.  A list
+    # of three or more ids (never in a valid cycle, as p >= 4) always has one
+    last = p - 1
+    sizes = [0] * p
+    pair = None
+    for ids in index.values():
+        m = len(ids)
+        if m == 2:
+            a, b = ids
+            if b == a + 1:
+                sizes[a] += 1
+            elif a == 0 and b == last:
+                sizes[last] += 1
+            elif pair is None or (a, b) < pair:
+                pair = (a, b)
+        elif m > 2:
+            for a, b in zip(ids, ids[1:]):
+                if b == a + 1:
+                    sizes[a] += 1
+            if ids[0] == 0 and ids[-1] == last:
+                sizes[last] += 1
+            first = next(s for s in itertools.combinations(ids, 2) if s[1] != s[0] + 1 and s != (0, last))
+            if pair is None or first < pair:
+                pair = first
+    candidates = [(i, i + 1, TAG_CONSECUTIVE_EMPTY) for i in range(last) if not sizes[i]]
+    if not sizes[last]:
+        candidates.append((0, last, TAG_CONSECUTIVE_EMPTY))
     if pair is not None:
         candidates.append((*pair, TAG_FORBIDDEN_NONEMPTY))
     if candidates:
@@ -235,7 +264,7 @@ def _verify_sharp_edges(H: SigmaHypergraph, edges: Sequence[Edge]) -> Verificati
         return VerificationReport.failure(
             tag, f"non-consecutive edges {i} and {j} share {shared} vertex(es)"
         )
-    profile = SharpnessProfile.from_sizes(pair_sizes)
+    profile = SharpnessProfile.from_sizes(tuple(sizes))
     return VerificationReport(ok=True, profile=profile, hamiltonian=len(index) == H.vertex_count)
 
 
@@ -264,14 +293,14 @@ def verify_k_intersecting(
     O(p*k) intersections.  A non-window k-subset with a common vertex v lies
     inside v's incidence list, so each list yields its first such subset and
     the minimum over all vertices is reported: O(k * sum of incidence sizes).
-    Raises ValueError when k < 2.
+    Raises ValueError when k is not an int >= 2 (a bool is not an int),
+    before any edge is checked.
     """
     if cert.kind not in (KIND_K_INTERSECTING, KIND_SHARP):
         raise ValueError(f"expected a k-intersecting certificate, got {cert.kind!r}")
     if k is None:
         k = cert.k if cert.k is not None else 2
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    check_k(k)
     if k == 2:
         return _verify_sharp_edges(H, cert.edges)
     edges = cert.edges

@@ -610,6 +610,21 @@ class TestStartup:
         assert f"sigmacycles.{runs}" in loaded
         assert [m for m in skips + ["numpy", "dataclasses", "inspect"] if m in loaded] == []
 
+    def test_unparsable_file_loads_no_verifier(self, capsys, tmp_path):
+        cert = tmp_path / "c.json"
+        run(capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp",
+            "-o", str(cert))
+        text = cert.read_text()
+        cert.write_text(text[: len(text) // 2])
+        loaded = self.modules(str(cert), script=(
+            "import sys\n"
+            "from sigmacycles.cli import main\n"
+            "assert main(['verify', *sys.argv[1:]]) == 2\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n"
+        ))
+        assert "sigmacycles.certfile" in loaded
+        assert "sigmacycles.verify" not in loaded
+
     def test_closed_stdout_is_a_usage_error(self):
         # 90,000 lines overflow the pipe: writes after the reader has gone
         # fail, and the message replaces a BrokenPipeError traceback

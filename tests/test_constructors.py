@@ -274,6 +274,13 @@ class TestKIntersectingConstructor:
         with pytest.raises(KOutOfRange):
             construct_k_intersecting(H, 1)
 
+    @pytest.mark.parametrize("k", [2.0, 3.0, True])
+    def test_k_not_an_int(self, k):
+        # refused before the range and n checks: n = s here
+        H = make_hypergraph(3, 3, parse_partition("1,1,1"))
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            construct_k_intersecting(H, k)
+
     def test_n_too_small(self):
         with pytest.raises(NTooSmall):
             construct_k_intersecting(make_hypergraph(3, 3, parse_partition("1,1,1")), 2)

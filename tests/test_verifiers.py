@@ -144,6 +144,14 @@ class TestKIntersectingVerifier:
         with pytest.raises(ValueError):
             verify_k_intersecting(h, construct_k_intersecting(h, 3), 1)
 
+    @pytest.mark.parametrize("k", [2.0, 3.0, True])
+    def test_k_not_an_int_rejected(self, k):
+        # before any edge is checked: two edges are not even a cycle
+        h = H(4, 3, "1,1,1")
+        cert = construct_k_intersecting(h, 3)
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            verify_k_intersecting(h, cert.replace(edges=cert.edges[:2]), k)
+
 
 class TestVerifyMatching:
     def test_diagonal_matching_passes(self):

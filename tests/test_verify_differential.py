@@ -12,6 +12,7 @@ from sigmacycles import (
     Edge,
     Partition,
     construct_k_intersecting,
+    construct_sharp_hamiltonian,
     enumerate_edges,
     make_hypergraph,
     parse_partition,
@@ -21,7 +22,7 @@ from sigmacycles import (
 from sigmacycles.certificates import KIND_K_INTERSECTING, KIND_SHARP, CycleCertificate
 from sigmacycles.verify import TAG_CONSECUTIVE_EMPTY, TAG_FORBIDDEN_NONEMPTY
 
-from helpers import reference_verify_k_intersecting
+from helpers import reference_verify_k_intersecting, reference_verify_sharp_edges
 from mutation_cases import k_intersecting_mutations, sharp_mutations
 
 # (sigma, n, q, k): constructor bases with 6 to 24 edges
@@ -85,14 +86,16 @@ def crowd(edges, v):
     return out
 
 
-def planted_cycle(p, k, planted, spare=0):
+def planted_cycle(p, k, planted, spare=0, gaps=()):
     """A k-intersecting cycle of p edges on a one-row grid in which window i
     has a vertex of its own, plus one vertex in each planted set of edge
     indices.  Every vertex is its own class, so sigma = (1,) * r once the
     edges are padded with vertices of their own to one size r.  Planted
     vertices take the lowest classes, in the order given; `spare` unused
-    classes make the cycle non-Hamiltonian."""
-    members = [set(s) for s in planted] + [{(i + d) % p for d in range(k)} for i in range(p)]
+    classes make the cycle non-Hamiltonian.  The windows starting at the
+    indices in `gaps` get no vertex of their own."""
+    windows = [{(i + d) % p for d in range(k)} for i in range(p) if i not in gaps]
+    members = [set(s) for s in planted] + windows
     classes = [[c for c, m in enumerate(members) if i in m] for i in range(p)]
     r = max(map(len, classes))
     n = len(members)
@@ -117,6 +120,39 @@ def planted(draw):
 @given(planted())
 def test_planted_shared_vertices(case):
     assert_same(*case)
+
+
+@st.composite
+def crowded_sharp(draw):
+    """A planted sharp cycle with one vertex in three or more edges (often
+    the wrap triple 0, 1, p-1 or every edge), plus up to two more planted
+    sets of any size.  Some consecutive pairs may share no vertex of their
+    own, so the crowded vertex alone can keep them from being disjoint."""
+    p = draw(st.integers(4, 10))
+    edge = st.integers(0, p - 1)
+    crowded = st.one_of(st.just({0, 1, p - 1}), st.just(set(range(p))), st.sets(edge, min_size=3))
+    sets = [draw(crowded)] + draw(st.lists(st.sets(edge, min_size=2), max_size=2))
+    gaps = draw(st.sets(edge, max_size=2))
+    return planted_cycle(p, 2, draw(st.permutations(sets)), draw(st.integers(0, 1)), gaps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(crowded_sharp())
+def test_vertex_in_three_or_more_edges(case):
+    H, edges = case
+    cert = CycleCertificate(hypergraph=H, kind=KIND_SHARP, edges=tuple(edges))
+    assert fields(verify_sharp_cycle(H, cert)) == fields(reference_verify_sharp_edges(H, edges))
+
+
+@pytest.mark.parametrize("index", range(len(BASES)), ids=[f"{b[0]}-n{b[1]}-q{b[2]}" for b in BASES])
+def test_profile_is_the_consecutive_intersection_sizes(index):
+    sigma, n, q, _ = BASES[index]
+    H = make_hypergraph(n, q, parse_partition(sigma))
+    edges = construct_sharp_hamiltonian(H).edges
+    p = len(edges)
+    sizes = tuple(len(set(edges[i].vertices) & set(edges[(i + 1) % p].vertices)) for i in range(p))
+    report = verify_sharp_cycle(H, CycleCertificate(hypergraph=H, kind=KIND_SHARP, edges=edges))
+    assert report.ok and report.profile.pair_sizes == sizes
 
 
 @st.composite
