@@ -7,17 +7,16 @@ edge validity -> duplicates -> sequence structure -> pair/window conditions)
 is reported with a stable tag.
 
 The sharp and k-intersecting verifiers are exact and take no budget.  They
-read the pair and subset conditions off a vertex -> edge incidence index:
+read every pair and subset condition off a vertex -> edge incidence index:
 edges that share a vertex are exactly the pairs (or k-sets) inside some
-vertex's incidence list.  Each list yields its own first violating candidate
-and the verifier reports the minimum over the candidates, which keeps the
-first-violation contract above.  The sharp verifier reads the consecutive
-pair sizes and its forbidden pairs off the index in one pass over the lists,
-in O(sum of incidence sizes).  For k >= 3 a check costs O(k * sum of
-incidence sizes) plus O(p*k) window intersections.  Neither examines O(p^2)
-pairs or C(p, k) subsets.
-There is one such index, core.incidence: the verifiers and
-export.render_dot read it.
+vertex's incidence list.  One pass over the lists (_scan) counts the
+vertices of each window of k consecutive edges, finds the first window of
+k+1 that shares a vertex, and takes each list's first non-window k-subset;
+the verifier reports the minimum over the candidates, which keeps the
+first-violation contract above.  A check costs O(k * sum of incidence
+sizes), with no window intersections, and never examines O(p^2) pairs or
+C(p, k) subsets.  There is one such index, core.incidence: the verifiers
+and export.render_dot read it.
 
 The brute-force oracles build no edge index.  An edge of H is fixed by its
 per-class part sizes alone, so permuting the classes and the rows within
@@ -192,28 +191,63 @@ def verify_berge_hamiltonian(H: SigmaHypergraph, cert: CycleCertificate) -> Veri
     return VerificationReport(ok=True, hamiltonian=True)
 
 
-def _first_shared_non_window(
+def _window_start(ids: Sequence[int], p: int) -> Optional[int]:
+    """The start i of the window of consecutive edges, on a cycle of p, that
+    the ascending ids fill ({(i + d) % p for d < len(ids)} == set(ids)), or
+    None.  A window either spans len(ids) - 1 or wraps: it runs 0, 1, ...,
+    j - 1 and then on from its start, ids[j], up to p - 1."""
+    m = len(ids)
+    if ids[-1] - ids[0] == m - 1:
+        return ids[0]
+    if ids[0] != 0 or ids[-1] != p - 1:
+        return None
+    j = 1
+    while ids[j] == j:
+        j += 1
+    return ids[j] if ids[j] == p - m + j else None
+
+
+def _scan(
     index: dict[GridVertex, list[int]], k: int, p: int
-) -> Optional[tuple[int, ...]]:
-    """Smallest (lexicographic) k-subset of the p edges that shares a vertex
-    and is not a cyclic window of k consecutive edges, or None."""
-    first = None
+) -> tuple[list[int], Optional[int], Optional[tuple[int, ...]]]:
+    """One pass over the incidence lists of p edges, whose ids ascend.
+    Returns sizes, where sizes[i] counts the vertices in every edge of the
+    k-window starting at i; the least i whose (k+1)-window shares a vertex,
+    or None; and the smallest (lexicographic) k-subset that shares a vertex
+    and is not a window, or None (each list gives its first such subset)."""
+    span = k - 1
+    sizes = [0] * p
+    shared = subset = None
     for ids in index.values():
-        if len(ids) < k:
-            continue
-        # ids holds at most len(ids) windows, so the first non-window
-        # subset comes within len(ids) + 1 steps.  A sorted window either
-        # spans k - 1 or wraps: it runs up to p - 1 and on from 0, with
-        # exactly one gap in between.
-        for s in itertools.combinations(ids, k):
-            if s[-1] - s[0] == k - 1 or (
-                s[0] == 0 and s[-1] == p - 1 and sum(b != a + 1 for a, b in zip(s, s[1:])) == 1
-            ):
+        m = len(ids)
+        if m == k:
+            # the common case: one window that does not wrap (its last id,
+            # ids[span], is span past its first)
+            a = ids[0]
+            if ids[span] - a == span:
+                sizes[a] += 1
                 continue
-            if first is None or s < first:
-                first = s
-            break
-    return first
+        elif m < k:
+            continue
+        # otherwise a window that wraps, k ids that are no window, or a
+        # longer list (never in a valid cycle).  Each window the list holds
+        # is counted by the run of ids from its start; it holds at most m,
+        # so its first non-window subset comes within m + 1 subsets
+        held = set(ids)
+        for a in ids:
+            run = 1
+            while run <= k and (a + run) % p in held:
+                run += 1
+            if run >= k:
+                sizes[a] += 1
+            if run > k and (shared is None or a < shared):
+                shared = a
+        for s in itertools.combinations(ids, k):
+            if _window_start(s, p) is None:
+                if subset is None or s < subset:
+                    subset = s
+                break
+    return sizes, shared, subset
 
 
 def _verify_sharp_edges(H: SigmaHypergraph, edges: Sequence[Edge]) -> VerificationReport:
@@ -224,33 +258,8 @@ def _verify_sharp_edges(H: SigmaHypergraph, edges: Sequence[Edge]) -> Verificati
     if bad is not None:
         return bad
     index = incidence(edges)
-    # one pass over the incidence lists, whose ids ascend: a vertex of edges
-    # i and i+1 has them side by side, one of edges 0 and p-1 has them first
-    # and last, and the list's first other pair, in the order
-    # _first_shared_non_window takes, is a candidate forbidden pair.  A list
-    # of three or more ids (never in a valid cycle, as p >= 4) always has one
+    sizes, _, pair = _scan(index, 2, p)
     last = p - 1
-    sizes = [0] * p
-    pair = None
-    for ids in index.values():
-        m = len(ids)
-        if m == 2:
-            a, b = ids
-            if b == a + 1:
-                sizes[a] += 1
-            elif a == 0 and b == last:
-                sizes[last] += 1
-            elif pair is None or (a, b) < pair:
-                pair = (a, b)
-        elif m > 2:
-            for a, b in zip(ids, ids[1:]):
-                if b == a + 1:
-                    sizes[a] += 1
-            if ids[0] == 0 and ids[-1] == last:
-                sizes[last] += 1
-            first = next(s for s in itertools.combinations(ids, 2) if s[1] != s[0] + 1 and s != (0, last))
-            if pair is None or first < pair:
-                pair = first
     candidates = [(i, i + 1, TAG_CONSECUTIVE_EMPTY) for i in range(last) if not sizes[i]]
     if not sizes[last]:
         candidates.append((0, last, TAG_CONSECUTIVE_EMPTY))
@@ -289,10 +298,10 @@ def verify_k_intersecting(
     have an empty common intersection.  By monotonicity of intersections this
     certifies the full "any other collection of k or more edges" condition.
 
-    The check is exact for every k and has no budget.  The window stages cost
-    O(p*k) intersections.  A non-window k-subset with a common vertex v lies
-    inside v's incidence list, so each list yields its first such subset and
-    the minimum over all vertices is reported: O(k * sum of incidence sizes).
+    The check is exact for every k and has no budget.  A set of edges shares
+    a vertex v exactly when it lies inside v's incidence list, so one scan of
+    the lists (_scan) gives every stage, in O(k * sum of incidence sizes) and
+    with no window intersections.
     Raises ValueError when k is not an int >= 2 (a bool is not an int),
     before any edge is checked.
     """
@@ -312,37 +321,22 @@ def verify_k_intersecting(
     bad = _edge_validity_failure(H, edges)
     if bad is not None:
         return bad
-
-    def common(idxs: tuple[int, ...]) -> set[GridVertex]:
-        acc = set(edges[idxs[0]].vertices)
-        for i in idxs[1:]:
-            acc.intersection_update(edges[i].vertices)
-        return acc
-
-    window_sizes = []
-    for i in range(p):
-        w = tuple((i + d) % p for d in range(k))
-        inter = common(w)
-        if not inter:
-            return VerificationReport.failure(
-                TAG_CONSECUTIVE_EMPTY, f"window {w} has empty intersection"
-            )
-        window_sizes.append(len(inter))
-    for i in range(p):
-        w1 = tuple((i + d) % p for d in range(k + 1))
-        if common(w1):
-            return VerificationReport.failure(
-                TAG_FORBIDDEN_NONEMPTY, f"window of {k + 1} consecutive edges {w1} shares a vertex"
-            )
     index = incidence(edges)
-    subset = _first_shared_non_window(index, k, p)
+    sizes, shared, subset = _scan(index, k, p)
+    # staged: an empty window, a shared (k+1)-window, a non-window subset
+    if 0 in sizes:
+        w = tuple((sizes.index(0) + d) % p for d in range(k))
+        return VerificationReport.failure(TAG_CONSECUTIVE_EMPTY, f"window {w} has empty intersection")
+    if shared is not None:
+        w1 = tuple((shared + d) % p for d in range(k + 1))
+        return VerificationReport.failure(
+            TAG_FORBIDDEN_NONEMPTY, f"window of {k + 1} consecutive edges {w1} shares a vertex"
+        )
     if subset is not None:
         return VerificationReport.failure(
             TAG_FORBIDDEN_NONEMPTY, f"non-window edge subset {subset} shares a vertex"
         )
-    return VerificationReport(
-        ok=True, window_sizes=tuple(window_sizes), hamiltonian=len(index) == H.vertex_count
-    )
+    return VerificationReport(ok=True, window_sizes=tuple(sizes), hamiltonian=len(index) == H.vertex_count)
 
 
 def verify_matching(H: SigmaHypergraph, edges: Iterable[Edge]) -> bool:

@@ -143,6 +143,24 @@ class TestVerify:
         assert "PASS" in out
         assert "hamiltonian: true" in out
 
+    def test_hamiltonian_line_only_on_pass(self, capsys, tmp_path):
+        path = self.make_cert(
+            capsys, tmp_path,
+            "construct", "--sigma", "2,1", "--n", "4", "--q", "6", "--kind", "sharp",
+        )
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "hamiltonian: true" in out
+        # the last two edges swapped: edge 0 meets the edge now second to last
+        doc = json.loads(path.read_text())
+        edges = doc["cycle"]["edges"]
+        edges[-2], edges[-1] = edges[-1], edges[-2]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "FAIL: forbidden-intersection-nonempty" in out
+        assert "hamiltonian:" not in out
+
     def test_corrupted_vertex(self, capsys, tmp_path):
         path = self.make_cert(
             capsys, tmp_path,

@@ -20,7 +20,7 @@ from sigmacycles import (
     verify_sharp_cycle,
 )
 from sigmacycles.certificates import KIND_K_INTERSECTING, KIND_SHARP, CycleCertificate
-from sigmacycles.verify import TAG_CONSECUTIVE_EMPTY, TAG_FORBIDDEN_NONEMPTY
+from sigmacycles.verify import TAG_CONSECUTIVE_EMPTY, TAG_FORBIDDEN_NONEMPTY, _window_start
 
 from helpers import reference_verify_k_intersecting, reference_verify_sharp_edges
 from mutation_cases import k_intersecting_mutations, sharp_mutations
@@ -109,10 +109,17 @@ def planted_cycle(p, k, planted, spare=0, gaps=()):
 
 @st.composite
 def planted(draw):
+    """A planted k-intersecting cycle with up to three more planted sets of
+    any size, sometimes the (k+1)-window that wraps, p-2 to k-2.  Up to two
+    windows get no vertex of their own, so a crowded vertex can be the only
+    one that keeps a window from being empty."""
     k = draw(st.integers(2, 4))
     p = draw(st.integers(k + 2, k + 6))
-    sets = draw(st.lists(st.sets(st.integers(0, p - 1), min_size=2, max_size=k + 1), max_size=3))
-    H, edges = planted_cycle(p, k, sets, draw(st.integers(0, 1)))
+    edge = st.integers(0, p - 1)
+    wrap = {(p - 2 + d) % p for d in range(k + 1)}
+    sets = draw(st.lists(st.one_of(st.just(wrap), st.sets(edge, min_size=2)), max_size=3))
+    gaps = draw(st.sets(edge, max_size=2))
+    H, edges = planted_cycle(p, k, sets, draw(st.integers(0, 1)), gaps)
     return H, edges, k
 
 
@@ -134,6 +141,17 @@ def crowded_sharp(draw):
     sets = [draw(crowded)] + draw(st.lists(st.sets(edge, min_size=2), max_size=2))
     gaps = draw(st.sets(edge, max_size=2))
     return planted_cycle(p, 2, draw(st.permutations(sets)), draw(st.integers(0, 1)), gaps)
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_window_start_on_every_subset(p):
+    """_window_start against the definition, on every non-empty ascending
+    subset of range(p): 1,013 cases over p <= 9."""
+    for m in range(1, p + 1):
+        for ids in itertools.combinations(range(p), m):
+            starts = [i for i in range(p) if {(i + d) % p for d in range(m)} == set(ids)]
+            got = _window_start(ids, p)
+            assert (got in starts) if starts else (got is None), (ids, got)
 
 
 @settings(deadline=None, max_examples=300)
