@@ -39,13 +39,9 @@ _EXPORTS = {
         "BudgetExceeded",
         "CertificateParseError",
         "ConstructionError",
-        "ConstructionUnsupported",
-        "DegenerateIntersection",
-        "KOutOfRange",
+        "NoCycle",
         "NoEdgesError",
-        "NTooSmall",
-        "OnlyOneEdge",
-        "QNotRepresentable",
+        "NoRecipe",
     ),
     "verify": (
         "MaxMatchingResult",

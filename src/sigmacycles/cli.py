@@ -10,8 +10,9 @@ an error into a message on stderr, `<command>: <message>`, and an exit code:
        OSError writing an -o path ("cannot write <path>: <reason>"), or a
        failed write to stdout, such as a closed pipe or a full device
        ("cannot write stdout: <reason>")
-    3  ConstructionError ("<Name>: ...") or BudgetExceeded
-       ("budget exceeded: ...")
+    3  a constructor refusal, NoCycle (no such cycle exists) or NoRecipe
+       (no recipe covers the parameters), as "<Name>: ...", or
+       BudgetExceeded ("budget exceeded: ...")
 
 Each subcommand imports the modules it runs when it runs, so a call loads
 (and, without cached bytecode, compiles) only those: `oracle max-matching`

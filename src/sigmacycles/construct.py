@@ -6,6 +6,11 @@ definition-level verifier has accepted it.  Before building an edge they
 raise ValueError when the certificate would hold more vertex slots
 (edges x r) than the export item limit.
 
+A refusal is one of two kinds.  NoCycle says that no cycle of the kind
+asked for exists, and why: _check_cycle's reasons come first in every
+constructor.  NoRecipe says that no recipe here covers the parameters; a
+cycle may still exist.
+
 The sharp and k-intersecting cycles are block chains.  Each block's
 diagonal parts are computed once (_diagonal_parts), and every chain edge,
 like every edge of the public matchings, is cut from them.
@@ -21,17 +26,11 @@ from .certificates import (
     KIND_K_INTERSECTING,
     KIND_SHARP,
     CycleCertificate,
+    check_k,
     check_split_index,
 )
 from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph, edge_count
-from .errors import (
-    ConstructionUnsupported,
-    DegenerateIntersection,
-    KOutOfRange,
-    NTooSmall,
-    OnlyOneEdge,
-    QNotRepresentable,
-)
+from .errors import NoCycle, NoRecipe
 from .verify import (
     verify_berge_hamiltonian,
     verify_k_intersecting,
@@ -43,7 +42,8 @@ def frobenius_decompose(q: int, r: int) -> tuple[int, int]:
     """Write q = x*r + y*(r+1) with x, y >= 0 and y minimal.
 
     Always succeeds for q >= r(r-1); below that bound a representation may
-    or may not exist.  Raises QNotRepresentable when there is none.
+    or may not exist.  Raises NoRecipe when there is none: the block chain
+    needs one, a cycle may not.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -52,7 +52,7 @@ def frobenius_decompose(q: int, r: int) -> tuple[int, int]:
     y = q % r
     x = (q - y * (r + 1)) // r
     if x < 0:
-        raise QNotRepresentable(f"q={q} is not x*{r} + y*{r + 1} with x, y >= 0")
+        raise NoRecipe(f"q={q} is not x*{r} + y*{r + 1} with x, y >= 0")
     return x, y
 
 
@@ -108,7 +108,7 @@ def shifted_matching(
     s = H.sigma.s
     check_split_index(p, s)
     if H.n <= s:
-        raise NTooSmall(f"n={H.n} <= s={s}: shifted edges would collide")
+        raise NoRecipe(f"n={H.n} <= s={s}: shifted edges would collide")
     b, h, n = block_start_row, block_height, H.n
     parts = _diagonal_parts(H, b)
     return tuple(_shifted_edge(H, b, h, parts[j], parts[(j + 1) % n], p) for j in range(n))
@@ -172,13 +172,15 @@ def _certify(
     Hamiltonian, returned only once verifier(H, cert) accepts it as a
     Hamiltonian cycle; a sharp one then claims the measured (t, z), which
     is None where the sizes do not alternate uniformly.  Otherwise raises
-    ConstructionUnsupported.  Each constructor passes the verifier by its
-    name in this module, so a wrapper put there is called."""
+    NoRecipe; every constructor refuses before this what its recipe does
+    not cover, so on working code the gate never refuses.  Each constructor
+    passes the verifier by its name in this module, so a wrapper put there
+    is called."""
     cert = CycleCertificate(H, kind, edges, claimed_hamiltonian=True, **fields)
     report = verifier(H, cert)
     if not report.ok or not report.hamiltonian:
         what = H if cert.k is None else f"{H}, k={cert.k}"
-        raise ConstructionUnsupported(
+        raise NoRecipe(
             f"recipe failed verification for {what}: "
             f"{report.violated_condition or 'not hamiltonian'}"
         )
@@ -189,6 +191,16 @@ def _certify(
     return cert
 
 
+def _check_cycle(H: SigmaHypergraph) -> None:
+    """Raise NoCycle where H has no cycle of any kind: r < 2, since an edge
+    of one vertex links no two cycle vertices, or one part with n >= 2,
+    since every edge then lies in one class and H is disconnected."""
+    if H.r < 2:
+        raise NoCycle(f"{H}: an edge of one vertex links no two cycle vertices")
+    if H.sigma.s == 1 and H.n >= 2:
+        raise NoCycle(f"{H}: every edge lies in one class, so H is disconnected")
+
+
 def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertificate:
     """Sharp Hamiltonian cycle from chained diagonal/shifted matchings.
 
@@ -197,19 +209,25 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
     chain with the single threshold p.  When an (r+1)-block would leave the
     head of split p empty, the split moves to the smallest one with head sum
     >= 2.
+
+    Raises NoCycle for _check_cycle's reasons, ValueError for a split index
+    outside 1..s-1, and NoRecipe for one part (n = 1), n <= s, q with no
+    block split (frobenius_decompose), or an (r+1)-block with every head
+    empty.
     """
+    _check_cycle(H)
     s = H.sigma.s
     if s < 2:
-        raise ConstructionUnsupported("sharp construction needs at least two parts")
+        raise NoRecipe("sharp construction needs at least two parts")
     check_split_index(p, s)
     if H.n <= s:
-        raise NTooSmall(f"n={H.n} <= s={s}")
+        raise NoRecipe(f"n={H.n} <= s={s}")
     _check_size(H, sum(frobenius_decompose(H.q, H.r)) * 2 * H.n)
     blocks = _blocks(H)
     if _zero_head(H, blocks, p):
         p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), None)
     if p is None:
-        raise DegenerateIntersection(
+        raise NoRecipe(
             f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
         )
     return _certify(H, KIND_SHARP, _chain_blocks(H, blocks, [p]), verify_sharp_cycle, split_index=p)
@@ -222,23 +240,18 @@ def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
     counting row passes from the bottom); parts that wrap past the last
     class sit one row higher, and row arithmetic is modulo q.
 
-    Refuses (ConstructionUnsupported) r = 1, fewer than nq edges, where no
-    Berge Hamiltonian cycle exists, and a rectangular sigma with q equal to
-    its part size, which the walk does not cover; a single edge raises
-    OnlyOneEdge.
+    Raises NoCycle for _check_cycle's reasons and for fewer than nq edges
+    (a single edge among them), and NoRecipe for a rectangular sigma with q
+    equal to its part size >= 2, which the walk does not cover.
     """
+    _check_cycle(H)
     sigma = H.sigma
-    n, q, s = H.n, H.q, sigma.s
+    n, q = H.n, H.q
     nq = n * q
-    q_is_part = sigma.rectangular and q == sigma.delta_max
-    if q_is_part and n == s:
-        raise OnlyOneEdge(f"{H} has a single edge")
-    if H.r < 2:
-        raise ConstructionUnsupported(f"{H}: a Berge cycle needs edges of at least 2 vertices")
     if edge_count(H) < nq:
-        raise ConstructionUnsupported(f"{H}: too few edges for a cycle through all {nq} vertices")
-    if q_is_part and sigma.delta_max >= 2:
-        raise ConstructionUnsupported(
+        raise NoCycle(f"{H}: too few edges for a cycle through all {nq} vertices")
+    if sigma.rectangular and q == sigma.delta_max >= 2:
+        raise NoRecipe(
             f"{H}: the walk recipe does not cover a rectangular sigma with q equal to its part size"
         )
     _check_size(H, nq)
@@ -264,22 +277,25 @@ def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
     edge i+1, the threshold moving one part left per edge.  In (r+1)-blocks
     the shifted edges share the swapped first part so the k-window
     intersection has size a_1 - 1, hence the largest part must be >= 2 there.
-    Raises ValueError when k is not an int (a bool is not one), and
-    KOutOfRange when it is one outside [2, s].
+
+    Raises ValueError when k is not an int >= 2 (a bool is not one), then
+    NoCycle for _check_cycle's reasons, and NoRecipe for one part (n = 1),
+    k > s, n <= s, q with no block split (frobenius_decompose), or an
+    (r+1)-block with the head of threshold 1 empty.
     """
-    if type(k) is not int:
-        raise ValueError("k must be an integer >= 2")
+    check_k(k)
+    _check_cycle(H)
     s = H.sigma.s
     if s < 2:
-        raise ConstructionUnsupported("k-intersecting construction needs at least two parts")
-    if not 2 <= k <= s:
-        raise KOutOfRange(f"k={k} outside [2, {s}]")
+        raise NoRecipe("k-intersecting construction needs at least two parts")
+    if k > s:
+        raise NoRecipe(f"k={k} outside [2, {s}]")
     if H.n <= s:
-        raise NTooSmall(f"n={H.n} <= s={s}")
+        raise NoRecipe(f"n={H.n} <= s={s}")
     _check_size(H, sum(frobenius_decompose(H.q, H.r)) * H.n * k)
     blocks = _blocks(H)
     if _zero_head(H, blocks, 1):
-        raise DegenerateIntersection(
+        raise NoRecipe(
             f"sigma=({H.sigma}) with an (r+1)-block: threshold 1 gives a zero intersection"
         )
     edges = _chain_blocks(H, blocks, range(k - 1, 0, -1))

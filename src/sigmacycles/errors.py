@@ -6,37 +6,19 @@ class NoEdgesError(ValueError):
 
 
 class ConstructionError(Exception):
-    """Base class for constructor failures."""
+    """Base class for constructor refusals: NoCycle or NoRecipe."""
 
     @property
     def name(self) -> str:
         return type(self).__name__
 
 
-class OnlyOneEdge(ConstructionError):
-    """Rectangular sigma with q equal to the part size and n equal to the
-    number of parts: the hypergraph has a single edge."""
+class NoCycle(ConstructionError):
+    """No cycle of the kind asked for exists; the message gives the reason."""
 
 
-class ConstructionUnsupported(ConstructionError):
-    """The recipe does not produce a certificate that passes verification
-    for these parameters."""
-
-
-class NTooSmall(ConstructionError):
-    """The construction needs strictly more classes than parts."""
-
-
-class QNotRepresentable(ConstructionError):
-    """q has no representation x*r + y*(r+1) with x, y >= 0."""
-
-
-class DegenerateIntersection(ConstructionError):
-    """The would-be intersection profile contains a zero."""
-
-
-class KOutOfRange(ConstructionError):
-    """k outside [2, s]."""
+class NoRecipe(ConstructionError):
+    """No recipe covers these parameters; a cycle may still exist."""
 
 
 class BudgetExceeded(RuntimeError):

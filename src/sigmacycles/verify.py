@@ -86,13 +86,16 @@ TAG_DEGENERATE_LENGTH = "degenerate-length"
 
 
 class VerificationReport(Record):
+    """A verifier's verdict.  hamiltonian says whether the edges cover every
+    vertex; a failing report measured no coverage and carries None."""
+
     __slots__ = ("ok", "violated_condition", "detail", "profile", "window_sizes", "hamiltonian")
     ok: bool
     violated_condition: Optional[str]
     detail: Optional[str]
     profile: Optional[SharpnessProfile]
     window_sizes: Optional[tuple[int, ...]]
-    hamiltonian: bool
+    hamiltonian: Optional[bool]
 
     def __init__(
         self,
@@ -101,7 +104,7 @@ class VerificationReport(Record):
         detail: Optional[str] = None,
         profile: Optional[SharpnessProfile] = None,
         window_sizes: Optional[tuple[int, ...]] = None,
-        hamiltonian: bool = False,
+        hamiltonian: Optional[bool] = None,
     ) -> None:
         self._set(ok, violated_condition, detail, profile, window_sizes, hamiltonian)
 

@@ -17,15 +17,7 @@ from sigmacycles.core import (
     edge_count,
     enumerate_edges,
 )
-from sigmacycles.errors import (
-    BudgetExceeded,
-    CertificateParseError,
-    ConstructionUnsupported,
-    DegenerateIntersection,
-    KOutOfRange,
-    NoEdgesError,
-    NTooSmall,
-)
+from sigmacycles.errors import BudgetExceeded, CertificateParseError, ConstructionError, NoEdgesError
 from sigmacycles.export import _CELL, _PAD, _PANELS_PER_ROW, _RADIUS, _check_size
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
@@ -510,11 +502,63 @@ def reference_brute_force_sharp_hamiltonian_exists(
     return SharpSearchResult("exhausted", nodes=nodes)
 
 
+def berge_hamiltonian_exists(H: SigmaHypergraph) -> bool:
+    """Edge-level Berge search for tiny grids: whether some cyclic order of
+    all nq >= 2 vertices, from (0, 0), can give each consecutive pair its
+    own edge holding both.  Each order's pairs are matched to distinct
+    edges by augmenting paths.  Tries up to (nq-1)! orders."""
+    verts = list(H.vertices())
+    if len(verts) < 2:
+        return False
+    holders: dict[frozenset, list[int]] = {}
+    for i, e in enumerate(exhaustive_edges(H)):
+        for pair in itertools.combinations(e, 2):
+            holders.setdefault(frozenset(pair), []).append(i)
+
+    def matched(order: tuple[GridVertex, ...]) -> bool:
+        pairs = [holders.get(frozenset((u, v)), []) for u, v in zip(order, order[1:] + order[:1])]
+        owner: dict[int, int] = {}
+
+        def augment(i: int, seen: set[int]) -> bool:
+            for e in pairs[i]:
+                if e not in seen:
+                    seen.add(e)
+                    if e not in owner or augment(owner[e], seen):
+                        owner[e] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in range(len(pairs)))
+
+    return any(matched((verts[0], *rest)) for rest in itertools.permutations(verts[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Reference constructors: the sharp and k-intersecting recipes written out
 # separately, each with its own (r+1)-block row swap, next-block tail and
 # degeneracy rule.  The single block-chain recipe in sigmacycles.construct
-# must give byte-identical certificates and the same exceptions.
+# must give byte-identical certificates, and each refusal of the kind
+# test_construct_differential.NEW_KIND names for the reference's type.
+#
+# The reference refuses with local copies of the library's former refusal
+# types; q with no block split raises the library's NoRecipe, from the
+# shared frobenius_decompose.
+
+
+class ConstructionUnsupported(ConstructionError):
+    """One part, or a recipe that failed verification."""
+
+
+class NTooSmall(ConstructionError):
+    """n <= s: the shifted edges would collide."""
+
+
+class DegenerateIntersection(ConstructionError):
+    """An (r+1)-block leaves a head empty."""
+
+
+class KOutOfRange(ConstructionError):
+    """k outside [2, s]."""
 
 
 def _part_vertices(

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from sigmacycles import (
-    DegenerateIntersection,
+    NoRecipe,
     Partition,
     brute_force_max_matching,
     construct_berge_hamiltonian,
@@ -85,7 +85,8 @@ def test_criterion_02_sharp_sweep():
             x, y = frobenius_decompose(q, sigma.r)
             try:
                 cert = construct_sharp_hamiltonian(H)
-            except DegenerateIntersection:
+            except NoRecipe as exc:
+                assert "every split gives a zero intersection" in str(exc)
                 assert sigma.delta_max == 1 and y > 0
                 continue
             report = verify_sharp_cycle(H, cert)
@@ -147,7 +148,8 @@ def test_criterion_06_k_intersecting_sweep():
                     H = make_hypergraph(s + 1, q, sigma)
                     try:
                         cert = construct_k_intersecting(H, k)
-                    except DegenerateIntersection:
+                    except NoRecipe as exc:
+                        assert "threshold 1 gives a zero intersection" in str(exc)
                         continue
                     report = verify_k_intersecting(H, cert, k)
                     assert report.ok and report.hamiltonian

@@ -53,26 +53,38 @@ class TestConstruct:
             capsys, "construct", "--sigma", "2,1", "--n", "2", "--q", "6", "--kind", "sharp"
         )
         assert code == 3
-        assert "NTooSmall" in err
+        assert err == "construct: NoRecipe: n=2 <= s=2\n"
 
     @pytest.mark.parametrize(
-        "argv, fragment",
+        "argv, prefix",
         [
-            (["2,2", "4", "2"], "too few edges for a cycle through all 8 vertices"),
-            (["2,2", "5", "2"], "the walk recipe does not cover"),
-            (["1", "3", "2"], "a Berge cycle needs edges of at least 2 vertices"),
-            (["2,2", "2", "2"], "OnlyOneEdge"),
+            (["2,2", "4", "2"], "NoCycle: H(n=4, q=2, sigma=(2,2)): too few edges for a cycle through all 8 vertices"),
+            (["2,2", "5", "2"], "NoRecipe: H(n=5, q=2, sigma=(2,2)): the walk recipe does not cover"),
+            (["1", "3", "2"], "NoCycle: H(n=3, q=2, sigma=(1)): an edge of one vertex links no two cycle vertices"),
+            (["2,2", "2", "2"], "NoCycle: H(n=2, q=2, sigma=(2,2)): too few edges for a cycle through all 4 vertices"),
+            (["2", "2", "3"], "NoCycle: H(n=2, q=3, sigma=(2)): every edge lies in one class, so H is disconnected"),
         ],
-        ids=["too-few-edges", "walk-recipe", "r1", "single-edge"],
+        ids=["too-few-edges", "walk-recipe", "r1", "single-edge", "disconnected"],
     )
-    def test_berge_refusals(self, capsys, argv, fragment):
+    def test_berge_refusals(self, capsys, argv, prefix):
         sigma, n, q = argv
         code, out, err = run(
             capsys, "construct", "--sigma", sigma, "--n", n, "--q", q, "--kind", "berge"
         )
         assert code == 3
         assert out == ""
-        assert fragment in err
+        assert err.startswith(f"construct: {prefix}")
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_k_below_two_is_a_usage_error(self, capsys, k):
+        # the rule for k, as the reader and the verifiers apply it
+        code, out, err = run(
+            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6",
+            "--kind", "k-intersecting", "--k", k,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "construct: k must be an integer >= 2\n"
 
     def test_oversize_refused(self, capsys):
         code, out, err = run(

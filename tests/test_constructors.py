@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmacycles import (
-    ConstructionUnsupported,
-    DegenerateIntersection,
-    KOutOfRange,
-    NTooSmall,
-    OnlyOneEdge,
+    NoCycle,
+    NoRecipe,
     Partition,
-    QNotRepresentable,
     construct_berge_hamiltonian,
     construct_k_intersecting,
     construct_sharp_hamiltonian,
@@ -87,7 +83,7 @@ class TestShiftedMatching:
 
     def test_requires_extra_class(self):
         H = make_hypergraph(2, 3, parse_partition("2,1"))
-        with pytest.raises(NTooSmall):
+        with pytest.raises(NoRecipe, match=r"^n=2 <= s=2: shifted edges would collide$"):
             shifted_matching(H, 0, 3, p=1)
 
     def test_split_range(self):
@@ -106,9 +102,9 @@ class TestFrobenius:
         assert frobenius_decompose(q, r) == expected
 
     def test_not_representable(self):
-        with pytest.raises(QNotRepresentable):
+        with pytest.raises(NoRecipe, match=r"^q=1 is not x\*3 \+ y\*4 with x, y >= 0$"):
             frobenius_decompose(1, 3)
-        with pytest.raises(QNotRepresentable):
+        with pytest.raises(NoRecipe, match=r"^q=5 is not x\*3 \+ y\*4"):
             frobenius_decompose(5, 3)
 
     def test_bad_arguments(self):
@@ -129,16 +125,23 @@ class TestBergeConstructor:
         assert report.ok and report.hamiltonian
 
     def test_single_edge_graph(self):
-        with pytest.raises(OnlyOneEdge):
+        # one edge is a case of too few edges
+        with pytest.raises(NoCycle, match="too few edges for a cycle through all 4 vertices"):
             construct_berge_hamiltonian(make_hypergraph(2, 2, parse_partition("2,2")))
 
     def test_too_few_edges(self):
-        with pytest.raises(ConstructionUnsupported):
+        with pytest.raises(NoCycle, match="too few edges"):
             construct_berge_hamiltonian(make_hypergraph(3, 2, parse_partition("2,2")))
 
-    @pytest.mark.parametrize("sigma, n, q", [("3,3", 2, 3), ("1", 1, 1)])
-    def test_single_edge_cases(self, sigma, n, q):
-        with pytest.raises(OnlyOneEdge):
+    @pytest.mark.parametrize(
+        "sigma, n, q, reason",
+        [
+            ("3,3", 2, 3, "too few edges for a cycle through all 6 vertices"),
+            ("1", 1, 1, "an edge of one vertex links no two cycle vertices"),
+        ],
+    )
+    def test_single_edge_cases(self, sigma, n, q, reason):
+        with pytest.raises(NoCycle, match=reason):
             construct_berge_hamiltonian(make_hypergraph(n, q, parse_partition(sigma)))
 
     @pytest.mark.parametrize("sigma, n, q", [("2,2", 4, 2), ("3,3", 5, 3)])
@@ -146,7 +149,7 @@ class TestBergeConstructor:
         # C(n, 2) < nq edges: no Berge cycle through all nq vertices exists
         H = make_hypergraph(n, q, parse_partition(sigma))
         assert edge_count(H) < n * q
-        with pytest.raises(ConstructionUnsupported, match="too few edges for a cycle through all"):
+        with pytest.raises(NoCycle, match="too few edges for a cycle through all"):
             construct_berge_hamiltonian(H)
 
     def test_walk_recipe_refusal_does_not_deny_a_cycle(self):
@@ -154,17 +157,16 @@ class TestBergeConstructor:
         # refusal names the recipe's limit, not the absence of a cycle
         H = make_hypergraph(5, 2, parse_partition("2,2"))
         assert edge_count(H) == 10
-        with pytest.raises(ConstructionUnsupported) as info:
+        with pytest.raises(NoRecipe) as info:
             construct_berge_hamiltonian(H)
         assert "walk recipe does not cover" in str(info.value)
         assert "too few edges" not in str(info.value)
 
     @pytest.mark.parametrize("n, q", [(1, 2), (3, 1), (3, 4)])
     def test_r1_refused_up_front(self, n, q):
-        with pytest.raises(ConstructionUnsupported) as info:
+        with pytest.raises(NoCycle) as info:
             construct_berge_hamiltonian(make_hypergraph(n, q, parse_partition("1")))
-        assert "needs edges of at least 2 vertices" in str(info.value)
-        assert "recipe failed verification" not in str(info.value)
+        assert "an edge of one vertex links no two cycle vertices" in str(info.value)
 
     def test_graph_case(self):
         H = make_hypergraph(3, 2, parse_partition("1,1"))
@@ -207,19 +209,20 @@ class TestSharpConstructor:
         assert len({v for e in cert.edges for v in e.vertices}) == 15
 
     def test_n_too_small(self):
-        with pytest.raises(NTooSmall):
+        with pytest.raises(NoRecipe, match=r"^n=2 <= s=2$"):
             construct_sharp_hamiltonian(make_hypergraph(2, 6, parse_partition("2,1")))
 
     @pytest.mark.parametrize("p", [0, 2, True, 1.0])
     @pytest.mark.parametrize("n, q", [(2, 6), (4, 5), (4, 6)])
     def test_bad_split_refused_first(self, n, q, p):
-        # before NTooSmall (n = 2), QNotRepresentable (q = 5) and building
+        # before the NoRecipe refusals of n = 2 <= s and of q = 5, and
+        # before building
         with pytest.raises(ValueError, match=r"split_index must be an integer in 1\.\.1"):
             construct_sharp_hamiltonian(make_hypergraph(n, q, parse_partition("2,1")), p=p)
 
     def test_degenerate_split(self):
         # q forces an (r+1)-block and every split head has size 1
-        with pytest.raises(DegenerateIntersection, match="every split gives a zero intersection"):
+        with pytest.raises(NoRecipe, match="every split gives a zero intersection"):
             construct_sharp_hamiltonian(make_hypergraph(3, 3, parse_partition("1,1")))
 
     def test_split_retry_prefers_wider_head(self):
@@ -254,14 +257,14 @@ class TestKIntersectingConstructor:
         assert cert.edges == construct_sharp_hamiltonian(H, 1).edges
 
     def test_degenerate_tall_block(self):
-        with pytest.raises(DegenerateIntersection):
+        with pytest.raises(NoRecipe, match="threshold 1 gives a zero intersection"):
             construct_k_intersecting(make_hypergraph(3, 3, parse_partition("1,1")), 2)
 
     def test_degenerate_message_names_threshold(self):
         # q=4 forces an (r+1)-block; threshold 2 keeps a shared vertex, only
         # threshold 1 leaves the intersection empty
         H = make_hypergraph(4, 4, parse_partition("1,1,1"))
-        with pytest.raises(DegenerateIntersection) as info:
+        with pytest.raises(NoRecipe) as info:
             construct_k_intersecting(H, 3)
         assert str(info.value) == (
             "sigma=(1,1,1) with an (r+1)-block: threshold 1 gives a zero intersection"
@@ -269,10 +272,12 @@ class TestKIntersectingConstructor:
 
     def test_k_out_of_range(self):
         H = make_hypergraph(4, 3, parse_partition("1,1,1"))
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(NoRecipe, match=r"^k=4 outside \[2, 3\]$"):
             construct_k_intersecting(H, 4)
-        with pytest.raises(KOutOfRange):
-            construct_k_intersecting(H, 1)
+        # below 2, k breaks the rule for k itself, as in a certificate
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="k must be an integer >= 2"):
+                construct_k_intersecting(H, k)
 
     @pytest.mark.parametrize("k", [2.0, 3.0, True])
     def test_k_not_an_int(self, k):
@@ -282,8 +287,47 @@ class TestKIntersectingConstructor:
             construct_k_intersecting(H, k)
 
     def test_n_too_small(self):
-        with pytest.raises(NTooSmall):
+        with pytest.raises(NoRecipe, match=r"^n=3 <= s=3$"):
             construct_k_intersecting(make_hypergraph(3, 3, parse_partition("1,1,1")), 2)
+
+
+CONSTRUCTORS = [
+    construct_berge_hamiltonian,
+    construct_sharp_hamiltonian,
+    lambda H: construct_k_intersecting(H, 2),
+]
+CONSTRUCTOR_IDS = ["berge", "sharp", "k-intersecting"]
+
+
+class TestNoCycleFirst:
+    @pytest.mark.parametrize("build", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
+    @pytest.mark.parametrize("n, q", [(1, 1), (1, 3), (4, 2)])
+    def test_r1(self, build, n, q):
+        with pytest.raises(NoCycle, match="an edge of one vertex links no two cycle vertices$"):
+            build(make_hypergraph(n, q, parse_partition("1")))
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
+    @pytest.mark.parametrize("sigma, n, q", [("2", 2, 2), ("3", 2, 5), ("3", 3, 3)])
+    def test_one_part_disconnected(self, build, sigma, n, q):
+        # each edge lies in one class; (3) n=3 q=3 also has fewer than nq edges
+        with pytest.raises(NoCycle, match="every edge lies in one class, so H is disconnected$"):
+            build(make_hypergraph(n, q, parse_partition(sigma)))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (construct_sharp_hamiltonian, "sharp construction needs at least two parts"),
+            (lambda H: construct_k_intersecting(H, 2), "k-intersecting construction needs at least two parts"),
+        ],
+        ids=["sharp", "k-intersecting"],
+    )
+    def test_one_part_one_class_has_no_recipe(self, build, message):
+        # n = 1: H is the complete 2-uniform hypergraph on 5 vertices, whose
+        # Berge cycle the walk builds
+        H = make_hypergraph(1, 5, parse_partition("2"))
+        assert verify_berge_hamiltonian(H, construct_berge_hamiltonian(H)).ok
+        with pytest.raises(NoRecipe, match=f"^{message}$"):
+            build(H)
 
 
 class TestSizeCap:

@@ -48,10 +48,9 @@ def test_star_import_binds_no_module():
 
 
 PUBLIC = [
-    "BudgetExceeded", "CertificateParseError", "ConstructionError", "ConstructionUnsupported",
-    "CycleCertificate", "DegenerateIntersection", "Edge", "GridVertex", "KIND_BERGE",
-    "KIND_K_INTERSECTING", "KIND_SHARP", "KOutOfRange", "MaxMatchingResult", "NTooSmall",
-    "NoEdgesError", "OnlyOneEdge", "Partition", "QNotRepresentable", "SharpSearchResult",
+    "BudgetExceeded", "CertificateParseError", "ConstructionError", "CycleCertificate", "Edge",
+    "GridVertex", "KIND_BERGE", "KIND_K_INTERSECTING", "KIND_SHARP", "MaxMatchingResult",
+    "NoCycle", "NoEdgesError", "NoRecipe", "Partition", "SharpSearchResult",
     "SharpnessProfile", "SigmaHypergraph", "VerificationReport", "brute_force_max_matching",
     "brute_force_sharp_hamiltonian_exists", "construct_berge_hamiltonian",
     "construct_k_intersecting", "construct_sharp_hamiltonian", "diagonal_matching",

@@ -1,0 +1,81 @@
+"""The two refusal kinds.  NoCycle is a proof: on tiny grids an independent
+search finds no cycle wherever a constructor raises it.  And no refusal
+comes from the verifier gate: every one is decided before an edge is built."""
+
+from helpers import berge_hamiltonian_exists, partitions_of
+from sigmacycles import (
+    NoCycle,
+    NoRecipe,
+    Partition,
+    brute_force_sharp_hamiltonian_exists,
+    construct_berge_hamiltonian,
+    construct_k_intersecting,
+    construct_sharp_hamiltonian,
+    make_hypergraph,
+)
+
+
+def grid(max_r, max_n, max_q, max_nq=None):
+    """Every sigma with r <= max_r, n from s to max_n, q from the largest
+    part to max_q, and nq <= max_nq when given."""
+    for r in range(1, max_r + 1):
+        for parts in partitions_of(r):
+            sigma = Partition(parts)
+            for n in range(sigma.s, max_n + 1):
+                for q in range(sigma.delta_max, max_q + 1):
+                    if max_nq is None or n * q <= max_nq:
+                        yield make_hypergraph(n, q, sigma)
+
+
+def refusal(build, *args):
+    """The refusal kind of a constructor call, or None when it builds."""
+    try:
+        build(*args)
+    except (NoCycle, NoRecipe) as exc:
+        return type(exc)
+    return None
+
+
+def test_no_refusal_reaches_the_gate():
+    # every sigma with r <= 6, n s..8, q a_1..13: 2,062 hypergraphs.  A
+    # split index outside 1..s-1 and k < 2 are usage errors, tested apart.
+    hypergraphs = refused = 0
+    for H in grid(6, 8, 13):
+        hypergraphs += 1
+        s = H.sigma.s
+        calls = [(construct_berge_hamiltonian,)]
+        calls += [(construct_sharp_hamiltonian, p) for p in range(1, max(s, 2))]
+        calls += [(construct_k_intersecting, k) for k in range(2, s + 2)]
+        for build, *args in calls:
+            try:
+                build(H, *args)
+            except (NoCycle, NoRecipe) as exc:
+                assert "recipe failed verification" not in str(exc), (H, build.__name__, args)
+                refused += 1
+    assert hypergraphs == 2062 and refused > 0
+
+
+def test_berge_no_cycle_is_a_proof():
+    # every sigma with r <= 4 and nq <= 8: 86 hypergraphs, 37 without a cycle
+    outcomes = []
+    for H in grid(4, 8, 8, max_nq=8):
+        kind = refusal(construct_berge_hamiltonian, H)
+        assert kind is not NoRecipe, H
+        assert berge_hamiltonian_exists(H) == (kind is None), H
+        outcomes.append(kind)
+    assert (outcomes.count(None), outcomes.count(NoCycle)) == (49, 37)
+
+
+def test_sharp_no_cycle_is_a_proof():
+    # every sigma with r <= 4, n s..4, q a_1..6
+    no_cycle = 0
+    for H in grid(4, 4, 6):
+        kind = refusal(construct_sharp_hamiltonian, H, 1 if H.sigma.s > 1 else 0)
+        if kind is NoCycle:
+            no_cycle += 1
+            status = brute_force_sharp_hamiltonian_exists(H, 2 * H.n * H.q // H.r).status
+            assert status == "exhausted", H
+        # the reasons come before any k-specific one, so every k >= 2 agrees
+        for k in range(2, H.sigma.s + 2):
+            assert (refusal(construct_k_intersecting, H, k) is NoCycle) == (kind is NoCycle), (H, k)
+    assert no_cycle == 60

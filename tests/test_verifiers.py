@@ -116,6 +116,17 @@ class TestSharpVerifier:
         assert not report.ok
         assert report.violated_condition == "consecutive-intersection-empty"
 
+    def test_failing_report_measures_no_coverage(self):
+        # the swapped cycle still covers all 24 vertices: a refuted report
+        # says "not measured", not "misses a vertex"
+        h = H(4, 6, "2,1")
+        cert = construct_sharp_hamiltonian(h)
+        edges = cert.edges[:-2] + (cert.edges[-1], cert.edges[-2])
+        assert len({v for e in edges for v in e.vertices}) == 24
+        report = verify_sharp_cycle(h, cert.replace(edges=edges))
+        assert report.violated_condition == "forbidden-intersection-nonempty"
+        assert report.hamiltonian is None
+
 
 class TestKIntersectingVerifier:
     def test_constructed_passes_full_subset_check(self):

@@ -317,4 +317,4 @@ def test_minimum_over_vertices_not_first_vertex():
 def test_valid_but_not_hamiltonian(k):
     H, edges = planted_cycle(k + 3, k, [], spare=1)
     report = assert_same(H, edges, k)
-    assert report.ok and not report.hamiltonian
+    assert report.ok and report.hamiltonian is False
