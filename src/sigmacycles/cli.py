@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -126,12 +125,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     H = _hypergraph(args)
     # both raise ValueError (r < 2 first, then nu < 0) before anything prints
-    lower, upper = sharp_cycle_bounds(H)
+    lo, hi = sharp_cycle_bounds(H)
     nu = matching_upper_bound(H)
     refutes = sharp_nonexistence_test(H, nu if args.nu is None else min(nu, args.nu))
     print(f"vertices: {H.vertex_count}")
-    print(f"sharp cycle edge-count window: [{lower}, {upper}]")
+    print(f"sharp cycle edge-count window: [{lo}, {hi}]")
     print(f"max matching <= {nu}")
+    if H.sigma.s == 1 and H.n >= 2:
+        print("disconnected: every edge lies in one class")
     print("REFUTES-SHARP-HC" if refutes else "INCONCLUSIVE")
     return EXIT_OK
 
@@ -140,7 +141,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .verify import (
         brute_force_max_matching,
         brute_force_sharp_hamiltonian_exists,
+        matching_upper_bound,
         sharp_cycle_bounds,
+        sharp_nonexistence_test,
     )
 
     H = _hypergraph(args)
@@ -160,13 +163,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             _write_output(args.output, certfile.dumps(result.certificate))
     else:
         print("exhausted")
-        # sharp_cycle_bounds refuses r < 2, where no sharp cycle exists
-        if H.r >= 2:
-            lower, upper = sharp_cycle_bounds(H)
-            if args.max_len < math.floor(upper):
+        # r < 2, or the test firing (an empty window among its rules), is a
+        # proof that no sharp cycle exists, whatever --max-len is
+        if H.r >= 2 and not sharp_nonexistence_test(H, matching_upper_bound(H)):
+            lo, hi = sharp_cycle_bounds(H)
+            if args.max_len < hi:
                 print(
                     f"note: only sharp cycles of at most {args.max_len} edges are ruled out; "
-                    f"the sharp cycle edge-count window is [{lower}, {upper}]",
+                    f"the sharp cycle edge-count window is [{lo}, {hi}]",
                     file=sys.stderr,
                 )
     return EXIT_OK

@@ -32,6 +32,9 @@ from .certificates import (
 from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph, edge_count
 from .errors import NoCycle, NoRecipe
 from .verify import (
+    matching_upper_bound,
+    sharp_cycle_bounds,
+    sharp_nonexistence_test,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_sharp_cycle,
@@ -211,15 +214,22 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
     >= 2.
 
     Raises NoCycle for _check_cycle's reasons, ValueError for a split index
-    outside 1..s-1, and NoRecipe for one part (n = 1), n <= s, q with no
-    block split (frobenius_decompose), or an (r+1)-block with every head
-    empty.
+    outside 1..s-1 when s >= 2, NoCycle where sharp_nonexistence_test fires
+    on matching_upper_bound(H), and NoRecipe for one part (n = 1), n <= s,
+    q with no block split (frobenius_decompose), or an (r+1)-block with
+    every head empty.
     """
     _check_cycle(H)
     s = H.sigma.s
+    if s > 1:
+        # a bad split stays a usage error wherever splits exist
+        check_split_index(p, s)
+    nu = matching_upper_bound(H)
+    if sharp_nonexistence_test(H, nu):
+        lo, hi = sharp_cycle_bounds(H)
+        raise NoCycle(f"{H}: edge-count window [{lo}, {hi}] and max matching <= {nu} leave no sharp cycle")
     if s < 2:
         raise NoRecipe("sharp construction needs at least two parts")
-    check_split_index(p, s)
     if H.n <= s:
         raise NoRecipe(f"n={H.n} <= s={s}")
     _check_size(H, sum(frobenius_decompose(H.q, H.r)) * 2 * H.n)

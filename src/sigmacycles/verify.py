@@ -50,7 +50,7 @@ import itertools
 import operator
 from collections import Counter
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .certificates import (
     KIND_BERGE,
@@ -69,11 +69,6 @@ from .core import (
     incidence,
 )
 from .errors import BudgetExceeded
-
-if TYPE_CHECKING:
-    # sharp_cycle_bounds imports it when it runs: the verifiers and oracles
-    # never load fractions (and the decimal module it imports)
-    from fractions import Fraction
 
 TAG_DUPLICATE_EDGE = "duplicate-edge"
 TAG_NON_EDGE = "non-edge-member"
@@ -156,8 +151,8 @@ def _edge_validity_failure(H: SigmaHypergraph, edges: Sequence[Edge]) -> Optiona
 
 def verify_berge_hamiltonian(H: SigmaHypergraph, cert: CycleCertificate) -> VerificationReport:
     """Check the Berge Hamiltonian cycle conditions: distinct vertices covering
-    the whole grid, distinct valid edges, and cyclic membership of each
-    consecutive vertex pair in its linking edge."""
+    the whole grid, at least 2 distinct valid edges, and cyclic membership
+    of each consecutive vertex pair in its linking edge."""
     if cert.kind != KIND_BERGE:
         raise ValueError(f"expected a berge certificate, got {cert.kind!r}")
     edges = cert.edges
@@ -185,6 +180,9 @@ def verify_berge_hamiltonian(H: SigmaHypergraph, cert: CycleCertificate) -> Veri
             return VerificationReport.failure(TAG_COVERAGE_GAP, f"vertex {v} out of bounds")
     # nq distinct in-bounds vertices necessarily cover the grid
     p = len(edges)
+    if p < 2:
+        # the one vertex of a 1 x 1 grid: no two cycle vertices to link
+        return VerificationReport.failure(TAG_DEGENERATE_LENGTH, f"{p} edge; a Berge cycle needs at least 2")
     for i in range(p):
         vs = edges[i].vertices
         if verts[i] not in vs or verts[(i + 1) % p] not in vs:
@@ -387,25 +385,30 @@ def matching_upper_bound(H: SigmaHypergraph) -> int:
     return _load_ceiling(H.sigma)(((H.q, H.n),))
 
 
-def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[Fraction, Fraction]:
-    """Edge-count window for any sharp Hamiltonian cycle:
-    nq/(r-1) <= |E(C)| <= 2nq/r.  Raises ValueError when r < 2, where
-    consecutive edges cannot share a vertex without being equal."""
+def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[int, int]:
+    """The edge-count window [lo, hi] of any sharp Hamiltonian cycle, empty
+    when lo > hi.  lo = max(4, ceil(nq/(r-1))): a sharp cycle has at least
+    4 edges, and consecutive edges share a vertex, so nq <= m(r-1).
+    hi = floor(2nq/r): each vertex lies in at most 2 edges.  Raises
+    ValueError when r < 2, where consecutive edges cannot share a vertex
+    without being equal."""
     if H.r < 2:
         raise ValueError(f"sharp cycle bounds need r >= 2, got r={H.r}")
-    from fractions import Fraction
-
     nq = H.vertex_count
-    return Fraction(nq, H.r - 1), Fraction(2 * nq, H.r)
+    return max(4, -(-nq // (H.r - 1))), 2 * nq // H.r
 
 
 def sharp_nonexistence_test(H: SigmaHypergraph, nu: int) -> bool:
-    """True iff 2*nu + 1 < nq/(r-1); with nu >= the true maximum matching
-    size this certifies that no sharp Hamiltonian cycle exists.  Raises
-    ValueError when nu < 0, which no matching size can be, or when r < 2."""
+    """True when a rule proves, given nu >= the true maximum matching size,
+    that no sharp Hamiltonian cycle exists: H is disconnected (one part and
+    n >= 2), the window of sharp_cycle_bounds is empty, or floor(lo/2) > nu,
+    since the alternate edges e_1, e_3, ... of a cycle of m edges form a
+    matching of floor(m/2).  Raises ValueError when nu < 0, which no
+    matching size can be, or when r < 2."""
     if nu < 0:
         raise ValueError(f"matching size nu must be >= 0, got {nu}")
-    return 2 * nu + 1 < sharp_cycle_bounds(H)[0]
+    lo, hi = sharp_cycle_bounds(H)
+    return (H.sigma.s == 1 and H.n >= 2) or lo > hi or lo // 2 > nu
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +583,7 @@ def _sharp_cycle(H: SigmaHypergraph, moves: Sequence[tuple]) -> tuple[Edge, ...]
     that class's first rows of each type, lowest U rows first.  Rows of one
     type are interchangeable, so any such rule gives a cycle of the shape
     the search found.  Each edge scans the n classes, which the budget
-    bounds: n x len(moves) <= n x min(max_len, nq) (see
+    bounds: n x len(moves) <= n x min(max_len, hi) (see
     brute_force_sharp_hamiltonian_exists)."""
     rows = [([*range(H.q)], [], []) for _ in range(H.n)]  # each class's U, F and L rows
     edges = []
@@ -625,35 +628,38 @@ def brute_force_sharp_hamiltonian_exists(
     that fails with k edges left is dead with at most k edges left; the
     memo key is (m >= 3, state), since an edge closes only from m = 3.  The
     coverage bound (edges left x (r-1) >= uncovered vertices) prunes paths.
-    With max_len >= floor(2nq/r) (see sharp_cycle_bounds), "exhausted"
-    proves that no sharp Hamiltonian cycle exists.  A found cycle is made of
-    concrete rows by rule (_sharp_cycle) and re-checked by
-    verify_sharp_cycle before it is returned.  The path is kept on an
-    explicit stack, so max_len is not bounded by the recursion limit.
-    The result carries the number of search nodes: the empty path and every
-    path entered.  Builds no edge index.  When the coverage bound prunes
-    edge 0 itself the answer is "exhausted" after 2 nodes.  Otherwise the
-    search raises BudgetExceeded up front when n x min(max_len, nq) exceeds
-    the budget (each of up to min(max_len, nq) path frames holds a state of
-    up to n class types), and when the node budget runs out.  Raises
-    ValueError when max_len or budget is negative.
+    A found cycle is made of concrete rows by rule (_sharp_cycle) and
+    re-checked by verify_sharp_cycle before it is returned.  The path is
+    kept on an explicit stack, so max_len is not bounded by the recursion
+    limit.  The result carries the number of search nodes: the empty path
+    and every path entered.  Builds no edge index.
+
+    The root answers "exhausted" after 2 nodes, with no search, when r < 2,
+    when max_len is below the edge-count window [lo, hi] of
+    sharp_cycle_bounds, or when sharp_nonexistence_test fires on
+    matching_upper_bound(H).  Otherwise the search runs up to
+    min(max_len, hi) edges, so with max_len >= hi "exhausted" proves that
+    no sharp Hamiltonian cycle exists.  It raises BudgetExceeded up front
+    when n x min(max_len, hi) exceeds the budget (each of up to that many
+    path frames holds a state of up to n class types), and when the node
+    budget runs out.  Raises ValueError when max_len or budget is negative.
     """
     if max_len < 0 or budget < 0:
         raise ValueError(f"max_len and budget must be >= 0, got {max_len} and {budget}")
-    # the root, edge 0, is the second node; it leaves nq - r vertices
-    # uncovered, and when the coverage bound prunes it no search is needed
+    # the root, edge 0, is the second node; where no cycle of up to max_len
+    # edges can exist no search is needed
     if budget < 2:
         raise BudgetExceeded(f"search budget {budget} exhausted")
     n, q, r, parts = H.n, H.q, H.r, Counter(H.sigma.parts).items()
-    nq = n * q
-    if max_len <= 1 or nq - r > (max_len - 1) * (r - 1):
+    if r < 2 or max_len < sharp_cycle_bounds(H)[0] or sharp_nonexistence_test(H, matching_upper_bound(H)):
         return SharpSearchResult("exhausted", nodes=2)
-    if n * min(max_len, nq) > budget:
-        raise BudgetExceeded(f"{n} classes x {min(max_len, nq)} path edges exceeds budget {budget}")
+    max_len = min(max_len, sharp_cycle_bounds(H)[1])
+    if n * max_len > budget:
+        raise BudgetExceeded(f"{n} classes x {max_len} path edges exceeds budget {budget}")
     memo: dict[tuple, int] = {}
     # one frame per path, from the empty one: (state, uncovered rows, moves
     # left (next last), the move that made it)
-    frames = [((((q, 0, 0), n),), nq, [(r, tuple(((q, 0, 0), (a, 0, 0)) for a in H.sigma.parts))], ())]
+    frames = [((((q, 0, 0), n),), n * q, [(r, tuple(((q, 0, 0), (a, 0, 0)) for a in H.sigma.parts))], ())]
     nodes = 1  # the empty path, whose one move makes edge 0
     while frames:
         state, uncovered, left, _ = frames[-1]

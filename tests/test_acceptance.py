@@ -3,7 +3,6 @@ in the terminal summary after the run (see conftest.py)."""
 
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from sigmacycles import (
     NoRecipe,
@@ -17,6 +16,7 @@ from sigmacycles import (
     make_hypergraph,
     matching_upper_bound,
     parse_partition,
+    sharp_cycle_bounds,
     sharp_nonexistence_test,
     verify_berge_hamiltonian,
     verify_k_intersecting,
@@ -118,7 +118,8 @@ def test_criterion_04_square_nonexistence():
         assert result.exact
         assert result.nu == 1
         assert sharp_nonexistence_test(H, result.nu)
-        assert Fraction(H.vertex_count, H.r - 1) == Fraction(25, 8)
+        # nq/(r-1) = 25/8: a cycle of at least 4 edges needs a matching of 2
+        assert sharp_cycle_bounds(H) == (4, 5)
 
 
 def test_criterion_05_matching_bound_tightness():
@@ -184,9 +185,8 @@ def test_criterion_09_sharp_invariants():
     with criterion(9, "edge-count window and alternating matching"):
         assert _SHARP_SWEEP_CERTS, "criterion 2 must run first"
         for H, cert in _SHARP_SWEEP_CERTS:
-            count = len(cert.edges)
-            nq, r = H.vertex_count, H.r
-            assert Fraction(nq, r - 1) <= count <= Fraction(2 * nq, r)
+            lo, hi = sharp_cycle_bounds(H)
+            assert lo <= len(cert.edges) <= hi
             assert verify_matching(H, cert.edges[1::2])
 
 

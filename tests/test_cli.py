@@ -173,6 +173,19 @@ class TestVerify:
         assert "FAIL: forbidden-intersection-nonempty" in out
         assert "hamiltonian:" not in out
 
+    def test_one_vertex_berge_file_fails(self, capsys, tmp_path):
+        # the 1 x 1 grid's one edge is no cycle, as construct's NoCycle says
+        H = core.make_hypergraph(1, 1, core.parse_partition("1"))
+        cert = sigmacycles.CycleCertificate(
+            H, "berge", (core.Edge.of([(0, 0)]),), vertex_sequence=((0, 0),)
+        )
+        path = tmp_path / "one.json"
+        path.write_text(sigmacycles.certfile.dumps(cert))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert (code, out) == (1, "FAIL: degenerate-length: 1 edge; a Berge cycle needs at least 2\n")
+        code, _, err = run(capsys, "construct", "--kind", "berge", "--sigma", "1", "--n", "1", "--q", "1")
+        assert code == 3 and err.startswith("construct: NoCycle: ")
+
     def test_corrupted_vertex(self, capsys, tmp_path):
         path = self.make_cert(
             capsys, tmp_path,
@@ -287,13 +300,38 @@ class TestBounds:
             assert out == ""
             assert "bounds: sharp cycle bounds need r >= 2, got r=1" in err
 
-    def test_matching_bound(self, capsys):
+    def test_empty_window(self, capsys):
+        # nq/(r-1) = 2, but a sharp cycle has at least 4 edges, and
+        # 2nq/r = 3: the window is empty
         code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "2", "--q", "3")
         assert (code, out) == (0, (
             "vertices: 6\n"
-            "sharp cycle edge-count window: [2, 3]\n"
+            "sharp cycle edge-count window: [4, 3]\n"
             "max matching <= 1\n"
-            "INCONCLUSIVE\n"
+            "REFUTES-SHARP-HC\n"
+        ))
+
+    def test_window_and_matching(self, capsys):
+        # window [4, 4]: a 4-edge cycle's alternate edges are a matching of
+        # 2, and the class-load ceiling allows 1
+        code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "3", "--q", "3")
+        assert (code, out) == (0, (
+            "vertices: 9\n"
+            "sharp cycle edge-count window: [4, 4]\n"
+            "max matching <= 1\n"
+            "REFUTES-SHARP-HC\n"
+        ))
+
+    def test_disconnected(self, capsys):
+        # one part and n >= 2: the window [12, 12] and the matching bound 6
+        # leave room, so the refutation names its own reason
+        code, out, _ = run(capsys, "bounds", "--sigma", "2", "--n", "3", "--q", "4")
+        assert (code, out) == (0, (
+            "vertices: 12\n"
+            "sharp cycle edge-count window: [12, 12]\n"
+            "max matching <= 6\n"
+            "disconnected: every edge lies in one class\n"
+            "REFUTES-SHARP-HC\n"
         ))
 
     def test_bound_without_gcd(self, capsys):
@@ -349,8 +387,22 @@ class TestOracle:
         assert (code, out) == (0, "exhausted\n")
         assert err == (
             "note: only sharp cycles of at most 12 edges are ruled out; "
-            "the sharp cycle edge-count window is [50, 200/3]\n"
+            "the sharp cycle edge-count window is [50, 66]\n"
         )
+
+    @pytest.mark.parametrize(
+        "sigma, n, q, max_len",
+        [("2", "4", "5", "12"), ("2,2", "2", "3", "2"), ("2,2", "3", "3", "3")],
+        ids=["disconnected", "empty-window", "matching"],
+    )
+    def test_sharp_exists_refuted_has_no_note(self, capsys, sigma, n, q, max_len):
+        # max-len below floor(2nq/r), but sharp_nonexistence_test proves
+        # that no sharp cycle exists at any length: no note
+        code, out, err = run(
+            capsys, "oracle", "sharp-exists", "--sigma", sigma, "--n", n, "--q", q,
+            "--max-len", max_len,
+        )
+        assert (code, out, err) == (0, "exhausted\n", "")
 
     def test_sharp_exists_full_search_has_no_note(self, capsys):
         # max-len 4 = floor(2nq/r): exhausted proves that no sharp
@@ -407,15 +459,15 @@ class TestOracle:
         assert (code, out, err) == (0, "1\n", "")
 
     def test_sharp_exists_huge_grid(self, capsys):
-        # edge 0 could still be extended to cover this grid within max-len,
-        # so the search is refused before it starts: n x min(max-len, nq)
-        # exceeds the budget.  Within the default max-len the coverage bound
-        # answers first
+        # max-len reaches the window [5 x 10^11, floor(2nq/r)], so the search
+        # is refused before it starts: n x min(max-len, floor(2nq/r)) exceeds
+        # the budget.  The default max-len is below the window, which the
+        # root answers first
         argv = ["oracle", "sharp-exists", "--sigma", "2,1", "--n", "1000000", "--q", "1000000"]
         code, out, err = run(capsys, *argv, "--max-len", str(10**12))
         assert (code, out) == (3, "")
         assert err == (
-            "oracle: budget exceeded: 1000000 classes x 1000000000000 path edges exceeds budget 2000000\n"
+            "oracle: budget exceeded: 1000000 classes x 666666666666 path edges exceeds budget 2000000\n"
         )
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, "exhausted\n")

@@ -37,6 +37,7 @@ from sigmacycles import (
     make_hypergraph,
     matching_upper_bound,
     sharp_cycle_bounds,
+    sharp_nonexistence_test,
     verify_sharp_cycle,
 )
 from sigmacycles import core, verify
@@ -96,11 +97,17 @@ def assert_same_matching(H, budget=2_000_000):
 
 
 def refused_up_front(H, max_len, budget):
-    # the sharp oracle's refusal before its search: n x min(max_len, nq)
-    # over the budget, when the coverage bound leaves edge 0 a way on
-    nq, r = H.vertex_count, H.r
-    pruned = max_len <= 1 or nq - r > (max_len - 1) * (r - 1)
-    return budget < 2 or (not pruned and H.n * min(max_len, nq) > budget)
+    # the sharp oracle's refusal before its search: a budget below the
+    # root's 2 nodes, or n x min(max_len, hi) over the budget where the root
+    # does not answer (r >= 2, max_len in reach of the window [lo, hi] and
+    # the nonexistence test silent)
+    if budget < 2:
+        return True
+    if H.r < 2:
+        return False
+    lo, hi = sharp_cycle_bounds(H)
+    root = max_len < lo or sharp_nonexistence_test(H, matching_upper_bound(H))
+    return not root and H.n * min(max_len, hi) > budget
 
 
 def assert_same_sharp(H, max_len, budget=2_000_000):
@@ -312,8 +319,14 @@ def test_oracles_build_no_index(monkeypatch):
     [
         # 3 classes x 12 path edges over the budget: refused before the search
         ((2, 1), 3, 6, 12, 5, "3 classes x 12 path edges exceeds budget 5"),
-        ((3, 3), 3, 4, 6, 17, "3 classes x 6 path edges exceeds budget 17"),
-        ((3, 3), 3, 4, 6, 18, "exhausted"),
+        # the search needs 5 nodes, but 6 classes x 5 path edges need room
+        ((2, 2), 6, 2, 5, 29, "6 classes x 5 path edges exceeds budget 29"),
+        ((2, 2), 6, 2, 5, 30, "exhausted"),
+        # max-len past the window [4, 6] is capped at its upper end
+        ((2, 2), 6, 2, 100, 35, "6 classes x 6 path edges exceeds budget 35"),
+        # the nonexistence test answers at the root, in 2 nodes, whatever
+        # the path edges
+        ((3, 3), 3, 4, 6, 2, "exhausted"),
         # 675 edges: the reference stops mid-tree (it needs 2,946 nodes), the
         # oracle finds a cycle after 25
         ((2, 2), 3, 6, 10, 1000, "found"),
@@ -330,8 +343,9 @@ def test_sharp_exists_budget_cut(sigma, n, q, max_len, budget, outcome):
         ((2, 1), 3, 6, 12, "found", 14),
         ((2, 2), 3, 6, 10, "found", 25),
         ((2, 2), 3, 4, 6, "found", 19),
-        ((3, 3), 3, 4, 6, "exhausted", 6),
-        ((3, 3, 3), 5, 5, 16, "exhausted", 20),
+        # max-len in the window [4, 6] but below the shortest cycle
+        ((3, 1), 3, 4, 4, "exhausted", 43),
+        ((2, 2), 6, 2, 5, "exhausted", 5),
         ((1, 1, 1), 4, 4, 8, "found", 267),
     ],
 )
@@ -344,17 +358,19 @@ def test_sharp_exists_reports_nodes(sigma, n, q, max_len, status, nodes):
     "sigma, n, q, max_len, status, nodes",
     [
         ((2, 1), 3, 4, 6, "found", 128),
-        ((2, 1), 3, 5, 7, "exhausted", 382),
-        ((1, 1), 3, 3, 8, "exhausted", 36),
+        # max-len in the window but below the shortest cycle
+        ((3, 1), 5, 4, 7, "exhausted", 965),
+        ((3, 1), 3, 4, 4, "exhausted", 43),
     ],
 )
 @pytest.mark.parametrize("short", [0, 1])
 def test_sharp_exists_budget_at_its_node_count(sigma, n, q, max_len, status, nodes, short):
     # a budget of exactly the node count gives the same answer, one less
-    # raises, and the reference agrees at both.  Each tree has more nodes
-    # than n x min(max_len, nq), so neither budget is refused up front
+    # raises, and the reference agrees at both where it decides.  Each tree
+    # has more nodes than n x min(max_len, hi), so neither budget is
+    # refused up front
     H = make_hypergraph(n, q, Partition(sigma))
-    assert n * min(max_len, H.vertex_count) < nodes
+    assert n * min(max_len, sharp_cycle_bounds(H)[1]) < nodes
     got = assert_same_sharp(H, max_len, nodes - short)
     if short:
         assert got == ("budget", f"search budget {nodes - 1} exhausted")
@@ -362,11 +378,32 @@ def test_sharp_exists_budget_at_its_node_count(sigma, n, q, max_len, status, nod
         assert got[0] == status and got[2] == nodes
 
 
+@pytest.mark.parametrize(
+    "sigma, n, q, max_len",
+    [
+        # the nonexistence test fires: window [4, 4] with nu <= 1, and
+        # window [4, 5] with nu <= 1
+        ((3, 3), 3, 4, 6),
+        ((3, 3, 3), 5, 5, 16),
+        # max-len below the window: [8, 10] and [9, 9]
+        ((2, 1), 3, 5, 7),
+        ((1, 1), 3, 3, 8),
+    ],
+)
+def test_sharp_exists_answered_at_the_root(sigma, n, q, max_len):
+    # no cycle of up to max-len edges can exist, so the root answers in 2
+    # nodes, at a budget of 2 too
+    H = make_hypergraph(n, q, Partition(sigma))
+    for budget in (2, 2_000_000):
+        result = brute_force_sharp_hamiltonian_exists(H, max_len, budget=budget)
+        assert (result.status, result.nodes) == ("exhausted", 2)
+
+
 def test_sharp_exists_searches_from_edge_zero_only():
-    # 120,000 edges and no cycle within 12 edges: edge 0 leaves 97 vertices
-    # uncovered and 11 more edges cover at most 22, so the coverage bound
-    # prunes edge 0's tree at its root, and 2 nodes decide what a search from
-    # every edge needs 240,000 nodes for.  A budget below those 2 raises
+    # 120,000 edges and no cycle within 12 edges: 12 is below the window's
+    # lower end ceil(nq/(r-1)) = 50, so the root answers, and 2 nodes decide
+    # what a search from every edge needs 240,000 nodes for.  A budget below
+    # those 2 raises
     H = make_hypergraph(10, 10, Partition((1, 1, 1)))
     assert edge_count(H) == 120_000
     result = brute_force_sharp_hamiltonian_exists(H, 12)
@@ -422,10 +459,46 @@ def test_sharp_exists_outside_the_hypotheses(sigma, n, q, status):
     H = make_hypergraph(n, q, Partition(sigma))
     assert n < H.sigma.s + 1 or q < H.r * (H.r - 1)
     lower, upper = sharp_cycle_bounds(H)
-    got = assert_same_sharp(H, math.floor(upper))
+    got = assert_same_sharp(H, upper)
     assert got[0] == status
     if status == "found":
         assert lower <= len(got[1]) <= upper
+
+
+# Six instances of the grid below whose edge search takes about 10 s
+# together, two thirds of the grid's time: (sigma, n, q)
+SLOW_EDGE_SEARCH = {
+    ((2, 2), 4, 4), ((2, 2), 4, 5), ((2, 2), 4, 6),
+    ((2, 1, 1), 4, 5), ((2, 1, 1), 4, 6), ((1, 1, 1), 4, 6),
+}
+
+
+def test_nonexistence_test_matches_the_edge_search():
+    # every sigma with 2 <= r <= 4, n s..4, q a_1..6 but SLOW_EDGE_SEARCH:
+    # 130 instances.  The reference edge search, which shares no rule with
+    # the test, runs up to floor(2nq/r) edges; the test fires exactly where
+    # it exhausts, never where it finds a cycle, and an instance that runs
+    # out of budget is skipped
+    outcomes = []
+    for r in range(2, 5):
+        for sigma in partitions_of(r):
+            partition = Partition(sigma)
+            for n in range(partition.s, 5):
+                for q in range(partition.delta_max, 7):
+                    if (sigma, n, q) in SLOW_EDGE_SEARCH:
+                        continue
+                    H = make_hypergraph(n, q, partition)
+                    try:
+                        status = reference_brute_force_sharp_hamiltonian_exists(
+                            H, sharp_cycle_bounds(H)[1], budget=20_000
+                        ).status
+                    except BudgetExceeded:
+                        status = "budget"
+                    fires = sharp_nonexistence_test(H, matching_upper_bound(H))
+                    if status != "budget":
+                        assert fires == (status == "exhausted"), H
+                    outcomes.append(status)
+    assert [outcomes.count(s) for s in ("exhausted", "found", "budget")] == [56, 73, 1]
 
 
 def relabel(edge, classes, rows):

@@ -2,12 +2,15 @@
 search finds no cycle wherever a constructor raises it.  And no refusal
 comes from the verifier gate: every one is decided before an edge is built."""
 
-from helpers import berge_hamiltonian_exists, partitions_of
+from helpers import (
+    berge_hamiltonian_exists,
+    partitions_of,
+    reference_brute_force_sharp_hamiltonian_exists,
+)
 from sigmacycles import (
     NoCycle,
     NoRecipe,
     Partition,
-    brute_force_sharp_hamiltonian_exists,
     construct_berge_hamiltonian,
     construct_k_intersecting,
     construct_sharp_hamiltonian,
@@ -67,15 +70,23 @@ def test_berge_no_cycle_is_a_proof():
 
 
 def test_sharp_no_cycle_is_a_proof():
-    # every sigma with r <= 4, n s..4, q a_1..6
+    # every sigma with r <= 4, n s..4, q a_1..6.  The edge search, which
+    # shares no rule with the constructor, exhausts floor(2nq/r) edges
+    # wherever the constructor raises NoCycle
     no_cycle = 0
     for H in grid(4, 4, 6):
         kind = refusal(construct_sharp_hamiltonian, H, 1 if H.sigma.s > 1 else 0)
         if kind is NoCycle:
             no_cycle += 1
-            status = brute_force_sharp_hamiltonian_exists(H, 2 * H.n * H.q // H.r).status
-            assert status == "exhausted", H
-        # the reasons come before any k-specific one, so every k >= 2 agrees
+            result = reference_brute_force_sharp_hamiltonian_exists(H, 2 * H.n * H.q // H.r)
+            assert result.status == "exhausted", H
+        # k refuses with NoCycle exactly where no cycle of any kind exists,
+        # and sharp refuses there too
+        no_cycle_at_all = H.r < 2 or (H.sigma.s == 1 and H.n >= 2)
         for k in range(2, H.sigma.s + 2):
-            assert (refusal(construct_k_intersecting, H, k) is NoCycle) == (kind is NoCycle), (H, k)
-    assert no_cycle == 60
+            k_kind = refusal(construct_k_intersecting, H, k)
+            assert (k_kind is NoCycle) == no_cycle_at_all, (H, k)
+            assert k_kind is not NoCycle or kind is NoCycle, (H, k)
+    # 60 with no cycle at all, and 20 where the edge-count window and the
+    # matching bound rule out a sharp cycle
+    assert no_cycle == 80

@@ -1,11 +1,11 @@
 """Verifiers, bound calculators and brute-force oracles."""
 
-from fractions import Fraction
-
 import pytest
 
 from sigmacycles import (
+    KIND_BERGE,
     BudgetExceeded,
+    CycleCertificate,
     Edge,
     brute_force_max_matching,
     brute_force_sharp_hamiltonian_exists,
@@ -46,6 +46,20 @@ class TestBergeVerifier:
         assert not report.ok
         assert report.violated_condition == "membership-violated"
         assert report.detail
+
+    def test_one_vertex_is_no_cycle(self):
+        # the 1 x 1 grid: one edge of one vertex links no two cycle
+        # vertices, which is why construct_berge_hamiltonian raises NoCycle
+        h = H(1, 1, "1")
+        cert = CycleCertificate(h, KIND_BERGE, (Edge.of([(0, 0)]),), vertex_sequence=((0, 0),))
+        report = verify_berge_hamiltonian(h, cert)
+        assert (report.ok, report.violated_condition, report.detail, report.hamiltonian) == (
+            False, "degenerate-length", "1 edge; a Berge cycle needs at least 2", None
+        )
+        # an out-of-bounds vertex keeps its tag: the rule comes after the
+        # vertex checks
+        report = verify_berge_hamiltonian(h, cert.replace(vertex_sequence=((0, 1),)))
+        assert report.violated_condition == "coverage-gap"
 
     # A certificate file cannot carry these: the reader requires
     # vertex_sequence and rejects an out-of-range row before any check runs.
@@ -203,12 +217,21 @@ class TestBounds:
         assert matching_upper_bound(H(10**9, 5, "2,1")) == 5 * 10**9 // 3
 
     def test_sharp_cycle_bounds(self):
-        assert sharp_cycle_bounds(H(3, 6, "2,1")) == (Fraction(9), Fraction(12))
-        assert sharp_cycle_bounds(H(5, 5, "3,3,3")) == (Fraction(25, 8), Fraction(50, 9))
+        # [max(4, ceil(nq/(r-1))), floor(2nq/r)], two ints
+        assert sharp_cycle_bounds(H(3, 6, "2,1")) == (9, 12)
+        # nq/(r-1) = 25/8 and 2nq/r = 50/9
+        assert sharp_cycle_bounds(H(5, 5, "3,3,3")) == (4, 5)
+        assert all(type(end) is int for end in sharp_cycle_bounds(H(5, 5, "3,3,3")))
 
     def test_r2_bounds_collapse(self):
         lo, hi = sharp_cycle_bounds(H(3, 4, "1,1"))
         assert lo == hi == 12
+
+    def test_four_edge_floor(self):
+        # nq/(r-1) = 2, but a sharp cycle has at least 4 edges, and
+        # 2nq/r = 3: the window is empty, so the test fires at any nu
+        assert sharp_cycle_bounds(H(2, 3, "2,2")) == (4, 3)
+        assert sharp_nonexistence_test(H(2, 3, "2,2"), 10**9)
 
     def test_r1_rejected(self):
         # nq/(r-1) has no value for r = 1
@@ -221,12 +244,36 @@ class TestBounds:
     def test_nonexistence(self):
         assert sharp_nonexistence_test(H(5, 5, "3,3,3"), 1)
         assert not sharp_nonexistence_test(H(3, 6, "2,1"), 6)
+        # window [4, 4]: a 4-edge cycle's alternate edges are a matching of
+        # 2, and nu = 1 (2nu + 1 < nq/(r-1) = 3 does not hold)
+        assert sharp_cycle_bounds(H(3, 3, "2,2")) == (4, 4)
+        assert sharp_nonexistence_test(H(3, 3, "2,2"), 1)
+        assert not sharp_nonexistence_test(H(3, 3, "2,2"), 2)
+
+    def test_disconnected(self):
+        # one part and n >= 2: every edge lies in one class.  The window
+        # [12, 12] and nu = 6 alone would not refute
+        h = H(3, 4, "2")
+        assert sharp_cycle_bounds(h) == (12, 12)
+        assert sharp_nonexistence_test(h, 10**9)
+        assert not sharp_nonexistence_test(H(1, 4, "2"), 2)
 
     def test_nonexistence_boundary_is_strict(self):
-        # n*q/(r-1) = 9 and 2*nu+1 = 9 exactly: must not fire
+        # window [9, 9] and floor(9/2) = 4 = nu exactly: must not fire
         h = H(3, 3, "1,1")
-        assert Fraction(h.vertex_count, h.r - 1) == 9
+        assert sharp_cycle_bounds(h) == (9, 9)
         assert not sharp_nonexistence_test(h, 4)
+        assert sharp_nonexistence_test(h, 3)
+
+    def test_never_weaker_than_the_fractional_rule(self):
+        # 2nu + 1 < nq/(r-1) implies nu + 1 <= floor(lo/2)
+        for r in range(2, 7):
+            for n in range(1, 6):
+                for q in range(r, 9):
+                    h = H(n, q, ",".join(["1"] * r)) if n >= r else H(n, q, str(r))
+                    for nu in range(0, n * q):
+                        if (2 * nu + 1) * (r - 1) < n * q:
+                            assert sharp_nonexistence_test(h, nu), (h, nu)
 
     def test_negative_nu_rejected(self):
         # 2*nu + 1 < nq/(r-1) holds for every nu < 0 and would refute a
