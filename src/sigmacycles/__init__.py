@@ -50,8 +50,8 @@ _EXPORTS = {
         "brute_force_max_matching",
         "brute_force_sharp_hamiltonian_exists",
         "matching_upper_bound",
+        "no_cycle_reason",
         "sharp_cycle_bounds",
-        "sharp_nonexistence_test",
         "verify_berge_hamiltonian",
         "verify_k_intersecting",
         "verify_matching",

@@ -121,19 +121,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    from .verify import matching_upper_bound, sharp_cycle_bounds, sharp_nonexistence_test
+    from .verify import matching_upper_bound, no_cycle_reason, sharp_cycle_bounds
 
     H = _hypergraph(args)
     # both raise ValueError (r < 2 first, then nu < 0) before anything prints
     lo, hi = sharp_cycle_bounds(H)
     nu = matching_upper_bound(H)
-    refutes = sharp_nonexistence_test(H, nu if args.nu is None else min(nu, args.nu))
+    reason = no_cycle_reason(H, KIND_SHARP, nu if args.nu is None else min(nu, args.nu))
     print(f"vertices: {H.vertex_count}")
     print(f"sharp cycle edge-count window: [{lo}, {hi}]")
     print(f"max matching <= {nu}")
-    if H.sigma.s == 1 and H.n >= 2:
-        print("disconnected: every edge lies in one class")
-    print("REFUTES-SHARP-HC" if refutes else "INCONCLUSIVE")
+    if reason is not None:
+        print(f"refuted: {reason}")
+    print("INCONCLUSIVE" if reason is None else "REFUTES-SHARP-HC")
     return EXIT_OK
 
 
@@ -141,9 +141,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .verify import (
         brute_force_max_matching,
         brute_force_sharp_hamiltonian_exists,
-        matching_upper_bound,
+        no_cycle_reason,
         sharp_cycle_bounds,
-        sharp_nonexistence_test,
     )
 
     H = _hypergraph(args)
@@ -163,9 +162,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             _write_output(args.output, certfile.dumps(result.certificate))
     else:
         print("exhausted")
-        # r < 2, or the test firing (an empty window among its rules), is a
-        # proof that no sharp cycle exists, whatever --max-len is
-        if H.r >= 2 and not sharp_nonexistence_test(H, matching_upper_bound(H)):
+        # a nonexistence reason is a proof that no sharp cycle exists,
+        # whatever --max-len is
+        if no_cycle_reason(H, KIND_SHARP) is None:
             lo, hi = sharp_cycle_bounds(H)
             if args.max_len < hi:
                 print(

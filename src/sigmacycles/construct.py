@@ -7,13 +7,16 @@ raise ValueError when the certificate would hold more vertex slots
 (edges x r) than the export item limit.
 
 A refusal is one of two kinds.  NoCycle says that no cycle of the kind
-asked for exists, and why: _check_cycle's reasons come first in every
-constructor.  NoRecipe says that no recipe here covers the parameters; a
-cycle may still exist.
+asked for exists, and why: every constructor raises it, after its usage
+errors, with the reason verify.no_cycle_reason gives, the one home of the
+nonexistence rules.  NoRecipe says that no recipe here covers the
+parameters; a cycle may still exist.
 
-The sharp and k-intersecting cycles are block chains.  Each block's
-diagonal parts are computed once (_diagonal_parts), and every chain edge,
-like every edge of the public matchings, is cut from them.
+The sharp and k-intersecting cycles are block chains, and both start with
+one preamble (_blocks): NoRecipe for n <= s or q with no block split, the
+size check, then the blocks.  Each block's diagonal parts are computed once
+(_diagonal_parts), and every chain edge, like every edge of the public
+matchings, is cut from them.
 """
 
 from __future__ import annotations
@@ -29,12 +32,10 @@ from .certificates import (
     check_k,
     check_split_index,
 )
-from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph, edge_count
+from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph
 from .errors import NoCycle, NoRecipe
 from .verify import (
-    matching_upper_bound,
-    sharp_cycle_bounds,
-    sharp_nonexistence_test,
+    no_cycle_reason,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_sharp_cycle,
@@ -117,33 +118,35 @@ def shifted_matching(
     return tuple(_shifted_edge(H, b, h, parts[j], parts[(j + 1) % n], p) for j in range(n))
 
 
-def _blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:
-    """(start_row, height) for x r-blocks stacked top-down, then y (r+1)-blocks."""
-    x, y = frobenius_decompose(H.q, H.r)
-    blocks = []
-    row = 0
-    for _ in range(x):
-        blocks.append((row, H.r))
-        row += H.r
-    for _ in range(y):
-        blocks.append((row, H.r + 1))
-        row += H.r + 1
-    return blocks
-
-
 def _check_size(H: SigmaHypergraph, edges: int) -> None:
     """Refuse, before any edge is built, a certificate whose vertex slots
-    (edges x r) exceed the export item limit.  A block chain counts its
-    blocks as sum(frobenius_decompose(q, r)), without listing them."""
+    (edges x r) exceed the export item limit."""
     slots = edges * H.r
     if slots > MAX_ITEMS:
         raise ValueError(f"{H}: {slots} certificate vertex slots exceed the limit of {MAX_ITEMS}")
 
 
-def _zero_head(H: SigmaHypergraph, blocks: list[tuple[int, int]], threshold: int) -> bool:
+def _blocks(H: SigmaHypergraph, edges_per_class: int) -> list[tuple[int, int]]:
+    """The block chain's preamble: NoRecipe for n <= s or for q with no
+    block split (frobenius_decompose), then the size check for
+    edges_per_class edges per block and class, counting the blocks without
+    listing them.  Returns (start_row, height) for x r-blocks stacked
+    top-down, then y (r+1)-blocks."""
+    s = H.sigma.s
+    if H.n <= s:
+        raise NoRecipe(f"n={H.n} <= s={s}")
+    x, y = frobenius_decompose(H.q, H.r)
+    _check_size(H, (x + y) * H.n * edges_per_class)
+    heights = [H.r] * x + [H.r + 1] * y
+    return list(zip(accumulate(heights, initial=0), heights))
+
+
+def _zero_head(H: SigmaHypergraph, blocks: list[tuple[int, int]]) -> bool:
     """True when an (r+1)-block leaves a diagonal edge and its shifted edge
-    with this threshold no common vertex (head size t-1 = 0)."""
-    return blocks[-1][1] == H.r + 1 and sum(H.sigma.parts[:threshold]) < 2
+    at threshold 1 no common vertex: the first part trades its last row
+    (see _shifted_edge), so its head is empty when a_1 = 1.  A head of two
+    or more parts always keeps a vertex."""
+    return blocks[-1][1] == H.r + 1 and H.sigma.delta_max == 1
 
 
 def _chain_blocks(
@@ -194,14 +197,12 @@ def _certify(
     return cert
 
 
-def _check_cycle(H: SigmaHypergraph) -> None:
-    """Raise NoCycle where H has no cycle of any kind: r < 2, since an edge
-    of one vertex links no two cycle vertices, or one part with n >= 2,
-    since every edge then lies in one class and H is disconnected."""
-    if H.r < 2:
-        raise NoCycle(f"{H}: an edge of one vertex links no two cycle vertices")
-    if H.sigma.s == 1 and H.n >= 2:
-        raise NoCycle(f"{H}: every edge lies in one class, so H is disconnected")
+def _check_cycle(H: SigmaHypergraph, kind: str) -> None:
+    """Raise NoCycle, with its reason, where no_cycle_reason proves that H
+    has no cycle of this kind."""
+    reason = no_cycle_reason(H, kind)
+    if reason is not None:
+        raise NoCycle(f"{H}: {reason}")
 
 
 def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertificate:
@@ -210,36 +211,28 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
     The grid splits into x r-blocks followed by y (r+1)-blocks; each block
     contributes the 2n edges E_0, E*_0, ..., E_{n-1}, E*_{n-1}: the block
     chain with the single threshold p.  When an (r+1)-block would leave the
-    head of split p empty, the split moves to the smallest one with head sum
-    >= 2.
+    head of split 1 empty (a_1 = 1), the split moves to 2.
 
-    Raises NoCycle for _check_cycle's reasons, ValueError for a split index
-    outside 1..s-1 when s >= 2, NoCycle where sharp_nonexistence_test fires
-    on matching_upper_bound(H), and NoRecipe for one part (n = 1), n <= s,
-    q with no block split (frobenius_decompose), or an (r+1)-block with
-    every head empty.
+    Raises ValueError for a split index outside 1..s-1 when s >= 2, then
+    NoCycle where no_cycle_reason(H, KIND_SHARP) gives a reason, and
+    NoRecipe for one part (n = 1), n <= s, q with no block split
+    (frobenius_decompose), or an (r+1)-block with a_1 = 1 and s = 2, where
+    split 1 is the only one and its head is empty.
     """
-    _check_cycle(H)
     s = H.sigma.s
     if s > 1:
         # a bad split stays a usage error wherever splits exist
         check_split_index(p, s)
-    nu = matching_upper_bound(H)
-    if sharp_nonexistence_test(H, nu):
-        lo, hi = sharp_cycle_bounds(H)
-        raise NoCycle(f"{H}: edge-count window [{lo}, {hi}] and max matching <= {nu} leave no sharp cycle")
+    _check_cycle(H, KIND_SHARP)
     if s < 2:
         raise NoRecipe("sharp construction needs at least two parts")
-    if H.n <= s:
-        raise NoRecipe(f"n={H.n} <= s={s}")
-    _check_size(H, sum(frobenius_decompose(H.q, H.r)) * 2 * H.n)
-    blocks = _blocks(H)
-    if _zero_head(H, blocks, p):
-        p = next((c for c in range(1, s) if not _zero_head(H, blocks, c)), None)
-    if p is None:
-        raise NoRecipe(
-            f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
-        )
+    blocks = _blocks(H, 2)
+    if p == 1 and _zero_head(H, blocks):
+        if s == 2:
+            raise NoRecipe(
+                f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
+            )
+        p = 2
     return _certify(H, KIND_SHARP, _chain_blocks(H, blocks, [p]), verify_sharp_cycle, split_index=p)
 
 
@@ -250,16 +243,15 @@ def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
     counting row passes from the bottom); parts that wrap past the last
     class sit one row higher, and row arithmetic is modulo q.
 
-    Raises NoCycle for _check_cycle's reasons and for fewer than nq edges
-    (a single edge among them), and NoRecipe for a rectangular sigma with q
-    equal to its part size >= 2, which the walk does not cover.
+    Raises NoCycle where no_cycle_reason(H, KIND_BERGE) gives a reason, one
+    of them fewer than nq edges (a single edge among them), and NoRecipe
+    for a rectangular sigma with q equal to its part size >= 2, which the
+    walk does not cover.
     """
-    _check_cycle(H)
+    _check_cycle(H, KIND_BERGE)
     sigma = H.sigma
     n, q = H.n, H.q
     nq = n * q
-    if edge_count(H) < nq:
-        raise NoCycle(f"{H}: too few edges for a cycle through all {nq} vertices")
     if sigma.rectangular and q == sigma.delta_max >= 2:
         raise NoRecipe(
             f"{H}: the walk recipe does not cover a rectangular sigma with q equal to its part size"
@@ -289,22 +281,20 @@ def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
     intersection has size a_1 - 1, hence the largest part must be >= 2 there.
 
     Raises ValueError when k is not an int >= 2 (a bool is not one), then
-    NoCycle for _check_cycle's reasons, and NoRecipe for one part (n = 1),
-    k > s, n <= s, q with no block split (frobenius_decompose), or an
-    (r+1)-block with the head of threshold 1 empty.
+    NoCycle where no_cycle_reason(H, KIND_K_INTERSECTING) gives a reason
+    (r < 2 or H disconnected), and NoRecipe for one part (n = 1), k > s,
+    n <= s, q with no block split (frobenius_decompose), or an (r+1)-block
+    with a_1 = 1, where the head of threshold 1 is empty.
     """
     check_k(k)
-    _check_cycle(H)
+    _check_cycle(H, KIND_K_INTERSECTING)
     s = H.sigma.s
     if s < 2:
         raise NoRecipe("k-intersecting construction needs at least two parts")
     if k > s:
         raise NoRecipe(f"k={k} outside [2, {s}]")
-    if H.n <= s:
-        raise NoRecipe(f"n={H.n} <= s={s}")
-    _check_size(H, sum(frobenius_decompose(H.q, H.r)) * H.n * k)
-    blocks = _blocks(H)
-    if _zero_head(H, blocks, 1):
+    blocks = _blocks(H, k)
+    if _zero_head(H, blocks):
         raise NoRecipe(
             f"sigma=({H.sigma}) with an (r+1)-block: threshold 1 gives a zero intersection"
         )

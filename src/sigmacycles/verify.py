@@ -1,4 +1,5 @@
-"""Definition-level cycle checkers, bound calculators and brute-force oracles.
+"""Definition-level cycle checkers, bounds, nonexistence rules and brute-force
+oracles.
 
 Verifiers never trust a certificate's claims: every condition is re-derived
 from the edge/vertex data.  Failures are verdicts, not exceptions; the first
@@ -66,6 +67,7 @@ from .core import (
     Partition,
     Record,
     SigmaHypergraph,
+    edge_count,
     incidence,
 )
 from .errors import BudgetExceeded
@@ -349,7 +351,7 @@ def verify_matching(H: SigmaHypergraph, edges: Iterable[Edge]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bounds
+# Bounds and nonexistence rules
 
 
 def _load_ceiling(sigma: Partition) -> Callable[..., int]:
@@ -398,17 +400,34 @@ def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[int, int]:
     return max(4, -(-nq // (H.r - 1))), 2 * nq // H.r
 
 
-def sharp_nonexistence_test(H: SigmaHypergraph, nu: int) -> bool:
-    """True when a rule proves, given nu >= the true maximum matching size,
-    that no sharp Hamiltonian cycle exists: H is disconnected (one part and
-    n >= 2), the window of sharp_cycle_bounds is empty, or floor(lo/2) > nu,
-    since the alternate edges e_1, e_3, ... of a cycle of m edges form a
-    matching of floor(m/2).  Raises ValueError when nu < 0, which no
-    matching size can be, or when r < 2."""
-    if nu < 0:
+def no_cycle_reason(H: SigmaHypergraph, kind: str, nu: Optional[int] = None) -> Optional[str]:
+    """The reason no cycle of kind exists in H, or None when no rule here
+    proves it.  Every rule is a proof, tried in this order:
+    - r < 2: an edge of one vertex links no two cycle vertices;
+    - one part and n >= 2: every edge lies in one class, so H is
+      disconnected;
+    - Berge: fewer than nq edges, where a cycle through all nq vertices
+      has nq distinct edges;
+    - sharp: the window [lo, hi] of sharp_cycle_bounds is empty, or
+      floor(lo/2) > nu, since the alternate edges e_1, e_3, ... of a cycle
+      of m edges form a matching of floor(m/2).  nu is at least the true
+      maximum matching size, matching_upper_bound(H) when not given.
+    Raises ValueError, before any rule, when nu < 0, which no matching size
+    can be."""
+    if nu is not None and nu < 0:
         raise ValueError(f"matching size nu must be >= 0, got {nu}")
-    lo, hi = sharp_cycle_bounds(H)
-    return (H.sigma.s == 1 and H.n >= 2) or lo > hi or lo // 2 > nu
+    if H.r < 2:
+        return "an edge of one vertex links no two cycle vertices"
+    if H.sigma.s == 1 and H.n >= 2:
+        return "every edge lies in one class, so H is disconnected"
+    if kind == KIND_BERGE and edge_count(H) < H.vertex_count:
+        return f"too few edges for a cycle through all {H.vertex_count} vertices"
+    if kind == KIND_SHARP:
+        lo, hi = sharp_cycle_bounds(H)
+        nu = matching_upper_bound(H) if nu is None else nu
+        if lo > hi or lo // 2 > nu:
+            return f"edge-count window [{lo}, {hi}] and max matching <= {nu} leave no sharp cycle"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +653,14 @@ def brute_force_sharp_hamiltonian_exists(
     limit.  The result carries the number of search nodes: the empty path
     and every path entered.  Builds no edge index.
 
-    The root answers "exhausted" after 2 nodes, with no search, when r < 2,
-    when max_len is below the edge-count window [lo, hi] of
-    sharp_cycle_bounds, or when sharp_nonexistence_test fires on
-    matching_upper_bound(H).  Otherwise the search runs up to
-    min(max_len, hi) edges, so with max_len >= hi "exhausted" proves that
-    no sharp Hamiltonian cycle exists.  It raises BudgetExceeded up front
-    when n x min(max_len, hi) exceeds the budget (each of up to that many
-    path frames holds a state of up to n class types), and when the node
-    budget runs out.  Raises ValueError when max_len or budget is negative.
+    The root answers "exhausted" after 2 nodes, with no search, when
+    no_cycle_reason(H, KIND_SHARP) gives a reason, or when max_len is below
+    the edge-count window [lo, hi] of sharp_cycle_bounds.  Otherwise the
+    search runs up to min(max_len, hi) edges, so with max_len >= hi
+    "exhausted" proves that no sharp Hamiltonian cycle exists.  It raises
+    BudgetExceeded up front when n x min(max_len, hi) exceeds the budget
+    (each of up to that many path frames holds a state of up to n class
+    types), and when the node budget runs out.  Raises ValueError when max_len or budget is negative.
     """
     if max_len < 0 or budget < 0:
         raise ValueError(f"max_len and budget must be >= 0, got {max_len} and {budget}")
@@ -650,10 +668,13 @@ def brute_force_sharp_hamiltonian_exists(
     # edges can exist no search is needed
     if budget < 2:
         raise BudgetExceeded(f"search budget {budget} exhausted")
-    n, q, r, parts = H.n, H.q, H.r, Counter(H.sigma.parts).items()
-    if r < 2 or max_len < sharp_cycle_bounds(H)[0] or sharp_nonexistence_test(H, matching_upper_bound(H)):
+    if no_cycle_reason(H, KIND_SHARP) is not None:
         return SharpSearchResult("exhausted", nodes=2)
-    max_len = min(max_len, sharp_cycle_bounds(H)[1])
+    lo, hi = sharp_cycle_bounds(H)
+    if max_len < lo:
+        return SharpSearchResult("exhausted", nodes=2)
+    n, q, r, parts = H.n, H.q, H.r, Counter(H.sigma.parts).items()
+    max_len = min(max_len, hi)
     if n * max_len > budget:
         raise BudgetExceeded(f"{n} classes x {max_len} path edges exceeds budget {budget}")
     memo: dict[tuple, int] = {}

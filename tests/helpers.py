@@ -10,7 +10,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
 from sigmacycles.certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP, KINDS
-from sigmacycles.construct import _blocks, _check_block, frobenius_decompose
+from sigmacycles.construct import _check_block, frobenius_decompose
 from sigmacycles.core import (
     GridVertex,
     Partition,
@@ -628,6 +628,14 @@ def reference_shifted_matching(
     )
 
 
+def reference_blocks(H: SigmaHypergraph) -> list[tuple[int, int]]:
+    """(start_row, height) for x r-blocks stacked top-down, then y
+    (r+1)-blocks."""
+    x, y = frobenius_decompose(H.q, H.r)
+    heights = [H.r] * x + [H.r + 1] * y
+    return [(sum(heights[:i]), h) for i, h in enumerate(heights)]
+
+
 def reference_resolve_split(H: SigmaHypergraph, p: int, y: int) -> int:
     parts = H.sigma.parts
     s = len(parts)
@@ -649,7 +657,7 @@ def reference_construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> Cyc
         raise ValueError(f"split_index must be an integer in 1..{s - 1}")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
-    blocks = _blocks(H)
+    blocks = reference_blocks(H)
     x, y = frobenius_decompose(H.q, H.r)
     p = reference_resolve_split(H, p, y)
     edges: list[Edge] = []
@@ -693,7 +701,7 @@ def reference_construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCerti
         raise KOutOfRange(f"k={k} outside [2, {s}]")
     if H.n <= s:
         raise NTooSmall(f"n={H.n} <= s={s}")
-    blocks = _blocks(H)
+    blocks = reference_blocks(H)
     _, y = frobenius_decompose(H.q, H.r)
     if y > 0 and sigma.delta_max == 1:
         raise DegenerateIntersection(

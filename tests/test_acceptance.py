@@ -5,6 +5,7 @@ import time
 from contextlib import contextmanager
 
 from sigmacycles import (
+    KIND_SHARP,
     NoRecipe,
     Partition,
     brute_force_max_matching,
@@ -15,9 +16,9 @@ from sigmacycles import (
     frobenius_decompose,
     make_hypergraph,
     matching_upper_bound,
+    no_cycle_reason,
     parse_partition,
     sharp_cycle_bounds,
-    sharp_nonexistence_test,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_matching,
@@ -117,7 +118,9 @@ def test_criterion_04_square_nonexistence():
         result = brute_force_max_matching(H)
         assert result.exact
         assert result.nu == 1
-        assert sharp_nonexistence_test(H, result.nu)
+        assert no_cycle_reason(H, KIND_SHARP, result.nu) == (
+            "edge-count window [4, 5] and max matching <= 1 leave no sharp cycle"
+        )
         # nq/(r-1) = 25/8: a cycle of at least 4 edges needs a matching of 2
         assert sharp_cycle_bounds(H) == (4, 5)
 
@@ -135,7 +138,7 @@ def test_criterion_05_matching_bound_tightness():
         # the square partition: the bound alone refutes a sharp cycle
         H = make_hypergraph(5, 5, parse_partition("3,3,3"))
         assert matching_upper_bound(H) == 1
-        assert sharp_nonexistence_test(H, matching_upper_bound(H))
+        assert no_cycle_reason(H, KIND_SHARP) is not None
 
 
 def test_criterion_06_k_intersecting_sweep():

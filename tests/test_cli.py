@@ -308,6 +308,7 @@ class TestBounds:
             "vertices: 6\n"
             "sharp cycle edge-count window: [4, 3]\n"
             "max matching <= 1\n"
+            "refuted: edge-count window [4, 3] and max matching <= 1 leave no sharp cycle\n"
             "REFUTES-SHARP-HC\n"
         ))
 
@@ -319,6 +320,7 @@ class TestBounds:
             "vertices: 9\n"
             "sharp cycle edge-count window: [4, 4]\n"
             "max matching <= 1\n"
+            "refuted: edge-count window [4, 4] and max matching <= 1 leave no sharp cycle\n"
             "REFUTES-SHARP-HC\n"
         ))
 
@@ -330,9 +332,16 @@ class TestBounds:
             "vertices: 12\n"
             "sharp cycle edge-count window: [12, 12]\n"
             "max matching <= 6\n"
-            "disconnected: every edge lies in one class\n"
+            "refuted: every edge lies in one class, so H is disconnected\n"
             "REFUTES-SHARP-HC\n"
         ))
+
+    def test_disconnected_negative_nu(self, capsys):
+        # nu < 0 is a usage error before any rule, disconnection too, and
+        # nothing is printed first
+        code, out, err = run(capsys, "bounds", "--sigma", "2", "--n", "3", "--q", "4", "--nu", "-1")
+        assert (code, out) == (2, "")
+        assert "bounds: matching size nu must be >= 0, got -1" in err
 
     def test_bound_without_gcd(self, capsys):
         # gcd 1: the bound is nq/r, and the test always runs on it
@@ -340,12 +349,37 @@ class TestBounds:
         assert code == 0
         assert out.endswith("max matching <= 6\nINCONCLUSIVE\n")
 
-    @pytest.mark.parametrize("nu, verdict", [("3", "REFUTES-SHARP-HC"), ("100", "INCONCLUSIVE")])
-    def test_nu_tightens_the_bound(self, capsys, nu, verdict):
-        # --nu refutes below the bound and changes nothing above it
+    @pytest.mark.parametrize(
+        "nu, tail",
+        [
+            ("3", "refuted: edge-count window [9, 12] and max matching <= 3 leave no sharp cycle\n"
+                  "REFUTES-SHARP-HC\n"),
+            ("100", "INCONCLUSIVE\n"),
+        ],
+    )
+    def test_nu_tightens_the_bound(self, capsys, nu, tail):
+        # --nu refutes below the bound, naming the nu it used, and changes
+        # nothing above it
         code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", nu)
         assert code == 0
-        assert out.endswith(f"max matching <= 6\n{verdict}\n")
+        assert out.endswith(f"max matching <= 6\n{tail}")
+
+    @pytest.mark.parametrize("sigma, n, q", [("4,1,1", "3", "4"), ("3,1,1,1", "4", "3")])
+    def test_matching_bound_gap_at_r6(self, capsys, sigma, n, q):
+        # the class-load ceiling is not tight here: it allows a matching of
+        # 2 where the exact nu is 1, so bounds alone is inconclusive.  The
+        # oracle's exact nu, passed back as --nu, refutes, and the sharp
+        # search over the whole window [4, 4] agrees
+        hg = ["--sigma", sigma, "--n", n, "--q", q]
+        window = "sharp cycle edge-count window: [4, 4]\nmax matching <= 2\n"
+        assert run(capsys, "bounds", *hg)[:2] == (0, f"vertices: 12\n{window}INCONCLUSIVE\n")
+        assert run(capsys, "oracle", "max-matching", *hg)[:2] == (0, "1\n")
+        assert run(capsys, "bounds", *hg, "--nu", "1")[:2] == (0, (
+            f"vertices: 12\n{window}"
+            "refuted: edge-count window [4, 4] and max matching <= 1 leave no sharp cycle\n"
+            "REFUTES-SHARP-HC\n"
+        ))
+        assert run(capsys, "oracle", "sharp-exists", *hg, "--max-len", "4") == (0, "exhausted\n", "")
 
     @pytest.mark.parametrize(
         "sigma, n, q",
@@ -396,8 +430,8 @@ class TestOracle:
         ids=["disconnected", "empty-window", "matching"],
     )
     def test_sharp_exists_refuted_has_no_note(self, capsys, sigma, n, q, max_len):
-        # max-len below floor(2nq/r), but sharp_nonexistence_test proves
-        # that no sharp cycle exists at any length: no note
+        # max-len below floor(2nq/r), but no_cycle_reason proves that no
+        # sharp cycle exists at any length: no note
         code, out, err = run(
             capsys, "oracle", "sharp-exists", "--sigma", sigma, "--n", n, "--q", q,
             "--max-len", max_len,

@@ -4,7 +4,7 @@ to the same bytes, and a rejected call must raise the kind that NEW_KIND
 names for the reference's exception type, with the same message.  The
 allowed differences: a hypergraph with no cycle at all (r < 2, or one part
 and n >= 2) is refused with NoCycle and its reason, a sharp refusal where
-sharp_nonexistence_test fires is NoCycle naming the edge-count window, k < 2
+no_cycle_reason gives the edge-count window is NoCycle naming it, k < 2
 breaks the rule for k, and a degenerate k-intersecting call carries the
 shared degeneracy message."""
 
@@ -19,15 +19,15 @@ from helpers import (
     reference_shifted_matching,
 )
 from sigmacycles import (
+    KIND_SHARP,
     Partition,
     certfile,
     construct_k_intersecting,
     construct_sharp_hamiltonian,
     diagonal_matching,
     make_hypergraph,
-    matching_upper_bound,
+    no_cycle_reason,
     sharp_cycle_bounds,
-    sharp_nonexistence_test,
     shifted_matching,
 )
 from sigmacycles.errors import ConstructionError
@@ -92,7 +92,7 @@ def test_sharp_matches_reference(H, data):
     p = data.draw(st.integers(min_value=0, max_value=H.sigma.s))
     got = outcome(construct_sharp_hamiltonian, H, p)
     want = expected(H, outcome(reference_construct_sharp_hamiltonian, H, p))
-    if want[0] == "NoRecipe" and sharp_nonexistence_test(H, matching_upper_bound(H)):
+    if want[0] == "NoRecipe" and no_cycle_reason(H, KIND_SHARP) is not None:
         assert got[0] == "NoCycle"
         assert f"edge-count window {list(sharp_cycle_bounds(H))}" in got[1]
     else:

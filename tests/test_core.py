@@ -55,7 +55,7 @@ PUBLIC = [
     "brute_force_sharp_hamiltonian_exists", "construct_berge_hamiltonian",
     "construct_k_intersecting", "construct_sharp_hamiltonian", "diagonal_matching",
     "edge_count", "enumerate_edges", "frobenius_decompose", "is_edge", "make_hypergraph",
-    "matching_upper_bound", "parse_partition", "sharp_cycle_bounds", "sharp_nonexistence_test",
+    "matching_upper_bound", "no_cycle_reason", "parse_partition", "sharp_cycle_bounds",
     "shifted_matching", "verify_berge_hamiltonian", "verify_k_intersecting", "verify_matching",
     "verify_sharp_cycle",
 ]

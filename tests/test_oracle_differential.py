@@ -36,8 +36,8 @@ from sigmacycles import (
     enumerate_edges,
     make_hypergraph,
     matching_upper_bound,
+    no_cycle_reason,
     sharp_cycle_bounds,
-    sharp_nonexistence_test,
     verify_sharp_cycle,
 )
 from sigmacycles import core, verify
@@ -99,15 +99,14 @@ def assert_same_matching(H, budget=2_000_000):
 def refused_up_front(H, max_len, budget):
     # the sharp oracle's refusal before its search: a budget below the
     # root's 2 nodes, or n x min(max_len, hi) over the budget where the root
-    # does not answer (r >= 2, max_len in reach of the window [lo, hi] and
-    # the nonexistence test silent)
+    # does not answer (no nonexistence reason, and max_len in reach of the
+    # window [lo, hi])
     if budget < 2:
         return True
-    if H.r < 2:
+    if no_cycle_reason(H, KIND_SHARP) is not None:
         return False
     lo, hi = sharp_cycle_bounds(H)
-    root = max_len < lo or sharp_nonexistence_test(H, matching_upper_bound(H))
-    return not root and H.n * min(max_len, hi) > budget
+    return max_len >= lo and H.n * min(max_len, hi) > budget
 
 
 def assert_same_sharp(H, max_len, budget=2_000_000):
@@ -476,9 +475,9 @@ SLOW_EDGE_SEARCH = {
 def test_nonexistence_test_matches_the_edge_search():
     # every sigma with 2 <= r <= 4, n s..4, q a_1..6 but SLOW_EDGE_SEARCH:
     # 130 instances.  The reference edge search, which shares no rule with
-    # the test, runs up to floor(2nq/r) edges; the test fires exactly where
-    # it exhausts, never where it finds a cycle, and an instance that runs
-    # out of budget is skipped
+    # no_cycle_reason, runs up to floor(2nq/r) edges; a reason is given
+    # exactly where it exhausts, never where it finds a cycle, and an
+    # instance that runs out of budget is skipped
     outcomes = []
     for r in range(2, 5):
         for sigma in partitions_of(r):
@@ -494,7 +493,7 @@ def test_nonexistence_test_matches_the_edge_search():
                         ).status
                     except BudgetExceeded:
                         status = "budget"
-                    fires = sharp_nonexistence_test(H, matching_upper_bound(H))
+                    fires = no_cycle_reason(H, KIND_SHARP) is not None
                     if status != "budget":
                         assert fires == (status == "exhausted"), H
                     outcomes.append(status)

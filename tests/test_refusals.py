@@ -1,6 +1,8 @@
 """The two refusal kinds.  NoCycle is a proof: on tiny grids an independent
-search finds no cycle wherever a constructor raises it.  And no refusal
-comes from the verifier gate: every one is decided before an edge is built."""
+search finds no cycle wherever a constructor raises it, and no_cycle_reason
+gives no reason wherever a constructor builds a verified cycle.  And no
+refusal comes from the verifier gate: every one is decided before an edge
+is built."""
 
 from helpers import (
     berge_hamiltonian_exists,
@@ -15,6 +17,7 @@ from sigmacycles import (
     construct_k_intersecting,
     construct_sharp_hamiltonian,
     make_hypergraph,
+    no_cycle_reason,
 )
 
 
@@ -40,9 +43,11 @@ def refusal(build, *args):
 
 
 def test_no_refusal_reaches_the_gate():
-    # every sigma with r <= 6, n s..8, q a_1..13: 2,062 hypergraphs.  A
-    # split index outside 1..s-1 and k < 2 are usage errors, tested apart.
-    hypergraphs = refused = 0
+    # every sigma with r <= 6, n s..8, q a_1..13: 2,062 hypergraphs, 3,594
+    # certificates and 6,994 refusals.  A split index outside 1..s-1 and
+    # k < 2 are usage errors, tested apart.  Every certificate built is
+    # verified, so no nonexistence rule may fire on its kind
+    hypergraphs = refused = built = 0
     for H in grid(6, 8, 13):
         hypergraphs += 1
         s = H.sigma.s
@@ -51,11 +56,14 @@ def test_no_refusal_reaches_the_gate():
         calls += [(construct_k_intersecting, k) for k in range(2, s + 2)]
         for build, *args in calls:
             try:
-                build(H, *args)
+                cert = build(H, *args)
             except (NoCycle, NoRecipe) as exc:
                 assert "recipe failed verification" not in str(exc), (H, build.__name__, args)
                 refused += 1
-    assert hypergraphs == 2062 and refused > 0
+            else:
+                assert no_cycle_reason(H, cert.kind) is None, (H, build.__name__, args)
+                built += 1
+    assert (hypergraphs, built, refused) == (2062, 3594, 6994)
 
 
 def test_berge_no_cycle_is_a_proof():

@@ -4,6 +4,8 @@ import pytest
 
 from sigmacycles import (
     KIND_BERGE,
+    KIND_K_INTERSECTING,
+    KIND_SHARP,
     BudgetExceeded,
     CycleCertificate,
     Edge,
@@ -15,9 +17,9 @@ from sigmacycles import (
     diagonal_matching,
     make_hypergraph,
     matching_upper_bound,
+    no_cycle_reason,
     parse_partition,
     sharp_cycle_bounds,
-    sharp_nonexistence_test,
     verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_matching,
@@ -27,6 +29,10 @@ from sigmacycles import (
 
 def H(n, q, sigma):
     return make_hypergraph(n, q, parse_partition(sigma))
+
+
+def refutes_sharp(h, nu=None):
+    return no_cycle_reason(h, KIND_SHARP, nu) is not None
 
 
 class TestBergeVerifier:
@@ -229,41 +235,65 @@ class TestBounds:
 
     def test_four_edge_floor(self):
         # nq/(r-1) = 2, but a sharp cycle has at least 4 edges, and
-        # 2nq/r = 3: the window is empty, so the test fires at any nu
+        # 2nq/r = 3: the window is empty, so a reason is given at any nu
         assert sharp_cycle_bounds(H(2, 3, "2,2")) == (4, 3)
-        assert sharp_nonexistence_test(H(2, 3, "2,2"), 10**9)
+        assert no_cycle_reason(H(2, 3, "2,2"), KIND_SHARP, 10**9) == (
+            "edge-count window [4, 3] and max matching <= 1000000000 leave no sharp cycle"
+        )
 
     def test_r1_rejected(self):
-        # nq/(r-1) has no value for r = 1
+        # nq/(r-1) has no value for r = 1, but no cycle of any kind exists
         h = H(3, 3, "1")
         with pytest.raises(ValueError, match="r >= 2"):
             sharp_cycle_bounds(h)
-        with pytest.raises(ValueError, match="r >= 2"):
-            sharp_nonexistence_test(h, 1)
+        for kind in (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING):
+            assert no_cycle_reason(h, kind, 1) == "an edge of one vertex links no two cycle vertices"
 
     def test_nonexistence(self):
-        assert sharp_nonexistence_test(H(5, 5, "3,3,3"), 1)
-        assert not sharp_nonexistence_test(H(3, 6, "2,1"), 6)
+        assert refutes_sharp(H(5, 5, "3,3,3"), 1)
+        assert not refutes_sharp(H(3, 6, "2,1"), 6)
         # window [4, 4]: a 4-edge cycle's alternate edges are a matching of
         # 2, and nu = 1 (2nu + 1 < nq/(r-1) = 3 does not hold)
         assert sharp_cycle_bounds(H(3, 3, "2,2")) == (4, 4)
-        assert sharp_nonexistence_test(H(3, 3, "2,2"), 1)
-        assert not sharp_nonexistence_test(H(3, 3, "2,2"), 2)
+        assert refutes_sharp(H(3, 3, "2,2"), 1)
+        assert not refutes_sharp(H(3, 3, "2,2"), 2)
+
+    def test_nu_defaults_to_the_matching_bound(self):
+        # the class-load ceiling allows 1 on window [4, 4], and 6 on [9, 12]
+        assert no_cycle_reason(H(3, 3, "2,2"), KIND_SHARP) == (
+            "edge-count window [4, 4] and max matching <= 1 leave no sharp cycle"
+        )
+        assert no_cycle_reason(H(3, 6, "2,1"), KIND_SHARP) is None
 
     def test_disconnected(self):
         # one part and n >= 2: every edge lies in one class.  The window
         # [12, 12] and nu = 6 alone would not refute
         h = H(3, 4, "2")
         assert sharp_cycle_bounds(h) == (12, 12)
-        assert sharp_nonexistence_test(h, 10**9)
-        assert not sharp_nonexistence_test(H(1, 4, "2"), 2)
+        for kind in (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING):
+            assert no_cycle_reason(h, kind, 10**9) == "every edge lies in one class, so H is disconnected"
+        assert not refutes_sharp(H(1, 4, "2"), 2)
+
+    def test_berge_edge_count(self):
+        # C(4,2) = 6 edges for 4 vertices, and one edge for 3: too few for
+        # the Berge cycle only
+        assert no_cycle_reason(H(1, 4, "2"), KIND_BERGE) is None
+        h = H(1, 3, "3")
+        assert no_cycle_reason(h, KIND_BERGE) == "too few edges for a cycle through all 3 vertices"
+        assert no_cycle_reason(h, KIND_K_INTERSECTING) is None
+
+    def test_k_has_only_the_common_rules(self):
+        # the sharp window refutes, but no rule here covers k
+        h = H(2, 3, "2,2")
+        assert refutes_sharp(h)
+        assert no_cycle_reason(h, KIND_K_INTERSECTING) is None
 
     def test_nonexistence_boundary_is_strict(self):
         # window [9, 9] and floor(9/2) = 4 = nu exactly: must not fire
         h = H(3, 3, "1,1")
         assert sharp_cycle_bounds(h) == (9, 9)
-        assert not sharp_nonexistence_test(h, 4)
-        assert sharp_nonexistence_test(h, 3)
+        assert not refutes_sharp(h, 4)
+        assert refutes_sharp(h, 3)
 
     def test_never_weaker_than_the_fractional_rule(self):
         # 2nu + 1 < nq/(r-1) implies nu + 1 <= floor(lo/2)
@@ -273,15 +303,20 @@ class TestBounds:
                     h = H(n, q, ",".join(["1"] * r)) if n >= r else H(n, q, str(r))
                     for nu in range(0, n * q):
                         if (2 * nu + 1) * (r - 1) < n * q:
-                            assert sharp_nonexistence_test(h, nu), (h, nu)
+                            assert refutes_sharp(h, nu), (h, nu)
 
     def test_negative_nu_rejected(self):
         # 2*nu + 1 < nq/(r-1) holds for every nu < 0 and would refute a
-        # hypergraph that has a sharp Hamiltonian cycle
+        # hypergraph that has a sharp Hamiltonian cycle.  The check comes
+        # before every rule, r < 2 and disconnection too
         h = H(3, 6, "2,1")
         with pytest.raises(ValueError, match="nu must be >= 0"):
-            sharp_nonexistence_test(h, -5)
-        assert sharp_nonexistence_test(h, 0)
+            no_cycle_reason(h, KIND_SHARP, -5)
+        assert refutes_sharp(h, 0)
+        for h in (H(3, 3, "1"), H(3, 4, "2")):
+            for kind in (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING):
+                with pytest.raises(ValueError, match="nu must be >= 0"):
+                    no_cycle_reason(h, kind, -1)
 
 
 class TestMaxMatchingOracle:
