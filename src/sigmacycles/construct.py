@@ -12,9 +12,16 @@ errors, with the reason verify.no_cycle_reason gives, the one home of the
 nonexistence rules.  NoRecipe says that no recipe here covers the
 parameters; a cycle may still exist.
 
+Every recipe cuts its edges from one grid of vertex tuples made once per
+call (_columns): a part (the vertices of an edge in one class) is a slice
+of its class's column, rows ascending, and an edge is its parts
+concatenated in ascending class order.  No recipe builds a vertex, sorts
+an edge's vertices or calls Edge.of; the gate's verifier is what checks
+that every edge holds r distinct in-range vertices in the sigma shape.
+
 The sharp and k-intersecting cycles are block chains, and both start with
 one preamble (_blocks): NoRecipe for n <= s or q with no block split, the
-size check, then the blocks.  Each block's diagonal parts are computed once
+size check, then the blocks.  Each block's diagonal parts are cut once
 (_diagonal_parts), and every chain edge, like every edge of the public
 matchings, is cut from them.
 """
@@ -68,17 +75,35 @@ def _check_block(H: SigmaHypergraph, block_start_row: int, block_height: int) ->
         raise ValueError("block out of range")
 
 
-# the s parts of one diagonal edge, each a list of vertices
-_Parts = list[list[GridVertex]]
+# a class's vertices over a run of rows, ascending, and the s parts of one
+# edge, each a slice of one class's column
+_Column = tuple[GridVertex, ...]
+_Parts = list[_Column]
 
 
-def _diagonal_parts(H: SigmaHypergraph, b: int) -> list[_Parts]:
-    """For each class j, the s parts of diagonal edge j of the block at row b:
-    part i is a run of consecutive rows from the block's top r rows, in class
-    j+i (mod n).  Diagonal edge j is Edge.of(chain(*parts[j]))."""
-    off = [0, *accumulate(H.sigma.parts)]
-    rows = [range(b + off[i], b + off[i + 1]) for i in range(H.sigma.s)]
-    return [[[((j + i) % H.n, row) for row in rs] for i, rs in enumerate(rows)] for j in range(H.n)]
+def _columns(H: SigmaHypergraph, rows: range) -> list[_Column]:
+    """The grid's vertex tuples over rows, one tuple per class: a recipe
+    makes them once per call and cuts every edge from them."""
+    return [tuple((c, row) for row in rows) for c in range(H.n)]
+
+
+def _edge(parts: _Parts) -> Edge:
+    """The edge of parts in pairwise distinct classes, each a run of rows
+    ascending: ordering the s parts by class (their first vertices) orders
+    the r vertices."""
+    return Edge(tuple(chain.from_iterable(sorted(parts))))
+
+
+def _diagonal_parts(H: SigmaHypergraph, columns: list[_Column], b: int) -> list[_Parts]:
+    """For each class j, the s parts of diagonal edge j of the block at
+    index b of columns: part i is the column slice of class j+i (mod n) over
+    its run of consecutive rows in the block's top r rows.  Diagonal edge j
+    is _edge(parts[j])."""
+    off = list(accumulate(H.sigma.parts, initial=b))
+    n = H.n
+    return [
+        [columns[(j + i) % n][off[i]:off[i + 1]] for i in range(H.sigma.s)] for j in range(n)
+    ]
 
 
 def diagonal_matching(
@@ -88,19 +113,22 @@ def diagonal_matching(
     takes its i-th part from class j+i (mod n), covering the block's top
     r x n subgrid."""
     _check_block(H, block_start_row, block_height)
-    return tuple(Edge.of(chain(*parts)) for parts in _diagonal_parts(H, block_start_row))
+    columns = _columns(H, range(block_start_row, block_start_row + block_height))
+    return tuple(map(_edge, _diagonal_parts(H, columns, 0)))
 
 
-def _shifted_edge(H: SigmaHypergraph, b: int, h: int, head: _Parts, tail: _Parts, t: int) -> Edge:
-    """Shifted edge of the h-high block at row b: the parts before threshold t
-    from head, the rest from tail.  In an (r+1)-high block the first part
-    trades its last row for the block's extra row, so the shifted edges cover
-    that row too."""
-    vs = list(chain(*head[:t], *tail[t:]))
+def _shifted_edge(
+    H: SigmaHypergraph, columns: list[_Column], b: int, h: int, head: _Parts, tail: _Parts, t: int
+) -> Edge:
+    """Shifted edge of the h-high block at index b of columns: the parts
+    before threshold t from head, the rest from tail.  In an (r+1)-high block
+    the first part trades its last row for the block's extra row, so the
+    shifted edges cover that row too."""
+    parts = head[:t] + tail[t:]
     if h == H.r + 1:
-        last = len(head[0]) - 1
-        vs[last] = (vs[last][0], b + H.r)
-    return Edge.of(vs)
+        first = parts[0]
+        parts[0] = first[:-1] + (columns[first[0][0]][b + H.r],)
+    return _edge(parts)
 
 
 def shifted_matching(
@@ -114,8 +142,11 @@ def shifted_matching(
     if H.n <= s:
         raise NoRecipe(f"n={H.n} <= s={s}: shifted edges would collide")
     b, h, n = block_start_row, block_height, H.n
-    parts = _diagonal_parts(H, b)
-    return tuple(_shifted_edge(H, b, h, parts[j], parts[(j + 1) % n], p) for j in range(n))
+    columns = _columns(H, range(b, b + h))
+    parts = _diagonal_parts(H, columns, 0)
+    return tuple(
+        _shifted_edge(H, columns, 0, h, parts[j], parts[(j + 1) % n], p) for j in range(n)
+    )
 
 
 def _check_size(H: SigmaHypergraph, edges: int) -> None:
@@ -158,16 +189,19 @@ def _chain_blocks(
     block's diagonal edge 0 follows the last class, and the last block wraps
     to the first."""
     edges: list[Edge] = []
+    columns = _columns(H, range(H.q))
     # each block's parts are built once, one block ahead: only the first,
     # the current and the next block's parts are alive at a time
-    first = nxt = _diagonal_parts(H, blocks[0][0])
+    first = nxt = _diagonal_parts(H, columns, blocks[0][0])
     for m, (b, h) in enumerate(blocks):
         parts = nxt
-        nxt = _diagonal_parts(H, blocks[m + 1][0]) if m + 1 < len(blocks) else first
+        nxt = _diagonal_parts(H, columns, blocks[m + 1][0]) if m + 1 < len(blocks) else first
         chained = parts + [nxt[0]]
         for j in range(H.n):
-            edges.append(Edge.of(chain(*chained[j])))
-            edges += [_shifted_edge(H, b, h, chained[j], chained[j + 1], t) for t in thresholds]
+            edges.append(_edge(chained[j]))
+            edges += [
+                _shifted_edge(H, columns, b, h, chained[j], chained[j + 1], t) for t in thresholds
+            ]
     return tuple(edges)
 
 
@@ -239,9 +273,13 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
 def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
     """Berge Hamiltonian cycle walking the grid bottom row to top row.
 
-    Edge k anchors its first part at the walk position (class k mod n,
-    counting row passes from the bottom); parts that wrap past the last
-    class sit one row higher, and row arithmetic is modulo q.
+    Edge k = rho*n + c anchors its first part at the walk position (class
+    c, row pass rho counted from the bottom): its part in class (c+i) mod n
+    is the a_i rows just above row top = q - rho - [c+i >= n], a slice of
+    that class's column, or two slices where it wraps past row 0.  So parts
+    that wrap past the last class sit one row higher, and rows wrap modulo
+    q.  The class order of the parts is computed once per c, and the vertex
+    sequence, the walk positions, reuses the same vertex tuples.
 
     Raises NoCycle where no_cycle_reason(H, KIND_BERGE) gives a reason, one
     of them fewer than nq edges (a single edge among them), and NoRecipe
@@ -257,16 +295,24 @@ def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
             f"{H}: the walk recipe does not cover a rectangular sigma with q equal to its part size"
         )
     _check_size(H, nq)
-    verts = tuple((m % n, q - 1 - (m // n)) for m in range(nq))
+    columns = _columns(H, range(q))
+    # per class c of the walk, the parts of its edges in ascending class
+    # order: the part's column, whether it wraps past the last class (and so
+    # sits one row higher) and its size
+    layouts = []
+    for c in range(n):
+        placed = sorted(((c + i) % n, (c + i) // n, a) for i, a in enumerate(sigma.parts))
+        layouts.append([(columns[cls], wrap, a) for cls, wrap, a in placed])
     edges = []
-    for k in range(nq):
-        c, rho = k % n, k // n
-        vs: list[GridVertex] = []
-        for i, a in enumerate(sigma.parts):
-            cls_raw = c + i
-            anchor = q - 1 - (rho + cls_raw // n)
-            vs += [((cls_raw % n), (anchor - d) % q) for d in range(a)]
-        edges.append(Edge.of(vs))
+    for rho in range(q):
+        for layout in layouts:
+            vs: tuple[GridVertex, ...] = ()
+            for column, wrap, a in layout:
+                # the a rows just above row top, wrapping past row 0
+                top = q - rho - wrap
+                vs += column[top - a:top] if top >= a else column[:top] + column[top - a:]
+            edges.append(Edge(vs))
+    verts = tuple(columns[c][row] for row in range(q - 1, -1, -1) for c in range(n))
     return _certify(H, KIND_BERGE, tuple(edges), verify_berge_hamiltonian, vertex_sequence=verts)
 
 

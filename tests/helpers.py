@@ -10,14 +10,26 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
 from sigmacycles.certificates import KIND_BERGE, KIND_K_INTERSECTING, KIND_SHARP, KINDS
-from sigmacycles.construct import _check_block, frobenius_decompose
+from sigmacycles.construct import (
+    _certify,
+    _check_block,
+    _check_cycle,
+    frobenius_decompose,
+)
+from sigmacycles.construct import _check_size as _check_slots
 from sigmacycles.core import (
     GridVertex,
     Partition,
     edge_count,
     enumerate_edges,
 )
-from sigmacycles.errors import BudgetExceeded, CertificateParseError, ConstructionError, NoEdgesError
+from sigmacycles.errors import (
+    BudgetExceeded,
+    CertificateParseError,
+    ConstructionError,
+    NoEdgesError,
+    NoRecipe,
+)
 from sigmacycles.export import _CELL, _PAD, _PANELS_PER_ROW, _RADIUS, _check_size
 from sigmacycles.verify import (
     TAG_CONSECUTIVE_EMPTY,
@@ -28,6 +40,7 @@ from sigmacycles.verify import (
     MaxMatchingResult,
     SharpSearchResult,
     VerificationReport,
+    verify_berge_hamiltonian,
     verify_k_intersecting,
     verify_sharp_cycle,
 )
@@ -744,6 +757,47 @@ def reference_construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCerti
         k=k,
         claimed_hamiltonian=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference Berge walk: every vertex computed with modular arithmetic and
+# every edge sorted by Edge.of.  sigmacycles.construct cuts the same edges
+# from column slices and must give byte-identical certificates and the same
+# refusals; the refusals and the gate are the library's own.
+
+
+def reference_construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
+    """Berge Hamiltonian cycle walking the grid bottom row to top row.
+
+    Edge k anchors its first part at the walk position (class k mod n,
+    counting row passes from the bottom); parts that wrap past the last
+    class sit one row higher, and row arithmetic is modulo q.
+
+    Raises NoCycle where no_cycle_reason(H, KIND_BERGE) gives a reason, one
+    of them fewer than nq edges (a single edge among them), and NoRecipe
+    for a rectangular sigma with q equal to its part size >= 2, which the
+    walk does not cover.
+    """
+    _check_cycle(H, KIND_BERGE)
+    sigma = H.sigma
+    n, q = H.n, H.q
+    nq = n * q
+    if sigma.rectangular and q == sigma.delta_max >= 2:
+        raise NoRecipe(
+            f"{H}: the walk recipe does not cover a rectangular sigma with q equal to its part size"
+        )
+    _check_slots(H, nq)
+    verts = tuple((m % n, q - 1 - (m // n)) for m in range(nq))
+    edges = []
+    for k in range(nq):
+        c, rho = k % n, k // n
+        vs: list[GridVertex] = []
+        for i, a in enumerate(sigma.parts):
+            cls_raw = c + i
+            anchor = q - 1 - (rho + cls_raw // n)
+            vs += [((cls_raw % n), (anchor - d) % q) for d in range(a)]
+        edges.append(Edge.of(vs))
+    return _certify(H, KIND_BERGE, tuple(edges), verify_berge_hamiltonian, vertex_sequence=verts)
 
 
 # ---------------------------------------------------------------------------

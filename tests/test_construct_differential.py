@@ -1,5 +1,6 @@
 """Differential tests: the single block-chain recipe against the separate
-sharp and k-intersecting recipes in helpers.py.  Certificates must serialize
+sharp and k-intersecting recipes in helpers.py, and the column-slice Berge
+walk against the per-vertex walk there.  Certificates must serialize
 to the same bytes, and a rejected call must raise the kind that NEW_KIND
 names for the reference's exception type, with the same message.  The
 allowed differences: a hypergraph with no cycle at all (r < 2, or one part
@@ -8,11 +9,13 @@ no_cycle_reason gives the edge-count window is NoCycle naming it, k < 2
 breaks the rule for k, and a degenerate k-intersecting call carries the
 shared degeneracy message."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     partitions_of,
+    reference_construct_berge_hamiltonian,
     reference_construct_k_intersecting,
     reference_construct_sharp_hamiltonian,
     reference_diagonal_matching,
@@ -22,6 +25,7 @@ from sigmacycles import (
     KIND_SHARP,
     Partition,
     certfile,
+    construct_berge_hamiltonian,
     construct_k_intersecting,
     construct_sharp_hamiltonian,
     diagonal_matching,
@@ -126,3 +130,28 @@ def test_block_matchings_match_reference(H, data):
     assert matching_outcome(diagonal_matching, H, b, h) == (NEW_KIND.get(want[0], want[0]), want[1])
     want = matching_outcome(reference_shifted_matching, H, b, h, p)
     assert matching_outcome(shifted_matching, H, b, h, p) == (NEW_KIND.get(want[0], want[0]), want[1])
+
+
+def test_berge_matches_reference():
+    # every sigma with r <= 6, n s..8, q a_1..13: 2,062 hypergraphs, 1,578
+    # certificates.  The walk's parts wrap past row 0 and past the last
+    # class; each refusal keeps its kind and message
+    hypergraphs = built = 0
+    for parts in SIGMAS:
+        sigma = Partition(parts)
+        for n in range(sigma.s, 9):
+            for q in range(sigma.delta_max, 14):
+                H = make_hypergraph(n, q, sigma)
+                got = outcome(construct_berge_hamiltonian, H)
+                assert got == outcome(reference_construct_berge_hamiltonian, H), H
+                hypergraphs += 1
+                built += got[0] == "ok"
+    assert (hypergraphs, built) == (2062, 1578)
+
+
+@pytest.mark.parametrize("sigma, n, q", [((3, 2, 1), 60, 120), ((2, 1), 40, 120)])
+def test_berge_benchmark_sizes_match_reference(sigma, n, q):
+    # the 7,200- and 4,800-edge walks of the file-roundtrip benchmark
+    H = make_hypergraph(n, q, Partition(sigma))
+    got = certfile.dumps(construct_berge_hamiltonian(H))
+    assert got == certfile.dumps(reference_construct_berge_hamiltonian(H))

@@ -2,7 +2,8 @@
 search finds no cycle wherever a constructor raises it, and no_cycle_reason
 gives no reason wherever a constructor builds a verified cycle.  And no
 refusal comes from the verifier gate: every one is decided before an edge
-is built."""
+is built.  Every edge a constructor or matching builds is canonical, though
+no recipe sorts one."""
 
 from helpers import (
     berge_hamiltonian_exists,
@@ -10,14 +11,17 @@ from helpers import (
     reference_brute_force_sharp_hamiltonian_exists,
 )
 from sigmacycles import (
+    Edge,
     NoCycle,
     NoRecipe,
     Partition,
     construct_berge_hamiltonian,
     construct_k_intersecting,
     construct_sharp_hamiltonian,
+    diagonal_matching,
     make_hypergraph,
     no_cycle_reason,
+    shifted_matching,
 )
 
 
@@ -42,15 +46,29 @@ def refusal(build, *args):
     return None
 
 
+def canonical(edges):
+    """True when every edge is its own Edge.of: vertices sorted, none
+    repeated.  The recipes cut edges from column slices and never sort."""
+    return all(e == Edge.of(e.vertices) for e in edges)
+
+
 def test_no_refusal_reaches_the_gate():
     # every sigma with r <= 6, n s..8, q a_1..13: 2,062 hypergraphs, 3,594
     # certificates and 6,994 refusals.  A split index outside 1..s-1 and
     # k < 2 are usage errors, tested apart.  Every certificate built is
-    # verified, so no nonexistence rule may fire on its kind
+    # verified, so no nonexistence rule may fire on its kind, and its edges
+    # are canonical, as are those of both matchings on the top and bottom
+    # block of each height
     hypergraphs = refused = built = 0
     for H in grid(6, 8, 13):
         hypergraphs += 1
         s = H.sigma.s
+        for h in (H.r, H.r + 1):
+            for b in {0, H.q - h} if h <= H.q else ():
+                assert canonical(diagonal_matching(H, b, h)), (H, b, h)
+                if H.n > s:
+                    for p in range(1, s):
+                        assert canonical(shifted_matching(H, b, h, p)), (H, b, h, p)
         calls = [(construct_berge_hamiltonian,)]
         calls += [(construct_sharp_hamiltonian, p) for p in range(1, max(s, 2))]
         calls += [(construct_k_intersecting, k) for k in range(2, s + 2)]
@@ -62,6 +80,7 @@ def test_no_refusal_reaches_the_gate():
                 refused += 1
             else:
                 assert no_cycle_reason(H, cert.kind) is None, (H, build.__name__, args)
+                assert canonical(cert.edges), (H, build.__name__, args)
                 built += 1
     assert (hypergraphs, built, refused) == (2062, 3594, 6994)
 
