@@ -3,13 +3,17 @@
 Field order is fixed (schema_version, hypergraph, cycle, claims) and all
 indices are 0-based, so identical certificates serialize byte-identically.
 The writer emits the layout of `json.dumps(doc, indent=2)` directly: each
-edge is one %-format over a template cached per vertex count.
+array is one %-format of the flat tuple of its values, over a template
+joined from per-item templates (an edge's is cached per vertex count), and
+the document is one list of fragments joined once.
 
 The reader checks the shape of untrusted files and leaves their values to
 the value types, which are strict about types (a boolean is not an
 integer).  Any file that is unreadable, not JSON or not a valid certificate
-raises CertificateParseError.  Each vertex list is checked in one pass over
-its vertices, and a message names the first failing edge in file order.
+raises CertificateParseError.  One loop accepts every valid edge; any other
+edge, and vertex_sequence, goes to _vertices, the one statement of the
+checks and their messages, and a message names the first failing edge in
+file order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Optional
+from typing import Any, Iterable, NoReturn, Optional, Sequence
 
 from .certificates import KIND_BERGE, CycleCertificate
 from .core import Edge, GridVertex, Partition, SigmaHypergraph
@@ -28,53 +32,68 @@ from .errors import CertificateParseError
 SCHEMA_VERSION = "1"
 
 
-def _block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
-    """Join already-rendered items the way json.dumps(indent=2) lays out an
-    array (brackets "[]") or an object ("{}") nested `depth` levels deep."""
+def _block(items: Iterable[Sequence[str]], depth: int, brackets: str = "[]") -> list[str]:
+    """The fragments of an array (brackets "[]") or an object ("{}") nested
+    `depth` levels deep, laid out as json.dumps(indent=2) lays it out.  Each
+    item is the fragments of one element or member, which are not copied."""
     pad = "\n" + "  " * (depth + 1)
-    body = ("," + pad).join(items)
-    return brackets[0] + pad + body + pad[:-2] + brackets[1] if body else brackets
+    out = [brackets[0] + pad]
+    for item in items:
+        out += item
+        out.append("," + pad)
+    if len(out) == 1:
+        return [brackets]
+    out[-1] = pad[:-2] + brackets[1]
+    return out
 
 
-def _member(key: str, value: Any) -> str:
-    return f'"{key}": {json.dumps(value)}'
+def _array(templates: Iterable[str], values: Iterable[int], depth: int) -> str:
+    """An array written by one %-format: the item %-templates laid out as
+    one template, filled with the values in order."""
+    return "".join(_block(((t,) for t in templates), depth)) % tuple(values)
+
+
+def _member(key: str, value: Any) -> tuple[str]:
+    return (f'"{key}": {json.dumps(value)}',)
 
 
 # One [c, row] pair inside an edge (depth 4) and inside vertex_sequence (depth 3).
-_EDGE_VERTEX = _block(("%d", "%d"), 4)
-_SEQUENCE_VERTEX = _block(("%d", "%d"), 3)
+_EDGE_VERTEX = "".join(_block((("%d",), ("%d",)), 4))
+_SEQUENCE_VERTEX = "".join(_block((("%d",), ("%d",)), 3))
 
 
 @cache
 def _edge_format(size: int) -> str:
     """The %-template of an edge item with `size` vertices (depth 3): a %d
     per coordinate."""
-    return _block((_EDGE_VERTEX,) * size, 3)
+    return "".join(_block(((_EDGE_VERTEX,),) * size, 3))
 
 
 def dumps(cert: CycleCertificate) -> str:
     """The file text: json.dumps(doc, indent=2) + "\n" of the schema document.
-    Vertex coordinates are written with %d, so they must be ints, as the
-    constructors and the reader make them."""
+    Each array is one %-format of the flat tuple of its values (_array), and
+    the document is one list of fragments joined once, so no level copies
+    the text below it.  Vertex coordinates are written with %d, so they must
+    be ints, as the constructors and the reader make them."""
     H = cert.hypergraph
+    parts = H.sigma.parts
     hypergraph = [
         _member("n", H.n),
         _member("q", H.q),
-        '"sigma": ' + _block(map(json.dumps, H.sigma.parts), 2),
+        ('"sigma": ', _array(("%d",) * len(parts), parts, 2)),
     ]
     cycle = [_member("kind", cert.kind)]
     if cert.k is not None:
         cycle.append(_member("k", cert.k))
     if cert.split_index is not None:
         cycle.append(_member("split_index", cert.split_index))
-    edges = (
-        _edge_format(len(e.vertices)) % tuple(chain.from_iterable(e.vertices))
-        for e in cert.edges
-    )
-    cycle.append('"edges": ' + _block(edges, 2))
-    if cert.vertex_sequence is not None:
-        sequence = map(_SEQUENCE_VERTEX.__mod__, cert.vertex_sequence)
-        cycle.append('"vertex_sequence": ' + _block(sequence, 2))
+    vertices = [e.vertices for e in cert.edges]
+    coordinates = chain.from_iterable(chain.from_iterable(vertices))
+    cycle.append(('"edges": ', _array(map(_edge_format, map(len, vertices)), coordinates, 2)))
+    sequence = cert.vertex_sequence
+    if sequence is not None:
+        templates = (_SEQUENCE_VERTEX,) * len(sequence)
+        cycle.append(('"vertex_sequence": ', _array(templates, chain.from_iterable(sequence), 2)))
     claims = [_member("hamiltonian", cert.claimed_hamiltonian)]
     if cert.claimed_t is not None:
         claims.append(_member("t", cert.claimed_t))
@@ -82,11 +101,11 @@ def dumps(cert: CycleCertificate) -> str:
         claims.append(_member("z", cert.claimed_z))
     top = [
         _member("schema_version", SCHEMA_VERSION),
-        '"hypergraph": ' + _block(hypergraph, 1, "{}"),
-        '"cycle": ' + _block(cycle, 1, "{}"),
-        '"claims": ' + _block(claims, 1, "{}"),
+        ('"hypergraph": ', *_block(hypergraph, 1, "{}")),
+        ('"cycle": ', *_block(cycle, 1, "{}")),
+        ('"claims": ', *_block(claims, 1, "{}")),
     ]
-    return _block(top, 0, "{}") + "\n"
+    return "".join([*_block(top, 0, "{}"), "\n"])
 
 
 def write_certificate(cert: CycleCertificate, path: str | Path) -> None:
@@ -145,8 +164,9 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     """The certificate a parsed JSON document holds.
 
     The reader checks only the document's shape: the objects and arrays,
-    schema_version, a nonempty cycle.edges, each vertex list (_vertices), and
-    a Berge cycle's vertex_sequence.  Partition, SigmaHypergraph and
+    schema_version, a nonempty cycle.edges, each vertex list (_vertices,
+    reached only by an edge the loop below does not accept), and a Berge
+    cycle's vertex_sequence.  Partition, SigmaHypergraph and
     CycleCertificate check the values, and their ValueError becomes
     CertificateParseError, prefixed "invalid hypergraph parameters: " for
     the hypergraph's.
@@ -166,7 +186,26 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     _expect(type(cycle) is dict, "missing cycle object")
     edges_raw = cycle.get("edges")
     _expect(type(edges_raw) is list and edges_raw, "cycle.edges must be a nonempty array")
-    edges = tuple(Edge(_vertices(e_raw, H, idx)) for idx, e_raw in enumerate(edges_raw))
+    # an edge of r distinct [int, int] pairs in range is built here, and any
+    # other goes to _vertices, which raises with the first failing check
+    n, q, r = H.n, H.q, H.r
+    edges = []
+    for idx, items in enumerate(edges_raw):
+        if type(items) is list and len(items) == r:
+            vs = []
+            for item in items:
+                if type(item) is not list or len(item) != 2:
+                    break
+                c, row = item
+                if type(c) is not int or type(row) is not int or not (0 <= c < n and 0 <= row < q):
+                    break
+                vs.append((c, row))
+            else:
+                vs.sort()
+                if len(set(vs)) == r:
+                    edges.append(Edge(tuple(vs)))
+                    continue
+        edges.append(Edge(_vertices(items, H, idx)))
     kind = cycle.get("kind")
     vseq = cycle.get("vertex_sequence")
     if kind == KIND_BERGE:
@@ -180,7 +219,7 @@ def from_json_dict(doc: Any) -> CycleCertificate:
         return CycleCertificate(
             hypergraph=H,
             kind=kind,
-            edges=edges,
+            edges=tuple(edges),
             k=cycle.get("k"),
             split_index=cycle.get("split_index"),
             vertex_sequence=vseq,

@@ -381,10 +381,17 @@ def _load_ceiling(sigma: Partition) -> Callable[..., int]:
 
 
 def matching_upper_bound(H: SigmaHypergraph) -> int:
-    """An upper bound on the maximum matching size of H: the class-load
-    ceiling (see _load_ceiling) of n classes of capacity q, with which
-    brute_force_max_matching prunes its root.  O(s) time."""
-    return _load_ceiling(H.sigma)(((H.q, H.n),))
+    """An upper bound on the maximum matching size of H: the least of the
+    class-load ceiling (see _load_ceiling) of n classes of capacity q, with
+    which brute_force_max_matching prunes its root, and, when n = s,
+    1 + floor((q - a_1)/a_s).  Then every copy of sigma puts one part in
+    every class, so the class that holds one copy's a_1 also holds a part
+    of at least a_s from each other copy.  O(s) time."""
+    nu = _load_ceiling(H.sigma)(((H.q, H.n),))
+    parts = H.sigma.parts
+    if H.n == len(parts):
+        nu = min(nu, 1 + (H.q - parts[0]) // parts[-1])
+    return nu
 
 
 def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[int, int]:
@@ -504,9 +511,9 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     f(state) = max(0, 1 + max over children of f(child)), memoised.  A
     state stops branching once it reaches the ceiling of its capacities
     (see _load_ceiling: the gcd and part-slot terms); at the root that is
-    matching_upper_bound(H).  The search is depth first over an explicit
-    stack, so its depth (nu) is not bounded by the recursion limit, and the
-    first descent is a greedy packing.  nodes counts the states expanded:
+    matching_upper_bound(H) without its n = s term.  The search is depth
+    first over an explicit stack, so its depth (nu) is not bounded by the
+    recursion limit, and the first descent is a greedy packing.  nodes counts the states expanded:
     the memo misses with room for r more vertices (a state with fewer is
     worth 0).  When nodes exceeds the budget the largest packing found so
     far is returned flagged inexact.  Builds no edge index, so any H is

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -66,6 +67,39 @@ def test_serialization_is_deterministic():
     assert dumps(cert) == dumps(cert)
     doc = json.loads(dumps(cert))
     assert list(doc) == ["schema_version", "hypergraph", "cycle", "claims"]
+
+
+def test_dumps_memory_is_near_its_text():
+    # the 7,200-edge Berge walk: one %-format per array and one join of the
+    # document, so the peak is the edge list's template and its text (about
+    # twice the text), not a copy of the body per nesting level
+    cert = construct_berge_hamiltonian(make_hypergraph(60, 120, parse_partition("3,2,1")))
+    tracemalloc.start()
+    try:
+        text = dumps(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.edges) == 7200
+    assert peak <= 2.5 * len(text)
+
+
+@pytest.mark.parametrize("cert", list(certs())[:2], ids=lambda c: c.kind)
+def test_valid_edges_skip_vertices(cert, monkeypatch, tmp_path):
+    # the accept loop builds every valid edge itself; _vertices runs only
+    # for a Berge cycle's vertex_sequence, where it gets no edge index
+    path = tmp_path / "cert.json"
+    write_certificate(cert, path)
+    calls = []
+    check = certfile._vertices
+
+    def counted(*args):
+        calls.append(args[2:])
+        return check(*args)
+
+    monkeypatch.setattr(certfile, "_vertices", counted)
+    assert read_certificate(path) == cert
+    assert calls == ([()] if cert.kind == "berge" else [])
 
 
 def base_doc():

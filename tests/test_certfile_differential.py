@@ -270,8 +270,8 @@ def test_arbitrary_json_raises_only_parse_errors(base, replacements, data):
     assert dumps(from_json_dict(json.loads(text))) == text
 
 
-# A bad vertex at the first or the last edge: the reader must name the same
-# edge with the same message as the reference.
+# A bad vertex at the first, a middle or the last edge: the reader must name
+# the same edge with the same message as the reference.
 EDGE_MUTATIONS = {
     "row-out-of-range": lambda edges, i, doc: edges[i][0].__setitem__(1, doc["hypergraph"]["q"]),
     "column-negative": lambda edges, i, doc: edges[i][-1].__setitem__(0, -1),
@@ -294,14 +294,15 @@ EDGE_MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("mutation", sorted(EDGE_MUTATIONS))
 @pytest.mark.parametrize("base", range(len(BASES)))
 def test_bad_first_or_last_edge_matches_reference(base, mutation, position):
     doc = copy.deepcopy(BASES[base])
     edges = doc["cycle"]["edges"]
-    EDGE_MUTATIONS[mutation](edges, position, doc)
+    i = {"first": 0, "middle": len(edges) // 2, "last": len(edges) - 1}[position]
+    EDGE_MUTATIONS[mutation](edges, i, doc)
     got = outcome(from_json_dict, doc)
     assert got[0] == "error"
     assert got == outcome(reference_from_json_dict, doc)
-    assert f"edge {position % len(edges)}" in got[1]
+    assert f"edge {i}" in got[1]

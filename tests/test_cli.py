@@ -366,20 +366,22 @@ class TestBounds:
 
     @pytest.mark.parametrize("sigma, n, q", [("4,1,1", "3", "4"), ("3,1,1,1", "4", "3")])
     def test_matching_bound_gap_at_r6(self, capsys, sigma, n, q):
-        # the class-load ceiling is not tight here: it allows a matching of
-        # 2 where the exact nu is 1, so bounds alone is inconclusive.  The
-        # oracle's exact nu, passed back as --nu, refutes, and the sharp
-        # search over the whole window [4, 4] agrees
+        # the class-load ceiling alone allows a matching of 2 here, where the
+        # exact nu is 1.  n = s closes the gap: every copy of sigma puts a
+        # part in every class, so nu <= 1 + (q - a_1) // a_s = 1.  bounds
+        # refutes without --nu, the oracle's exact nu agrees, the sharp
+        # search over the whole window [4, 4] finds nothing, and the sharp
+        # constructor's refusal is a proof
         hg = ["--sigma", sigma, "--n", n, "--q", q]
-        window = "sharp cycle edge-count window: [4, 4]\nmax matching <= 2\n"
-        assert run(capsys, "bounds", *hg)[:2] == (0, f"vertices: 12\n{window}INCONCLUSIVE\n")
-        assert run(capsys, "oracle", "max-matching", *hg)[:2] == (0, "1\n")
-        assert run(capsys, "bounds", *hg, "--nu", "1")[:2] == (0, (
-            f"vertices: 12\n{window}"
+        assert run(capsys, "bounds", *hg)[:2] == (0, (
+            "vertices: 12\nsharp cycle edge-count window: [4, 4]\nmax matching <= 1\n"
             "refuted: edge-count window [4, 4] and max matching <= 1 leave no sharp cycle\n"
             "REFUTES-SHARP-HC\n"
         ))
+        assert run(capsys, "oracle", "max-matching", *hg)[:2] == (0, "1\n")
         assert run(capsys, "oracle", "sharp-exists", *hg, "--max-len", "4") == (0, "exhausted\n", "")
+        code, _, err = run(capsys, "construct", "--kind", "sharp", *hg)
+        assert code == 3 and err.startswith("construct: NoCycle: ")
 
     @pytest.mark.parametrize(
         "sigma, n, q",

@@ -286,6 +286,17 @@ def test_matching_upper_bound_brackets_nu(sigma, n, q):
     assert ref.nu <= matching_upper_bound(H) <= n * (q - q % d) // H.r
 
 
+@pytest.mark.parametrize("sigma", [sigma for r in range(1, 8) for sigma in partitions_of(r)], ids=str)
+def test_matching_upper_bound_at_n_equals_s(sigma):
+    # n = s adds the term 1 + (q - a_1) // a_s; the bound never falls below
+    # the exact nu (q >= a_1, or H has no edges)
+    for q in range(sigma[0], sigma[0] + 7):
+        H = make_hypergraph(len(sigma), q, Partition(sigma))
+        exact = brute_force_max_matching(H)
+        assert exact.exact
+        assert exact.nu <= matching_upper_bound(H)
+
+
 def test_oracles_build_no_index(monkeypatch):
     # both searches read only n, q and sigma: no enumerated edge, no edge
     # count and no vertex -> edge index.  The sharp oracle's one incidence
