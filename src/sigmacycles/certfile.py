@@ -10,10 +10,8 @@ the document is one list of fragments joined once.
 The reader checks the shape of untrusted files and leaves their values to
 the value types, which are strict about types (a boolean is not an
 integer).  Any file that is unreadable, not JSON or not a valid certificate
-raises CertificateParseError.  One loop accepts every valid edge; any other
-edge, and vertex_sequence, goes to _vertices, the one statement of the
-checks and their messages, and a message names the first failing edge in
-file order.
+raises CertificateParseError.  Each vertex list is checked in one pass over
+its vertices, and a message names the first failing edge in file order.
 """
 
 from __future__ import annotations
@@ -125,9 +123,12 @@ def _fail(edge: Optional[int], message: str) -> NoReturn:
     raise CertificateParseError(where + message)
 
 
-def _vertices(items: Any, H: SigmaHypergraph, edge: Optional[int] = None) -> tuple[GridVertex, ...]:
+def _vertices(
+    items: Any, H: SigmaHypergraph, edge: Optional[int] = None, r: int = 0
+) -> tuple[GridVertex, ...]:
     """Validate one JSON vertex list in a single pass and return its vertices:
-    cycle.edges[edge], or vertex_sequence when edge is None.
+    cycle.edges[edge], which must hold r = H.r vertices (passed in, so the
+    caller derives it once per file), or vertex_sequence when edge is None.
 
     Checks, in order: an array of [c, row] integer pairs; for an edge, r
     vertices and no duplicate, and the vertices come back sorted; every
@@ -149,7 +150,6 @@ def _vertices(items: Any, H: SigmaHypergraph, edge: Optional[int] = None) -> tup
             bad = item
         vs.append((c, row))
     if edge is not None:
-        r = H.r
         if len(vs) != r:
             _fail(edge, f" has {len(vs)} vertices, expected r={r}")
         vs.sort()
@@ -164,9 +164,8 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     """The certificate a parsed JSON document holds.
 
     The reader checks only the document's shape: the objects and arrays,
-    schema_version, a nonempty cycle.edges, each vertex list (_vertices,
-    reached only by an edge the loop below does not accept), and a Berge
-    cycle's vertex_sequence.  Partition, SigmaHypergraph and
+    schema_version, a nonempty cycle.edges, each vertex list (_vertices), and
+    a Berge cycle's vertex_sequence.  Partition, SigmaHypergraph and
     CycleCertificate check the values, and their ValueError becomes
     CertificateParseError, prefixed "invalid hypergraph parameters: " for
     the hypergraph's.
@@ -186,26 +185,8 @@ def from_json_dict(doc: Any) -> CycleCertificate:
     _expect(type(cycle) is dict, "missing cycle object")
     edges_raw = cycle.get("edges")
     _expect(type(edges_raw) is list and edges_raw, "cycle.edges must be a nonempty array")
-    # an edge of r distinct [int, int] pairs in range is built here, and any
-    # other goes to _vertices, which raises with the first failing check
-    n, q, r = H.n, H.q, H.r
-    edges = []
-    for idx, items in enumerate(edges_raw):
-        if type(items) is list and len(items) == r:
-            vs = []
-            for item in items:
-                if type(item) is not list or len(item) != 2:
-                    break
-                c, row = item
-                if type(c) is not int or type(row) is not int or not (0 <= c < n and 0 <= row < q):
-                    break
-                vs.append((c, row))
-            else:
-                vs.sort()
-                if len(set(vs)) == r:
-                    edges.append(Edge(tuple(vs)))
-                    continue
-        edges.append(Edge(_vertices(items, H, idx)))
+    r = H.r
+    edges = tuple(Edge(_vertices(e_raw, H, idx, r)) for idx, e_raw in enumerate(edges_raw))
     kind = cycle.get("kind")
     vseq = cycle.get("vertex_sequence")
     if kind == KIND_BERGE:
@@ -219,7 +200,7 @@ def from_json_dict(doc: Any) -> CycleCertificate:
         return CycleCertificate(
             hypergraph=H,
             kind=kind,
-            edges=tuple(edges),
+            edges=edges,
             k=cycle.get("k"),
             split_index=cycle.get("split_index"),
             vertex_sequence=vseq,

@@ -513,9 +513,9 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     (see _load_ceiling: the gcd and part-slot terms); at the root that is
     matching_upper_bound(H) without its n = s term.  The search is depth
     first over an explicit stack, so its depth (nu) is not bounded by the
-    recursion limit, and the first descent is a greedy packing.  nodes counts the states expanded:
-    the memo misses with room for r more vertices (a state with fewer is
-    worth 0).  When nodes exceeds the budget the largest packing found so
+    recursion limit, and the first descent is a greedy packing.  nodes
+    counts the states expanded: the memo misses with room for r more
+    vertices (a state with fewer is worth 0).  When nodes exceeds the budget the largest packing found so
     far is returned flagged inexact.  Builds no edge index, so any H is
     answered, whatever its edge count: the budget alone bounds time and
     memory, as the memo and the path hold one entry per state expanded.

@@ -84,24 +84,6 @@ def test_dumps_memory_is_near_its_text():
     assert peak <= 2.5 * len(text)
 
 
-@pytest.mark.parametrize("cert", list(certs())[:2], ids=lambda c: c.kind)
-def test_valid_edges_skip_vertices(cert, monkeypatch, tmp_path):
-    # the accept loop builds every valid edge itself; _vertices runs only
-    # for a Berge cycle's vertex_sequence, where it gets no edge index
-    path = tmp_path / "cert.json"
-    write_certificate(cert, path)
-    calls = []
-    check = certfile._vertices
-
-    def counted(*args):
-        calls.append(args[2:])
-        return check(*args)
-
-    monkeypatch.setattr(certfile, "_vertices", counted)
-    assert read_certificate(path) == cert
-    assert calls == ([()] if cert.kind == "berge" else [])
-
-
 def base_doc():
     cert = construct_sharp_hamiltonian(make_hypergraph(3, 6, parse_partition("2,1")))
     return json.loads(dumps(cert))
