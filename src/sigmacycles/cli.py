@@ -124,35 +124,33 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     from .verify import matching_upper_bound, no_cycle_reason, sharp_cycle_bounds
 
     H = _hypergraph(args)
-    # both raise ValueError (r < 2 first, then nu < 0) before anything prints
+    # raises ValueError for r < 2 before anything prints
     lo, hi = sharp_cycle_bounds(H)
-    nu = matching_upper_bound(H)
-    reason = no_cycle_reason(H, KIND_SHARP, nu if args.nu is None else min(nu, args.nu))
+    reason = no_cycle_reason(H, KIND_SHARP)
     print(f"vertices: {H.vertex_count}")
     print(f"sharp cycle edge-count window: [{lo}, {hi}]")
-    print(f"max matching <= {nu}")
+    print(f"max matching <= {matching_upper_bound(H)}")
     if reason is not None:
         print(f"refuted: {reason}")
     print("INCONCLUSIVE" if reason is None else "REFUTES-SHARP-HC")
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .verify import (
-        brute_force_max_matching,
-        brute_force_sharp_hamiltonian_exists,
-        no_cycle_reason,
-        sharp_cycle_bounds,
-    )
+def _cmd_max_matching(args: argparse.Namespace) -> int:
+    from .verify import brute_force_max_matching
+
+    result = brute_force_max_matching(_hypergraph(args), budget=args.budget)
+    if result.exact:
+        print(result.nu)
+    else:
+        print(f">= {result.nu} (inexact, budget exhausted)")
+    return EXIT_OK
+
+
+def _cmd_sharp_exists(args: argparse.Namespace) -> int:
+    from .verify import brute_force_sharp_hamiltonian_exists, no_cycle_reason, sharp_cycle_bounds
 
     H = _hypergraph(args)
-    if args.oracle == "max-matching":
-        result = brute_force_max_matching(H, budget=args.budget)
-        if result.exact:
-            print(result.nu)
-        else:
-            print(f">= {result.nu} (inexact, budget exhausted)")
-        return EXIT_OK
     result = brute_force_sharp_hamiltonian_exists(H, max_len=args.max_len, budget=args.budget)
     if result.status == "found":
         print(f"found ({len(result.certificate.edges)} edges)")
@@ -221,16 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="matching and sharp-cycle bounds")
     _add_hypergraph_args(sp)
-    sp.add_argument("--nu", type=int, help="known maximum matching size or upper bound")
     sp.set_defaults(func=_cmd_bounds)
 
-    sp = sub.add_parser("oracle", help="brute-force oracles")
-    sp.add_argument("oracle", choices=["max-matching", "sharp-exists"])
+    oracles = sub.add_parser("oracle", help="brute-force oracles").add_subparsers(
+        dest="oracle", required=True
+    )
+    sp = oracles.add_parser("max-matching", help="exact maximum matching size")
+    _add_hypergraph_args(sp)
+    sp.add_argument("--budget", type=int, default=2_000_000, help="search state budget")
+    sp.set_defaults(func=_cmd_max_matching)
+
+    sp = oracles.add_parser("sharp-exists", help="search for a sharp Hamiltonian cycle")
     _add_hypergraph_args(sp)
     sp.add_argument("--budget", type=int, default=2_000_000, help="search node budget")
-    sp.add_argument("--max-len", type=int, default=12, help="maximum cycle length (sharp-exists)")
+    sp.add_argument("--max-len", type=int, default=12, help="maximum cycle length")
     sp.add_argument("-o", "--output", help="write a found certificate here")
-    sp.set_defaults(func=_cmd_oracle)
+    sp.set_defaults(func=_cmd_sharp_exists)
 
     sp = sub.add_parser("enumerate", help="stream or count edges")
     _add_hypergraph_args(sp)

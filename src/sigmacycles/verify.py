@@ -360,11 +360,14 @@ def _load_ceiling(sigma: Partition) -> Callable[..., int]:
     floor(sum of floor(c/a) / m) over the terms (a, m).  The gcd term
     (d, r/d): every class load is a sum of parts, so a multiple of
     d = gcd(sigma).  A slot term (a, m_a) for each part size a: a class
-    holds at most floor(c/a) of the m_a parts of size a or more.  The
+    holds at most floor(c/a) of the m_a parts of size a or more.  With
+    exactly s classes, also max(0, 1 + floor((c_max - a_1)/a_s)): every copy
+    then puts one part in every class, so the class that holds one copy's
+    a_1 also holds a part of at least a_s from each other copy.  The
     returned function takes the capacities run-length encoded, as
-    (capacity, classes) pairs.
+    (capacity, classes) pairs, capacities in descending order.
     """
-    parts, r, d = sigma.parts, sigma.r, sigma.gcd_parts
+    parts, r, d, s = sigma.parts, sigma.r, sigma.gcd_parts, sigma.s
     # parts are non-increasing, so the parts >= a end at the last a.  A slot
     # term with a = d is never below the gcd term (m_d <= s <= r/d), so a
     # rectangular sigma has the gcd term alone
@@ -375,23 +378,18 @@ def _load_ceiling(sigma: Partition) -> Callable[..., int]:
         best = sum([c // d * k for c, k in groups]) // units
         for a, m in slots:
             best = min(best, sum([c // a * k for c, k in groups]) // m)
+        if sum([k for _, k in groups]) == s:
+            best = min(best, max(0, 1 + (groups[0][0] - parts[0]) // parts[-1]))
         return best
 
     return ceiling
 
 
 def matching_upper_bound(H: SigmaHypergraph) -> int:
-    """An upper bound on the maximum matching size of H: the least of the
-    class-load ceiling (see _load_ceiling) of n classes of capacity q, with
-    which brute_force_max_matching prunes its root, and, when n = s,
-    1 + floor((q - a_1)/a_s).  Then every copy of sigma puts one part in
-    every class, so the class that holds one copy's a_1 also holds a part
-    of at least a_s from each other copy.  O(s) time."""
-    nu = _load_ceiling(H.sigma)(((H.q, H.n),))
-    parts = H.sigma.parts
-    if H.n == len(parts):
-        nu = min(nu, 1 + (H.q - parts[0]) // parts[-1])
-    return nu
+    """An upper bound on the maximum matching size of H: the class-load
+    ceiling (see _load_ceiling) of n classes of capacity q, with which
+    brute_force_max_matching prunes its root.  O(s) time."""
+    return _load_ceiling(H.sigma)(((H.q, H.n),))
 
 
 def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[int, int]:
@@ -407,7 +405,7 @@ def sharp_cycle_bounds(H: SigmaHypergraph) -> tuple[int, int]:
     return max(4, -(-nq // (H.r - 1))), 2 * nq // H.r
 
 
-def no_cycle_reason(H: SigmaHypergraph, kind: str, nu: Optional[int] = None) -> Optional[str]:
+def no_cycle_reason(H: SigmaHypergraph, kind: str) -> Optional[str]:
     """The reason no cycle of kind exists in H, or None when no rule here
     proves it.  Every rule is a proof, tried in this order:
     - r < 2: an edge of one vertex links no two cycle vertices;
@@ -416,13 +414,8 @@ def no_cycle_reason(H: SigmaHypergraph, kind: str, nu: Optional[int] = None) -> 
     - Berge: fewer than nq edges, where a cycle through all nq vertices
       has nq distinct edges;
     - sharp: the window [lo, hi] of sharp_cycle_bounds is empty, or
-      floor(lo/2) > nu, since the alternate edges e_1, e_3, ... of a cycle
-      of m edges form a matching of floor(m/2).  nu is at least the true
-      maximum matching size, matching_upper_bound(H) when not given.
-    Raises ValueError, before any rule, when nu < 0, which no matching size
-    can be."""
-    if nu is not None and nu < 0:
-        raise ValueError(f"matching size nu must be >= 0, got {nu}")
+      floor(lo/2) > matching_upper_bound(H), since the alternate edges
+      e_1, e_3, ... of a cycle of m edges form a matching of floor(m/2)."""
     if H.r < 2:
         return "an edge of one vertex links no two cycle vertices"
     if H.sigma.s == 1 and H.n >= 2:
@@ -431,7 +424,7 @@ def no_cycle_reason(H: SigmaHypergraph, kind: str, nu: Optional[int] = None) -> 
         return f"too few edges for a cycle through all {H.vertex_count} vertices"
     if kind == KIND_SHARP:
         lo, hi = sharp_cycle_bounds(H)
-        nu = matching_upper_bound(H) if nu is None else nu
+        nu = matching_upper_bound(H)
         if lo > hi or lo // 2 > nu:
             return f"edge-count window [{lo}, {hi}] and max matching <= {nu} leave no sharp cycle"
     return None
@@ -510,13 +503,13 @@ def brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_000) -> Max
     type per class, its capacity), made one at a time, and
     f(state) = max(0, 1 + max over children of f(child)), memoised.  A
     state stops branching once it reaches the ceiling of its capacities
-    (see _load_ceiling: the gcd and part-slot terms); at the root that is
-    matching_upper_bound(H) without its n = s term.  The search is depth
-    first over an explicit stack, so its depth (nu) is not bounded by the
-    recursion limit, and the first descent is a greedy packing.  nodes
-    counts the states expanded: the memo misses with room for r more
-    vertices (a state with fewer is worth 0).  When nodes exceeds the budget the largest packing found so
-    far is returned flagged inexact.  Builds no edge index, so any H is
+    (see _load_ceiling); at the root that is matching_upper_bound(H).  The
+    search is depth first over an explicit stack, so its depth (nu) is not
+    bounded by the recursion limit, and the first descent is a greedy
+    packing.  nodes counts the states expanded: the memo misses with room
+    for r more vertices (a state with fewer is worth 0).  When nodes
+    exceeds the budget the largest packing found so far is returned
+    flagged inexact.  Builds no edge index, so any H is
     answered, whatever its edge count: the budget alone bounds time and
     memory, as the memo and the path hold one entry per state expanded.
     Never raises BudgetExceeded; raises ValueError when budget < 0.

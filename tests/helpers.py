@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cmp_to_key
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from functools import cache, cmp_to_key
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from sigmacycles import CycleCertificate, Edge, SharpnessProfile, SigmaHypergraph, is_edge
 from sigmacycles.certfile import SCHEMA_VERSION
@@ -425,6 +425,29 @@ def reference_brute_force_max_matching(H: SigmaHypergraph, budget: int = 2_000_0
 
     rec(np.ones(len(edges), dtype=bool), 0)
     return MaxMatchingResult(best, exact, nodes)
+
+
+def reference_packing(parts: Sequence[int], classes: int) -> Callable[[Sequence[int]], int]:
+    """The exact number of copies of sigma (its parts) that pack into
+    classes of the given capacities, each copy's parts in distinct classes.
+    The returned function takes a tuple of that many capacities and tries
+    every injective placement of the parts, as every distinct arrangement
+    of the parts padded with zeros (a class that takes 0 is untouched),
+    memoised on the sorted capacities.  Slow: for small capacities only."""
+    placements = set(itertools.permutations(tuple(parts) + (0,) * (classes - len(parts))))
+
+    @cache
+    def copies(caps: tuple[int, ...]) -> int:
+        return max(
+            [
+                1 + copies(tuple(sorted([c - a for c, a in zip(caps, placement)])))
+                for placement in placements
+                if all(c >= a for c, a in zip(caps, placement))
+            ],
+            default=0,
+        )
+
+    return lambda caps: copies(tuple(sorted(caps)))
 
 
 def reference_brute_force_sharp_hamiltonian_exists(

@@ -118,7 +118,8 @@ def test_criterion_04_square_nonexistence():
         result = brute_force_max_matching(H)
         assert result.exact
         assert result.nu == 1
-        assert no_cycle_reason(H, KIND_SHARP, result.nu) == (
+        assert matching_upper_bound(H) == result.nu
+        assert no_cycle_reason(H, KIND_SHARP) == (
             "edge-count window [4, 5] and max matching <= 1 leave no sharp cycle"
         )
         # nq/(r-1) = 25/8: a cycle of at least 4 edges needs a matching of 2

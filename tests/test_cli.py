@@ -264,41 +264,22 @@ class TestUnwritableOutput:
 
 class TestBounds:
     def test_refutes(self, capsys):
-        code, out, _ = run(
-            capsys, "bounds", "--sigma", "3,3,3", "--n", "5", "--q", "5", "--nu", "1"
-        )
+        code, out, _ = run(capsys, "bounds", "--sigma", "3,3,3", "--n", "5", "--q", "5")
         assert code == 0
         assert "REFUTES-SHARP-HC" in out
 
     def test_inconclusive(self, capsys):
-        code, out, _ = run(
-            capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", "6"
-        )
+        code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6")
         assert code == 0
         assert "INCONCLUSIVE" in out
         assert "[9, 12]" in out
 
-    def test_negative_nu(self, capsys):
-        code, out, err = run(
-            capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", "-5"
-        )
-        assert code == 2
-        assert "REFUTES-SHARP-HC" not in out
-        assert "bounds: matching size nu must be >= 0, got -5" in err
-        # the same hypergraph has a sharp Hamiltonian cycle
-        code, _, err = run(
-            capsys, "construct", "--sigma", "2,1", "--n", "3", "--q", "6", "--kind", "sharp"
-        )
-        assert code == 0
-        assert "12 edges" in err
-
     def test_uniform_r1_is_usage_error(self, capsys):
-        # the r message wins over a negative nu, and nothing is printed first
-        for nu in ([], ["--nu", "-1"]):
-            code, out, err = run(capsys, "bounds", "--sigma", "1", "--n", "3", "--q", "3", *nu)
-            assert code == 2
-            assert out == ""
-            assert "bounds: sharp cycle bounds need r >= 2, got r=1" in err
+        # nothing is printed before the r message
+        code, out, err = run(capsys, "bounds", "--sigma", "1", "--n", "3", "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert "bounds: sharp cycle bounds need r >= 2, got r=1" in err
 
     def test_empty_window(self, capsys):
         # nq/(r-1) = 2, but a sharp cycle has at least 4 edges, and
@@ -336,42 +317,29 @@ class TestBounds:
             "REFUTES-SHARP-HC\n"
         ))
 
-    def test_disconnected_negative_nu(self, capsys):
-        # nu < 0 is a usage error before any rule, disconnection too, and
-        # nothing is printed first
-        code, out, err = run(capsys, "bounds", "--sigma", "2", "--n", "3", "--q", "4", "--nu", "-1")
-        assert (code, out) == (2, "")
-        assert "bounds: matching size nu must be >= 0, got -1" in err
-
     def test_bound_without_gcd(self, capsys):
         # gcd 1: the bound is nq/r, and the test always runs on it
         code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6")
         assert code == 0
         assert out.endswith("max matching <= 6\nINCONCLUSIVE\n")
 
-    @pytest.mark.parametrize(
-        "nu, tail",
-        [
-            ("3", "refuted: edge-count window [9, 12] and max matching <= 3 leave no sharp cycle\n"
-                  "REFUTES-SHARP-HC\n"),
-            ("100", "INCONCLUSIVE\n"),
-        ],
-    )
-    def test_nu_tightens_the_bound(self, capsys, nu, tail):
-        # --nu refutes below the bound, naming the nu it used, and changes
-        # nothing above it
-        code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", nu)
-        assert code == 0
-        assert out.endswith(f"max matching <= 6\n{tail}")
+    def test_nu_is_not_an_option(self, capsys):
+        # bounds runs on its own matching bound alone: an outside one is a
+        # usage error from argparse, and nothing is printed
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", "3"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --nu 3" in err
 
     @pytest.mark.parametrize("sigma, n, q", [("4,1,1", "3", "4"), ("3,1,1,1", "4", "3")])
     def test_matching_bound_gap_at_r6(self, capsys, sigma, n, q):
         # the class-load ceiling alone allows a matching of 2 here, where the
         # exact nu is 1.  n = s closes the gap: every copy of sigma puts a
         # part in every class, so nu <= 1 + (q - a_1) // a_s = 1.  bounds
-        # refutes without --nu, the oracle's exact nu agrees, the sharp
-        # search over the whole window [4, 4] finds nothing, and the sharp
-        # constructor's refusal is a proof
+        # refutes, the oracle's exact nu agrees, the sharp search over the
+        # whole window [4, 4] finds nothing, and the sharp constructor's
+        # refusal is a proof
         hg = ["--sigma", sigma, "--n", n, "--q", q]
         assert run(capsys, "bounds", *hg)[:2] == (0, (
             "vertices: 12\nsharp cycle edge-count window: [4, 4]\nmax matching <= 1\n"
@@ -475,6 +443,22 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert f"oracle: {fragment}" in err
+
+    @pytest.mark.parametrize(
+        "argv, rejected",
+        [(["--max-len", "-1"], "--max-len -1"), (["-o", "x.json"], "-o x.json")],
+        ids=["max-len", "output"],
+    )
+    def test_max_matching_takes_only_its_options(self, capsys, tmp_path, monkeypatch, argv, rejected):
+        # max-len and -o belong to sharp-exists: max-matching rejects them
+        # as argparse usage errors, and writes nothing
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "max-matching", "--sigma", "2,1", "--n", "3", "--q", "3", *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"unrecognized arguments: {rejected}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_inexact_max_matching(self, capsys):
         # 84,700 edges: the class-load search is cut after 10 states, in its
@@ -647,7 +631,7 @@ class TestParserReuse:
         )
         assert code == 0
         assert out.startswith("sharp: 12 edges, profile")
-        code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6", "--nu", "3")
+        code, out, _ = run(capsys, "bounds", "--sigma", "2,2", "--n", "3", "--q", "3")
         assert code == 0
         assert "REFUTES-SHARP-HC" in out
         code, out, _ = run(capsys, "bounds", "--sigma", "2,1", "--n", "3", "--q", "6")

@@ -14,6 +14,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from helpers import (
     reference_brute_force_max_matching,
     reference_brute_force_sharp_hamiltonian_exists,
     reference_enumerate_edges,
+    reference_packing,
 )
 from sigmacycles import (
     KIND_SHARP,
@@ -288,13 +290,59 @@ def test_matching_upper_bound_brackets_nu(sigma, n, q):
 
 @pytest.mark.parametrize("sigma", [sigma for r in range(1, 8) for sigma in partitions_of(r)], ids=str)
 def test_matching_upper_bound_at_n_equals_s(sigma):
-    # n = s adds the term 1 + (q - a_1) // a_s; the bound never falls below
-    # the exact nu (q >= a_1, or H has no edges)
+    # n = s adds the term 1 + (q - a_1) // a_s, with which the oracle also
+    # prunes; its exact nu is the reference packing's, and the bound never
+    # falls below it (q >= a_1, or H has no edges)
+    s = len(sigma)
+    packing = reference_packing(sigma, s)
     for q in range(sigma[0], sigma[0] + 7):
-        H = make_hypergraph(len(sigma), q, Partition(sigma))
+        H = make_hypergraph(s, q, Partition(sigma))
         exact = brute_force_max_matching(H)
         assert exact.exact
-        assert exact.nu <= matching_upper_bound(H)
+        assert exact.nu == packing((q,) * s) <= matching_upper_bound(H)
+
+
+def test_load_ceiling_with_s_classes():
+    # every sigma with r 2-7 and every tuple of exactly s capacities 1-9:
+    # the ceiling, n = s term included, is never below the exact packing,
+    # and it is above it on 18,394 of the 23,463 tuples (18,404 without
+    # that term)
+    checked = above = 0
+    for r in range(2, 8):
+        for sigma in partitions_of(r):
+            s = len(sigma)
+            packing = reference_packing(sigma, s)
+            ceiling = verify._load_ceiling(Partition(sigma))
+            for caps in itertools.combinations_with_replacement(range(9, 0, -1), s):
+                groups = tuple(sorted(Counter(caps).items(), reverse=True))
+                exact, bound = packing(caps), ceiling(groups)
+                assert bound >= exact, (sigma, caps)
+                checked += 1
+                above += bound > exact
+    assert (checked, above) == (23_463, 18_394)
+
+
+@pytest.mark.parametrize(
+    "sigma, n, q, budget",
+    [
+        ((2, 1), 3000, 3000, 5000),  # a greedy descent, cut by the budget
+        ((3, 2), 25, 7, 2000),  # a search that backtracks
+    ],
+)
+def test_max_matching_memory_per_state(sigma, n, q, budget):
+    # the memo and the path hold one entry per state expanded: about 560
+    # and 320 bytes per state here on Python 3.11, and a deep descent
+    # about 550 at 20,000 states, so the default budget of 2,000,000 states
+    # can reach about 1.1 GB.  The bound is loose, for other Python versions
+    H = make_hypergraph(n, q, Partition(sigma))
+    tracemalloc.start()
+    try:
+        result = brute_force_max_matching(H, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.nodes == budget + 1
+    assert peak / result.nodes < 1024
 
 
 def test_oracles_build_no_index(monkeypatch):

@@ -2,11 +2,13 @@
 
 import pytest
 
+from helpers import partitions_of
 from sigmacycles import (
     KIND_BERGE,
     KIND_K_INTERSECTING,
     KIND_SHARP,
     BudgetExceeded,
+    Partition,
     CycleCertificate,
     Edge,
     brute_force_max_matching,
@@ -31,8 +33,8 @@ def H(n, q, sigma):
     return make_hypergraph(n, q, parse_partition(sigma))
 
 
-def refutes_sharp(h, nu=None):
-    return no_cycle_reason(h, KIND_SHARP, nu) is not None
+def refutes_sharp(h):
+    return no_cycle_reason(h, KIND_SHARP) is not None
 
 
 class TestBergeVerifier:
@@ -235,10 +237,10 @@ class TestBounds:
 
     def test_four_edge_floor(self):
         # nq/(r-1) = 2, but a sharp cycle has at least 4 edges, and
-        # 2nq/r = 3: the window is empty, so a reason is given at any nu
+        # 2nq/r = 3: the window is empty, so a reason is given
         assert sharp_cycle_bounds(H(2, 3, "2,2")) == (4, 3)
-        assert no_cycle_reason(H(2, 3, "2,2"), KIND_SHARP, 10**9) == (
-            "edge-count window [4, 3] and max matching <= 1000000000 leave no sharp cycle"
+        assert no_cycle_reason(H(2, 3, "2,2"), KIND_SHARP) == (
+            "edge-count window [4, 3] and max matching <= 1 leave no sharp cycle"
         )
 
     def test_r1_rejected(self):
@@ -247,18 +249,17 @@ class TestBounds:
         with pytest.raises(ValueError, match="r >= 2"):
             sharp_cycle_bounds(h)
         for kind in (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING):
-            assert no_cycle_reason(h, kind, 1) == "an edge of one vertex links no two cycle vertices"
+            assert no_cycle_reason(h, kind) == "an edge of one vertex links no two cycle vertices"
 
     def test_nonexistence(self):
-        assert refutes_sharp(H(5, 5, "3,3,3"), 1)
-        assert not refutes_sharp(H(3, 6, "2,1"), 6)
+        assert refutes_sharp(H(5, 5, "3,3,3"))
+        assert not refutes_sharp(H(3, 6, "2,1"))
         # window [4, 4]: a 4-edge cycle's alternate edges are a matching of
         # 2, and nu = 1 (2nu + 1 < nq/(r-1) = 3 does not hold)
         assert sharp_cycle_bounds(H(3, 3, "2,2")) == (4, 4)
-        assert refutes_sharp(H(3, 3, "2,2"), 1)
-        assert not refutes_sharp(H(3, 3, "2,2"), 2)
+        assert refutes_sharp(H(3, 3, "2,2"))
 
-    def test_nu_defaults_to_the_matching_bound(self):
+    def test_the_rule_reads_the_matching_bound(self):
         # the class-load ceiling allows 1 on window [4, 4], and 6 on [9, 12]
         assert no_cycle_reason(H(3, 3, "2,2"), KIND_SHARP) == (
             "edge-count window [4, 4] and max matching <= 1 leave no sharp cycle"
@@ -267,12 +268,13 @@ class TestBounds:
 
     def test_disconnected(self):
         # one part and n >= 2: every edge lies in one class.  The window
-        # [12, 12] and nu = 6 alone would not refute
+        # [12, 12] and nu <= 6 alone would not refute
         h = H(3, 4, "2")
         assert sharp_cycle_bounds(h) == (12, 12)
+        assert matching_upper_bound(h) == 6
         for kind in (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING):
-            assert no_cycle_reason(h, kind, 10**9) == "every edge lies in one class, so H is disconnected"
-        assert not refutes_sharp(H(1, 4, "2"), 2)
+            assert no_cycle_reason(h, kind) == "every edge lies in one class, so H is disconnected"
+        assert not refutes_sharp(H(1, 4, "2"))
 
     def test_berge_edge_count(self):
         # C(4,2) = 6 edges for 4 vertices, and one edge for 3: too few for
@@ -289,34 +291,31 @@ class TestBounds:
         assert no_cycle_reason(h, KIND_K_INTERSECTING) is None
 
     def test_nonexistence_boundary_is_strict(self):
-        # window [9, 9] and floor(9/2) = 4 = nu exactly: must not fire
+        # window [9, 9] and floor(9/2) = 4 = nu <= 4 exactly: must not fire.
+        # Window [4, 4] and floor(4/2) = 2, one above nu <= 1: fires
         h = H(3, 3, "1,1")
-        assert sharp_cycle_bounds(h) == (9, 9)
-        assert not refutes_sharp(h, 4)
-        assert refutes_sharp(h, 3)
+        assert (sharp_cycle_bounds(h), matching_upper_bound(h)) == ((9, 9), 4)
+        assert not refutes_sharp(h)
+        h = H(3, 3, "2,2")
+        assert (sharp_cycle_bounds(h), matching_upper_bound(h)) == ((4, 4), 1)
+        assert refutes_sharp(h)
 
     def test_never_weaker_than_the_fractional_rule(self):
-        # 2nu + 1 < nq/(r-1) implies nu + 1 <= floor(lo/2)
-        for r in range(2, 7):
-            for n in range(1, 6):
-                for q in range(r, 9):
-                    h = H(n, q, ",".join(["1"] * r)) if n >= r else H(n, q, str(r))
-                    for nu in range(0, n * q):
-                        if (2 * nu + 1) * (r - 1) < n * q:
-                            assert refutes_sharp(h, nu), (h, nu)
-
-    def test_negative_nu_rejected(self):
-        # 2*nu + 1 < nq/(r-1) holds for every nu < 0 and would refute a
-        # hypergraph that has a sharp Hamiltonian cycle.  The check comes
-        # before every rule, r < 2 and disconnection too
-        h = H(3, 6, "2,1")
-        with pytest.raises(ValueError, match="nu must be >= 0"):
-            no_cycle_reason(h, KIND_SHARP, -5)
-        assert refutes_sharp(h, 0)
-        for h in (H(3, 3, "1"), H(3, 4, "2")):
-            for kind in (KIND_BERGE, KIND_SHARP, KIND_K_INTERSECTING):
-                with pytest.raises(ValueError, match="nu must be >= 0"):
-                    no_cycle_reason(h, kind, -1)
+        # 2nu + 1 < nq/(r-1) implies nu + 1 <= floor(lo/2), with nu the
+        # built-in bound.  Past one-part sigma, the fractional rule holds on
+        # two instances of this grid, and the window rule refutes both
+        fired = []
+        for r in range(2, 10):
+            for sigma in partitions_of(r):
+                for n in range(len(sigma), 9):
+                    for q in range(sigma[0], 13):
+                        h = make_hypergraph(n, q, Partition(sigma))
+                        if (2 * matching_upper_bound(h) + 1) * (r - 1) < n * q:
+                            assert refutes_sharp(h), h
+                            if len(sigma) > 1:
+                                fired.append((sigma, n, q))
+                                assert no_cycle_reason(h, KIND_SHARP).startswith("edge-count window")
+        assert fired == [((5, 1, 1, 1, 1), 5, 5), ((3, 3, 3), 5, 5)]
 
 
 class TestMaxMatchingOracle:
