@@ -13,7 +13,8 @@ nonexistence rules.  NoRecipe says that no recipe here covers the
 parameters; a cycle may still exist.
 
 Every recipe cuts its edges from one grid of vertex tuples made once per
-call (_columns): a part (the vertices of an edge in one class) is a slice
+call (_columns, which lives in core: enumerate_edges cuts its parts from
+the same grid): a part (the vertices of an edge in one class) is a slice
 of its class's column, rows ascending, and an edge is its parts
 concatenated in ascending class order.  No recipe builds a vertex, sorts
 an edge's vertices or calls Edge.of; the gate's verifier is what checks
@@ -39,7 +40,7 @@ from .certificates import (
     check_k,
     check_split_index,
 )
-from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph
+from .core import MAX_ITEMS, Edge, GridVertex, SigmaHypergraph, _Column, _columns
 from .errors import NoCycle, NoRecipe
 from .verify import (
     no_cycle_reason,
@@ -75,16 +76,8 @@ def _check_block(H: SigmaHypergraph, block_start_row: int, block_height: int) ->
         raise ValueError("block out of range")
 
 
-# a class's vertices over a run of rows, ascending, and the s parts of one
-# edge, each a slice of one class's column
-_Column = tuple[GridVertex, ...]
+# the s parts of one edge, each a slice of one class's column
 _Parts = list[_Column]
-
-
-def _columns(H: SigmaHypergraph, rows: range) -> list[_Column]:
-    """The grid's vertex tuples over rows, one tuple per class: a recipe
-    makes them once per call and cuts every edge from them."""
-    return [tuple((c, row) for row in rows) for c in range(H.n)]
 
 
 def _edge(parts: _Parts) -> Edge:

@@ -219,17 +219,27 @@ def is_edge(H: SigmaHypergraph, K: Iterable[GridVertex]) -> bool:
     return tuple(sorted(counts.values(), reverse=True)) == H.sigma.parts
 
 
-def _runs(n: int, q: int, parts: tuple[int, ...]) -> Iterator[tuple[tuple[GridVertex, ...], int, int]]:
-    """Yield the edges with n classes of q rows and the given parts as runs
+# a class's vertices over a run of rows, ascending
+_Column = tuple[GridVertex, ...]
+
+
+def _columns(H: SigmaHypergraph, rows: range) -> list[_Column]:
+    """The grid's vertex tuples over rows, one tuple per class: the
+    enumeration and every recipe make them once per call and cut each part
+    (the vertices of an edge in one class) from them."""
+    return [tuple((c, row) for row in rows) for c in range(H.n)]
+
+
+def _runs(columns: list[_Column], parts: tuple[int, ...]) -> Iterator[tuple[_Column, int, int]]:
+    """Yield the edges whose parts are cut from the class columns as runs
     (prefix, cc, a), in lexicographic order of the canonical vertex
     sequences: a run stands for the edges that extend the vertex tuple
-    prefix by every a-row choice in class cc, rows ascending, in
+    prefix by every a-vertex choice in column cc, in
     itertools.combinations order.  A depth-first walk over an explicit stack
     of _moves, one per part placed, so the number of parts is not bounded by
     the recursion limit; once one part is left, each remaining class in
-    order gives one run.  choices_for memoises the sorted row choices per
-    tuple of parts still to place."""
-    choices_for: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    order gives one run."""
+    n = len(columns)
     stack = [iter([(0, parts, ())])]
     while stack:
         for c, remaining, acc in stack[-1]:
@@ -239,43 +249,41 @@ def _runs(n: int, q: int, parts: tuple[int, ...]) -> Iterator[tuple[tuple[GridVe
                 for cc in range(c, n):
                     yield acc, cc, remaining[0]
                 continue
-            choices = choices_for.get(remaining)
-            if choices is None:
-                choices = []
-                for a in set(remaining):
-                    choices.extend(itertools.combinations(range(q), a))
-                # lexicographic on the induced vertex sequence: a strict prefix
-                # of another choice continues with a later class, so it sorts
-                # after it; the sentinel q, above every row, gives that
-                choices.sort(key=lambda rows: rows + (q,))
-                choices_for[remaining] = choices
-            stack.append(_moves(n, c, remaining, acc, choices))
+            stack.append(_moves(columns, c, remaining, acc))
             break
         else:
             stack.pop()
 
 
-def _moves(n: int, c: int, remaining: tuple, acc: tuple, choices: list) -> Iterator[tuple]:
+def _moves(columns: list[_Column], c: int, remaining: tuple, acc: tuple) -> Iterator[tuple]:
     """Yield (first free class, parts left, prefix) for each way to place one
-    of the parts remaining, after the vertices acc, in a class cc >= c with
-    the row choices given."""
-    # skipping class cc sorts after every choice in it, so the classes go
-    # in order; each leaves room for the other parts in the classes after it
-    for cc in range(c, n - len(remaining) + 1):
-        for rows in choices:
+    of the parts remaining, after the vertices acc, in a class cc >= c: one
+    merge of the combinations streams of the part sizes left, per class."""
+    from heapq import merge
+
+    # a part that another part extends continues with a later class, so it
+    # sorts after it; the sentinel pad, above every vertex, gives that
+    pad = ((len(columns),),)
+    # skipping class cc sorts after every part in it, so the classes go in
+    # order; each leaves room for the other parts in the classes after it
+    for cc in range(c, len(columns) - len(remaining) + 1):
+        streams = [itertools.combinations(columns[cc], a) for a in set(remaining)]
+        for part in merge(*streams, key=lambda part: part + pad):
             rest = list(remaining)
-            rest.remove(len(rows))
-            yield cc + 1, tuple(rest), acc + tuple((cc, rr) for rr in rows)
+            rest.remove(len(part))
+            yield cc + 1, tuple(rest), acc + part
 
 
 def enumerate_edges(H: SigmaHypergraph) -> Iterator[Edge]:
     """Yield every edge exactly once, in lexicographic order of the
-    canonical vertex sequences.  Restartable; nothing is materialized.
+    canonical vertex sequences.  Restartable; no edge list is built: before
+    the first edge the memory held is the class columns plus one choice
+    stream per placed part.
 
     Each run of _runs maps itertools.combinations over its class's
     vertices to edges without a generator frame per edge."""
-    columns = [tuple((c, row) for row in range(H.q)) for c in range(H.n)]
-    for acc, c, a in _runs(H.n, H.q, H.sigma.parts):
+    columns = _columns(H, range(H.q))
+    for acc, c, a in _runs(columns, H.sigma.parts):
         yield from map(Edge, map(acc.__add__, itertools.combinations(columns[c], a)))
 
 

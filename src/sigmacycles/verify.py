@@ -194,20 +194,11 @@ def verify_berge_hamiltonian(H: SigmaHypergraph, cert: CycleCertificate) -> Veri
     return VerificationReport(ok=True, hamiltonian=True)
 
 
-def _window_start(ids: Sequence[int], p: int) -> Optional[int]:
-    """The start i of the window of consecutive edges, on a cycle of p, that
-    the ascending ids fill ({(i + d) % p for d < len(ids)} == set(ids)), or
-    None.  A window either spans len(ids) - 1 or wraps: it runs 0, 1, ...,
-    j - 1 and then on from its start, ids[j], up to p - 1."""
-    m = len(ids)
-    if ids[-1] - ids[0] == m - 1:
-        return ids[0]
-    if ids[0] != 0 or ids[-1] != p - 1:
-        return None
-    j = 1
-    while ids[j] == j:
-        j += 1
-    return ids[j] if ids[j] == p - m + j else None
+def _is_window(ids: Sequence[int], p: int) -> bool:
+    """True iff the ascending ids fill a window of consecutive edges on a
+    cycle of p: at most one cyclic step between neighbours, the wrap from
+    the last id back to the first included, is not 1."""
+    return sum((b - a) % p != 1 for a, b in zip(ids, ids[1:] + ids[:1])) <= 1
 
 
 def _scan(
@@ -246,7 +237,7 @@ def _scan(
             if run > k and (shared is None or a < shared):
                 shared = a
         for s in itertools.combinations(ids, k):
-            if _window_start(s, p) is None:
+            if not _is_window(s, p):
                 if subset is None or s < subset:
                     subset = s
                 break

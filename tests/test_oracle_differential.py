@@ -642,7 +642,9 @@ def test_sharp_exists_matches_reference(sigma, n, q, max_len, budget):
 
 
 def test_enumeration_order_matches_reference():
-    for sigma in SIGMAS:
+    # r = 6 is where three distinct part sizes first meet, so the merge of
+    # one row-choice stream per part size interleaves three streams
+    for sigma in SIGMAS + [sigma for sigma in partitions_of(6) if len(sigma) <= 4]:
         for n in range(1, 5):
             for q in range(1, 6):
                 H = hypergraph(sigma, n, q)
@@ -692,6 +694,28 @@ def test_enumeration_is_lazy(monkeypatch):
     assert next(enumerate_edges(H)) == first[0]
 
 
+@pytest.mark.parametrize(
+    "sigma, n, q, vertices",
+    [
+        ((2, 1), 3, 1000, ((0, 0), (0, 1), (1, 0))),
+        ((3, 2), 3, 120, ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))),
+    ],
+)
+def test_first_edge_streams_its_row_choices(sigma, n, q, vertices):
+    # the first edge needs one row choice per part: an enumeration that
+    # listed every row choice first would hold C(q, a) tuples per part size,
+    # tens of MB here
+    H = make_hypergraph(n, q, Partition(sigma))
+    tracemalloc.start()
+    try:
+        first = next(enumerate_edges(H))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == Edge(vertices)
+    assert peak < 1_000_000
+
+
 def test_oracles_leave_no_reference_cycle():
     # a search state caught in a reference cycle would wait for the cyclic
     # garbage collector, and peak memory would creep up over calls
@@ -712,7 +736,7 @@ def test_oracles_leave_no_reference_cycle():
 def test_edge_runs_leave_no_reference_cycle():
     # the run recursion is a module-level function, not a closure that refers
     # to itself, so enumerate_edges (run to the end or dropped midway) leaves
-    # neither its generators nor its row choices to the collector
+    # neither its generators nor its merges of part streams to the collector
     H = make_hypergraph(4, 6, Partition((2, 2, 2)))
     enabled = gc.isenabled()
     gc.collect()
