@@ -195,7 +195,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args leaves the
+    parser unchanged and returns a new namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="sigma-cycles",
         description="Construct, verify and analyze Hamiltonian cycle certificates "
@@ -249,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: parse_args leaves the
-    parser unchanged and returns a new namespace on every call."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -279,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the interpreter's last flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ConstructionError as exc:
-        message, code = f"{exc.name}: {exc}", EXIT_UNSUPPORTED
+        message, code = f"{type(exc).__name__}: {exc}", EXIT_UNSUPPORTED
     except BudgetExceeded as exc:
         message, code = f"budget exceeded: {exc}", EXIT_UNSUPPORTED
     print(f"{args.command}: {message}", file=sys.stderr)

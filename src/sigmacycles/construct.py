@@ -22,14 +22,15 @@ that every edge holds r distinct in-range vertices in the sigma shape.
 
 The sharp and k-intersecting cycles are block chains, and both start with
 one preamble (_blocks): NoRecipe for n <= s or q with no block split, the
-size check, then the blocks.  Each block's diagonal parts are cut once
-(_diagonal_parts), and every chain edge, like every edge of the public
-matchings, is cut from them.
+size check, then the blocks.  One function cuts every chain edge (_chain):
+the diagonal edges of all blocks, in order, form one cycle, and each is
+followed by its shifted edges, whose tails come from the next diagonal edge
+in that cycle.  The public matchings are the same chain over one block.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, pairwise
 from typing import Sequence
 
 from .certificates import (
@@ -104,10 +105,9 @@ def diagonal_matching(
 ) -> tuple[Edge, ...]:
     """The n pairwise-disjoint edges, as a tuple, placed diagonally: edge j
     takes its i-th part from class j+i (mod n), covering the block's top
-    r x n subgrid."""
+    r x n subgrid.  It is the chain of the one block with no threshold."""
     _check_block(H, block_start_row, block_height)
-    columns = _columns(H, range(block_start_row, block_start_row + block_height))
-    return tuple(map(_edge, _diagonal_parts(H, columns, 0)))
+    return _chain(H, [(block_start_row, block_height)], [])
 
 
 def _shifted_edge(
@@ -128,18 +128,14 @@ def shifted_matching(
     H: SigmaHypergraph, block_start_row: int, block_height: int, p: int
 ) -> tuple[Edge, ...]:
     """The companion matching to diagonal_matching under split index p, as a
-    tuple of n edges."""
+    tuple of n edges: the shifted edges of the one block's chain with the
+    single threshold p, so edge n-1 takes its tail from diagonal edge 0."""
     _check_block(H, block_start_row, block_height)
     s = H.sigma.s
     check_split_index(p, s)
     if H.n <= s:
         raise NoRecipe(f"n={H.n} <= s={s}: shifted edges would collide")
-    b, h, n = block_start_row, block_height, H.n
-    columns = _columns(H, range(b, b + h))
-    parts = _diagonal_parts(H, columns, 0)
-    return tuple(
-        _shifted_edge(H, columns, 0, h, parts[j], parts[(j + 1) % n], p) for j in range(n)
-    )
+    return _chain(H, [(block_start_row, block_height)], [p])[1::2]
 
 
 def _check_size(H: SigmaHypergraph, edges: int) -> None:
@@ -173,28 +169,24 @@ def _zero_head(H: SigmaHypergraph, blocks: list[tuple[int, int]]) -> bool:
     return blocks[-1][1] == H.r + 1 and H.sigma.delta_max == 1
 
 
-def _chain_blocks(
+def _chain(
     H: SigmaHypergraph, blocks: list[tuple[int, int]], thresholds: Sequence[int]
 ) -> tuple[Edge, ...]:
-    """The block-chain cycle: per block and class j, diagonal edge j followed
-    by one shifted edge per threshold, each cut from the block's diagonal
-    parts.  The tails of class j come from diagonal edge j+1; the next
-    block's diagonal edge 0 follows the last class, and the last block wraps
-    to the first."""
+    """The block chain over blocks, (start_row, height) runs of grid rows
+    stacked top-down: the diagonal edges of every block, in order, form one
+    cycle, and each is followed by one shifted edge per threshold whose tail
+    is the next diagonal edge in that cycle.  The columns span the blocks'
+    rows alone, and the diagonal parts are cut one block at a time."""
+    top = blocks[0][0]
+    columns = _columns(H, range(top, blocks[-1][0] + blocks[-1][1]))
+    diagonals = chain.from_iterable(_diagonal_parts(H, columns, b - top) for b, _ in blocks)
+    first = next(diagonals)
+    cycle = pairwise(chain([first], diagonals, [first]))
     edges: list[Edge] = []
-    columns = _columns(H, range(H.q))
-    # each block's parts are built once, one block ahead: only the first,
-    # the current and the next block's parts are alive at a time
-    first = nxt = _diagonal_parts(H, columns, blocks[0][0])
-    for m, (b, h) in enumerate(blocks):
-        parts = nxt
-        nxt = _diagonal_parts(H, columns, blocks[m + 1][0]) if m + 1 < len(blocks) else first
-        chained = parts + [nxt[0]]
-        for j in range(H.n):
-            edges.append(_edge(chained[j]))
-            edges += [
-                _shifted_edge(H, columns, b, h, chained[j], chained[j + 1], t) for t in thresholds
-            ]
+    for b, h in blocks:
+        for head, tail in islice(cycle, H.n):
+            edges.append(_edge(head))
+            edges += [_shifted_edge(H, columns, b - top, h, head, tail, t) for t in thresholds]
     return tuple(edges)
 
 
@@ -260,7 +252,7 @@ def construct_sharp_hamiltonian(H: SigmaHypergraph, p: int = 1) -> CycleCertific
                 f"sigma=({H.sigma}) with an (r+1)-block: every split gives a zero intersection"
             )
         p = 2
-    return _certify(H, KIND_SHARP, _chain_blocks(H, blocks, [p]), verify_sharp_cycle, split_index=p)
+    return _certify(H, KIND_SHARP, _chain(H, blocks, [p]), verify_sharp_cycle, split_index=p)
 
 
 def construct_berge_hamiltonian(H: SigmaHypergraph) -> CycleCertificate:
@@ -337,5 +329,5 @@ def construct_k_intersecting(H: SigmaHypergraph, k: int) -> CycleCertificate:
         raise NoRecipe(
             f"sigma=({H.sigma}) with an (r+1)-block: threshold 1 gives a zero intersection"
         )
-    edges = _chain_blocks(H, blocks, range(k - 1, 0, -1))
+    edges = _chain(H, blocks, range(k - 1, 0, -1))
     return _certify(H, KIND_K_INTERSECTING, edges, verify_k_intersecting, k=k)

@@ -174,7 +174,9 @@ make_hypergraph = SigmaHypergraph
 
 
 class Edge(Record):
-    """An edge stored as its canonical vertex tuple, sorted by (class, row)."""
+    """An edge stored as its vertex tuple.  Edge.of sorts it by (class,
+    row), the order of every built or parsed edge; Edge() keeps the order
+    it is given."""
 
     __slots__ = ("vertices",)
     vertices: tuple[GridVertex, ...]
@@ -192,9 +194,6 @@ class Edge(Record):
 
     def vertex_set(self) -> frozenset[GridVertex]:
         return frozenset(self.vertices)
-
-    def __contains__(self, v: GridVertex) -> bool:
-        return v in self.vertices
 
 
 def incidence(edges: Sequence[Edge]) -> dict[GridVertex, list[int]]:

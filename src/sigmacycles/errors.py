@@ -8,10 +8,6 @@ class NoEdgesError(ValueError):
 class ConstructionError(Exception):
     """Base class for constructor refusals: NoCycle or NoRecipe."""
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
 
 class NoCycle(ConstructionError):
     """No cycle of the kind asked for exists; the message gives the reason."""

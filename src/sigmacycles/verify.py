@@ -37,8 +37,9 @@ memoise states and keep their path on an explicit stack.
 Edge validity, the first stage of every verifier, is one exact pass over the
 edge list that applies core.is_edge's rule inline: in-range vertex pairs, r
 distinct vertices, and the sigma shape of the columns, memoised per column
-tuple.  A second pass finds the first repeated edge.  A reject names the
-same edge with the same detail as a per-edge is_edge loop would.
+tuple.  A second pass finds the first edge whose vertex set repeats an
+earlier edge's, in whatever order either lists its vertices.  A reject
+names the same edge with the same detail as a per-edge is_edge loop would.
 
 A certificate's claims (claims.hamiltonian, claims.t, claims.z) are never
 checked: no verdict or tag compares them with what the verifier measures,
@@ -111,26 +112,43 @@ class VerificationReport(Record):
 
 
 def _edge_validity_failure(H: SigmaHypergraph, edges: Sequence[Edge]) -> Optional[VerificationReport]:
-    """The first non-edge, else the first repeated edge, else None.
+    """The first non-edge, else the first edge with the vertex set of an
+    earlier one, else None.
 
     One pass applies core.is_edge's rule to each edge inline, in its order:
     every vertex a pair in range (a vertex that is not a pair raises
     ValueError, which marks a non-edge), then r distinct vertices, then the
-    sigma shape of the edge's columns, memoised per column tuple.  A second
-    pass finds the first repeated edge with a dict, as the per-edge
-    reference does, so an unhashable edge after a repeat is never hashed.
+    sigma shape of the edge's columns, memoised per column tuple.  The same
+    loop notes whether the edge is a tuple of ascending vertices, as every
+    built or parsed edge is: such a tuple holds distinct vertices and is the
+    key of its vertex set, so only the other edges are hashed as a set and
+    keyed by their sorted tuple.  A list vertex compares with no tuple, so
+    its edge does not ascend, and set() raises TypeError for it after the
+    bounds test, where is_edge raises it.  A second pass finds the first
+    repeated key with a dict, as the per-edge reference does with vertex
+    sets.
     """
     n, q, r = H.n, H.q, H.r
     shapes: dict[tuple, bool] = {}
+    keys: list[tuple] = []
     for i, e in enumerate(edges):
         vs = e.vertices
         try:
             cols = []
-            for c, row in vs:
+            last = ()
+            ascending = vs.__class__ is tuple
+            for v in vs:
+                c, row = v
                 if not (0 <= c < n and 0 <= row < q):
                     raise ValueError
                 cols.append(c)
-            valid = len(set(vs)) == len(vs) == r
+                if ascending:
+                    try:
+                        ascending = last < v
+                    except TypeError:
+                        ascending = False
+                last = v
+            valid = (ascending or len(set(vs)) == len(vs)) and len(vs) == r
             if valid:
                 key = tuple(cols)
                 valid = shapes.get(key)
@@ -142,12 +160,12 @@ def _edge_validity_failure(H: SigmaHypergraph, edges: Sequence[Edge]) -> Optiona
             valid = False
         if not valid:
             return VerificationReport.failure(TAG_NON_EDGE, f"edge {i} is not an edge of {H}")
+        keys.append(vs if ascending else tuple(sorted(vs)))
     seen: dict[tuple, int] = {}
-    for i, e in enumerate(edges):
-        vs = e.vertices
-        if vs in seen:
-            return VerificationReport.failure(TAG_DUPLICATE_EDGE, f"edge {i} duplicates edge {seen[vs]}")
-        seen[vs] = i
+    for i, key in enumerate(keys):
+        if key in seen:
+            return VerificationReport.failure(TAG_DUPLICATE_EDGE, f"edge {i} duplicates edge {seen[key]}")
+        seen[key] = i
     return None
 
 

@@ -88,13 +88,12 @@ def reference_edge_validity_failure(
             valid = False
         if not valid:
             return VerificationReport.failure(TAG_NON_EDGE, f"edge {i} is not an edge of {H}")
-    seen: dict[tuple, int] = {}
+    seen: dict[frozenset, int] = {}
     for i, e in enumerate(edges):
-        if e.vertices in seen:
-            return VerificationReport.failure(
-                TAG_DUPLICATE_EDGE, f"edge {i} duplicates edge {seen[e.vertices]}"
-            )
-        seen[e.vertices] = i
+        key = frozenset(e.vertices)
+        if key in seen:
+            return VerificationReport.failure(TAG_DUPLICATE_EDGE, f"edge {i} duplicates edge {seen[key]}")
+        seen[key] = i
     return None
 
 

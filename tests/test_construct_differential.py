@@ -1,13 +1,14 @@
 """Differential tests: the single block-chain recipe against the separate
 sharp and k-intersecting recipes in helpers.py, and the column-slice Berge
-walk against the per-vertex walk there.  Certificates must serialize
-to the same bytes, and a rejected call must raise the kind that NEW_KIND
-names for the reference's exception type, with the same message.  The
-allowed differences: a hypergraph with no cycle at all (r < 2, or one part
-and n >= 2) is refused with NoCycle and its reason, a sharp refusal where
-no_cycle_reason gives the edge-count window is NoCycle naming it, k < 2
-breaks the rule for k, and a degenerate k-intersecting call carries the
-shared degeneracy message."""
+walk against the per-vertex walk there.  Each is swept exhaustively over
+small grids, and the chains are sampled by Hypothesis over larger ones.
+Certificates must serialize to the same bytes, and a rejected call must
+raise the kind that NEW_KIND names for the reference's exception type, with
+the same message.  The allowed differences: a hypergraph with no cycle at
+all (r < 2, or one part and n >= 2) is refused with NoCycle and its reason,
+a sharp refusal where no_cycle_reason gives the edge-count window is
+NoCycle naming it, k < 2 breaks the rule for k, and a degenerate
+k-intersecting call carries the shared degeneracy message."""
 
 import pytest
 from hypothesis import given, settings
@@ -90,10 +91,7 @@ def matching_outcome(build, *args):
         return type(exc).__name__, str(exc)
 
 
-@SETTINGS
-@given(hypergraphs(), st.data())
-def test_sharp_matches_reference(H, data):
-    p = data.draw(st.integers(min_value=0, max_value=H.sigma.s))
+def check_sharp(H, p):
     got = outcome(construct_sharp_hamiltonian, H, p)
     want = expected(H, outcome(reference_construct_sharp_hamiltonian, H, p))
     if want[0] == "NoRecipe" and no_cycle_reason(H, KIND_SHARP) is not None:
@@ -103,10 +101,7 @@ def test_sharp_matches_reference(H, data):
         assert got == want
 
 
-@SETTINGS
-@given(hypergraphs(), st.data())
-def test_k_intersecting_matches_reference(H, data):
-    k = data.draw(st.integers(min_value=0, max_value=H.sigma.s + 1))
+def check_k_intersecting(H, k):
     got = outcome(construct_k_intersecting, H, k)
     want = outcome(reference_construct_k_intersecting, H, k)
     if k < 2:
@@ -120,16 +115,59 @@ def test_k_intersecting_matches_reference(H, data):
         assert got == expected(H, want)
 
 
+def check_matching(build, reference, *args):
+    want = matching_outcome(reference, *args)
+    assert matching_outcome(build, *args) == (NEW_KIND.get(want[0], want[0]), want[1])
+
+
+@SETTINGS
+@given(hypergraphs(), st.data())
+def test_sharp_matches_reference(H, data):
+    check_sharp(H, data.draw(st.integers(min_value=0, max_value=H.sigma.s)))
+
+
+@SETTINGS
+@given(hypergraphs(), st.data())
+def test_k_intersecting_matches_reference(H, data):
+    check_k_intersecting(H, data.draw(st.integers(min_value=0, max_value=H.sigma.s + 1)))
+
+
 @SETTINGS
 @given(hypergraphs(), st.data())
 def test_block_matchings_match_reference(H, data):
     h = data.draw(st.sampled_from([H.r, H.r + 1]))
     b = data.draw(st.integers(min_value=0, max_value=max(H.q - h, 0)))
     p = data.draw(st.integers(min_value=0, max_value=H.sigma.s))
-    want = matching_outcome(reference_diagonal_matching, H, b, h)
-    assert matching_outcome(diagonal_matching, H, b, h) == (NEW_KIND.get(want[0], want[0]), want[1])
-    want = matching_outcome(reference_shifted_matching, H, b, h, p)
-    assert matching_outcome(shifted_matching, H, b, h, p) == (NEW_KIND.get(want[0], want[0]), want[1])
+    check_matching(diagonal_matching, reference_diagonal_matching, H, b, h)
+    check_matching(shifted_matching, reference_shifted_matching, H, b, h, p)
+
+
+def test_chains_match_reference():
+    # every sigma with r 2..5, n s..s+3, q a_1..a_1+6: sharp at every split,
+    # k from 0 to s+1, and both matchings at every block start of either
+    # height (one out of range where q < h) with every split.  The block
+    # chains wrap from block to block and within one block; the tests above
+    # sample a larger space
+    calls = 0
+    for r in range(2, 6):
+        for parts in partitions_of(r):
+            sigma = Partition(parts)
+            s = sigma.s
+            for n in range(s, s + 4):
+                for q in range(sigma.delta_max, sigma.delta_max + 7):
+                    H = make_hypergraph(n, q, sigma)
+                    for p in range(s + 1):
+                        check_sharp(H, p)
+                    for k in range(s + 2):
+                        check_k_intersecting(H, k)
+                    calls += 2 * s + 3
+                    for h in (r, r + 1):
+                        for b in range(max(q - h, 0) + 1):
+                            check_matching(diagonal_matching, reference_diagonal_matching, H, b, h)
+                            for p in range(s + 1):
+                                check_matching(shifted_matching, reference_shifted_matching, H, b, h, p)
+                            calls += s + 2
+    assert calls == 13448
 
 
 def test_berge_matches_reference():

@@ -92,14 +92,21 @@ def hypergraph_and_edges(draw):
 
 @SETTINGS
 @given(hypergraph_and_edges())
-# a repeat before an edge whose vertices are a list: the reference reports the
-# repeat and never hashes the list, so a set of all edges would raise TypeError
+# an edge whose vertices are held in a list is keyed by its vertex set, like
+# a tuple: it repeats an earlier tuple and is repeated by a later one
 @example(
     (
         make_hypergraph(1, 2, Partition((1,))),
         [Edge(((0, 0),)), Edge(((0, 0),)), Edge([(0, 0)])],
     )
 )
+@example((make_hypergraph(2, 2, Partition((1, 1))), [Edge([(1, 0), (0, 0)]), Edge(((0, 0), (1, 0)))]))
+# a list vertex raises TypeError only once every vertex of its edge is in
+# range, where is_edge hashes them; an out-of-range vertex after it makes a
+# non-edge
+@example((make_hypergraph(3, 2, Partition((1, 1, 1))), [Edge(((0, 0), [1, 0], (2, 0)))]))
+@example((make_hypergraph(3, 2, Partition((1, 1, 1))), [Edge(([0, 0], [1, 0], [2, 0]))]))
+@example((make_hypergraph(3, 2, Partition((1, 1, 1))), [Edge(((0, 0), [1, 0], (3, 0)))]))
 def test_validity_stage_matches_reference(case):
     H, edges = case
     assert outcome(_edge_validity_failure, H, edges) == outcome(

@@ -69,6 +69,18 @@ class TestBergeVerifier:
         report = verify_berge_hamiltonian(h, cert.replace(vertex_sequence=((0, 1),)))
         assert report.violated_condition == "coverage-gap"
 
+    def test_repeated_edge_in_reversed_order(self):
+        # Edge() keeps its vertices in the order given, so a repeat listed in
+        # another order is still the same edge: a cycle may not use it twice
+        h = H(4, 3, "1,1,1")
+        cert = construct_berge_hamiltonian(h)
+        edges = list(cert.edges)
+        edges[1] = Edge(tuple(reversed(edges[0].vertices)))
+        report = verify_berge_hamiltonian(h, cert.replace(edges=tuple(edges)))
+        assert (report.ok, report.violated_condition, report.detail, report.hamiltonian) == (
+            False, "duplicate-edge", "edge 1 duplicates edge 0", None
+        )
+
     # A certificate file cannot carry these: the reader requires
     # vertex_sequence and rejects an out-of-range row before any check runs.
     @pytest.mark.parametrize(
